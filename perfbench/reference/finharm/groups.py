@@ -1,0 +1,585 @@
+"""Finite groups as dense multiplication tables, plus subgroup machinery.
+
+Element convention: a group of order n uses element indices 0..n-1 with 0 as
+the identity. All structure (inverses, conjugacy classes, cosets) is derived
+from the multiplication table once at construction time and frozen.
+
+Conjugacy classes are ordered canonically by (class size, smallest member),
+which puts the identity class first. Named families use documented element
+orders so that two runs of the same spec string index elements identically.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .errors import (
+    ClosureExceedsCap,
+    IndexOutOfRange,
+    InvalidPermutation,
+    OrderTooLarge,
+    ParseError,
+    UnsupportedParameter,
+)
+
+# Hard cap for exhaustive subgroup enumeration; sweeps above it must name
+# their subgroups explicitly.
+SUBGROUP_ENUMERATION_CAP = 48
+
+# Dense Cayley tables are the memory bound: 4096^2 int64 entries is ~134 MB.
+MAX_NAMED_ORDER = 4096
+
+# Default closure cap for perm:... specs and direct permutation builds.
+DEFAULT_PERM_ORDER_CAP = 2048
+
+
+class FiniteGroup:
+    """A finite group given by its full multiplication table.
+
+    The table is validated on construction: square, in-range, identity row
+    and column at index 0, and bijective rows and columns. Associativity is
+    not re-proved here (it is exhaustively checkable via
+    :func:`verify_group_axioms`); every builder in this module produces
+    associative tables by construction.
+    """
+
+    def __init__(
+        self,
+        mul_table: np.ndarray | Sequence[Sequence[int]],
+        label: str = "",
+        generators: Sequence[int] = (),
+    ) -> None:
+        mul = np.asarray(mul_table, dtype=np.int64)
+        if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
+            raise ValueError("multiplication table must be square")
+        n = mul.shape[0]
+        if n < 1:
+            raise ValueError("a group has at least one element")
+        if mul.min() < 0 or mul.max() >= n:
+            raise ValueError("table entries must be element indices")
+        ar = np.arange(n)
+        if not np.array_equal(mul[0], ar) or not np.array_equal(mul[:, 0], ar):
+            raise ValueError("element 0 must act as the identity")
+        if not np.array_equal(np.sort(mul, axis=1), np.broadcast_to(ar, mul.shape)):
+            raise ValueError("left translations must be bijective")
+        if not np.array_equal(np.sort(mul, axis=0), np.broadcast_to(ar[:, None], mul.shape)):
+            raise ValueError("right translations must be bijective")
+
+        mul = mul.copy()
+        mul.setflags(write=False)
+        self._mul = mul
+        # each row holds 0 exactly once, in row-major order of np.where
+        inv = np.where(mul == 0)[1].copy()
+        if not (np.array_equal(mul[ar, inv], np.zeros(n, dtype=np.int64))
+                and np.array_equal(mul[inv, ar], np.zeros(n, dtype=np.int64))):
+            raise ValueError("left and right inverses disagree")
+        inv.setflags(write=False)
+        self._inv = inv
+        self.label = str(label)
+        for g in generators:
+            if not 0 <= int(g) < n:
+                raise IndexOutOfRange(f"generator index {g} out of range for order {n}")
+        self.generators = tuple(int(g) for g in generators)
+
+        seen = np.zeros(n, dtype=bool)
+        classes: list[tuple[int, ...]] = []
+        for x in range(n):
+            if seen[x]:
+                continue
+            orbit = np.unique(mul[mul[:, x], inv])  # all g*x*g^-1
+            seen[orbit] = True
+            classes.append(tuple(int(v) for v in orbit))
+        classes.sort(key=lambda c: (len(c), c[0]))
+        self.classes = tuple(classes)
+        class_of = np.empty(n, dtype=np.int64)
+        for k, cls in enumerate(classes):
+            class_of[list(cls)] = k
+        class_of.setflags(write=False)
+        self.class_of = class_of
+        sizes = np.array([len(c) for c in classes], dtype=np.int64)
+        sizes.setflags(write=False)
+        self.class_sizes = sizes
+        reps = np.array([c[0] for c in classes], dtype=np.int64)
+        reps.setflags(write=False)
+        self.class_reps = reps
+
+    @property
+    def order(self) -> int:
+        return int(self._mul.shape[0])
+
+    @property
+    def identity(self) -> int:
+        return 0
+
+    @property
+    def mul_table(self) -> np.ndarray:
+        return self._mul
+
+    @property
+    def inv_table(self) -> np.ndarray:
+        return self._inv
+
+    def mul(self, a: int, b: int) -> int:
+        n = self.order
+        if not (0 <= a < n and 0 <= b < n):
+            raise IndexOutOfRange(f"element index out of range for order {n}")
+        return int(self._mul[a, b])
+
+    def inv(self, a: int) -> int:
+        if not 0 <= a < self.order:
+            raise IndexOutOfRange(f"element index out of range for order {self.order}")
+        return int(self._inv[a])
+
+    def elements(self) -> range:
+        return range(self.order)
+
+    def __repr__(self) -> str:
+        name = self.label or "unnamed"
+        return f"<FiniteGroup {name!r} order {self.order}>"
+
+
+class Subgroup:
+    """An embedded subgroup with its left coset decomposition U\\g.
+
+    Cosets are the sets U*x; the representative of each coset is its smallest
+    element index, and `left_coset_reps` lists them in ascending order of that
+    representative.
+    """
+
+    def __init__(self, parent: FiniteGroup, members: Iterable[int]) -> None:
+        mem = sorted({int(m) for m in members})
+        n = parent.order
+        if not mem:
+            raise ValueError("a subgroup is nonempty")
+        if mem[0] < 0 or mem[-1] >= n:
+            raise IndexOutOfRange(f"member index out of range for order {n}")
+        if mem[0] != 0:
+            raise ValueError("a subgroup contains the identity")
+        arr = np.array(mem, dtype=np.int64)
+        mask = np.zeros(n, dtype=bool)
+        mask[arr] = True
+        mul = parent.mul_table
+        if not bool(mask[mul[np.ix_(arr, arr)]].all()):
+            raise ValueError("member set is not closed under multiplication")
+        if not bool(mask[parent.inv_table[arr]].all()):
+            raise ValueError("member set is not closed under inversion")
+
+        self.parent = parent
+        self.members = tuple(mem)
+        arr.setflags(write=False)
+        self.members_array = arr
+        mask.setflags(write=False)
+        self.member_mask = mask
+
+        coset_of = np.full(n, -1, dtype=np.int64)
+        reps: list[int] = []
+        for x in range(n):
+            if coset_of[x] >= 0:
+                continue
+            coset_of[mul[arr, x]] = len(reps)
+            reps.append(x)
+        coset_of.setflags(write=False)
+        self.coset_of = coset_of
+        self.left_coset_reps = tuple(reps)
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
+    @property
+    def num_cosets(self) -> int:
+        return len(self.left_coset_reps)
+
+    def contains(self, g: int) -> bool:
+        return bool(self.member_mask[g])
+
+    def __repr__(self) -> str:
+        return f"<Subgroup order {self.order} of {self.parent!r}>"
+
+
+def _closure_members(G: FiniteGroup, seeds: Iterable[int]) -> set[int]:
+    mul = G.mul_table
+    members = {0}
+    queue = [0]
+    for s in seeds:
+        s = int(s)
+        if not 0 <= s < G.order:
+            raise IndexOutOfRange(f"seed {s} out of range for order {G.order}")
+        if s not in members:
+            members.add(s)
+            queue.append(s)
+    while queue:
+        x = queue.pop()
+        for y in tuple(members):
+            for z in (int(mul[x, y]), int(mul[y, x])):
+                if z not in members:
+                    members.add(z)
+                    queue.append(z)
+    return members
+
+
+def subgroup_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
+    """Smallest subgroup of G containing the seed elements."""
+    return Subgroup(G, sorted(_closure_members(G, seeds)))
+
+
+def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """All subgroups of G, deduplicated, sorted by (order, member list).
+
+    Works by growing generating sets: starting from the trivial subgroup,
+    repeatedly adjoin one outside element and close. Every subgroup is
+    reachable this way because adjoining its generators one at a time visits
+    only recorded subgroups.
+    """
+    if G.order > SUBGROUP_ENUMERATION_CAP:
+        raise OrderTooLarge(
+            f"subgroup enumeration is capped at order {SUBGROUP_ENUMERATION_CAP}, "
+            f"got {G.order}; pass explicit generators instead"
+        )
+    trivial = frozenset({0})
+    found = {trivial}
+    queue = [trivial]
+    while queue:
+        base = queue.pop()
+        seeds = sorted(base)
+        for g in range(1, G.order):
+            if g in base:
+                continue
+            grown = frozenset(_closure_members(G, seeds + [g]))
+            if grown not in found:
+                found.add(grown)
+                queue.append(grown)
+    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
+    return [Subgroup(G, sorted(s)) for s in ordered]
+
+
+def verify_group_axioms(G: FiniteGroup) -> bool:
+    """Exhaustive associativity/identity/inverse/class-consistency check.
+
+    O(n^3) but chunked; meant for corpus groups (order <= a few hundred).
+    Raises ValueError on the first violated axiom, returns True otherwise.
+    """
+    mul = G.mul_table
+    inv = G.inv_table
+    n = G.order
+    ar = np.arange(n)
+    if not (np.array_equal(mul[0], ar) and np.array_equal(mul[:, 0], ar)):
+        raise ValueError("identity axiom fails")
+    zero = np.zeros(n, dtype=np.int64)
+    if not (np.array_equal(mul[ar, inv], zero) and np.array_equal(mul[inv, ar], zero)):
+        raise ValueError("inverse axiom fails")
+    chunk = max(1, (1 << 22) // max(n * n, 1))
+    for start in range(0, n, chunk):
+        rows = mul[start:start + chunk]
+        left = mul[rows]          # (a*b)*c
+        right = rows[:, mul]      # a*(b*c)
+        if not np.array_equal(left, right):
+            raise ValueError("associativity fails")
+    # classes: partition plus conjugation invariance
+    covered = np.zeros(n, dtype=bool)
+    for k, cls in enumerate(G.classes):
+        idx = np.array(cls, dtype=np.int64)
+        if covered[idx].any():
+            raise ValueError("classes are not disjoint")
+        covered[idx] = True
+        if not np.array_equal(G.class_of[idx], np.full(len(cls), k, dtype=np.int64)):
+            raise ValueError("class_of disagrees with the class partition")
+    if not covered.all():
+        raise ValueError("classes do not cover the group")
+    for g in range(n):
+        if not np.array_equal(G.class_of[mul[mul[g, :], inv[g]]], G.class_of):
+            raise ValueError("conjugation does not preserve classes")
+    return True
+
+
+# ---------------------------------------------------------------------------
+# permutation builders
+
+
+def _validated_perm(perm: Sequence[int], degree: int) -> tuple[int, ...]:
+    p = tuple(int(v) for v in perm)
+    if len(p) != degree or sorted(p) != list(range(degree)):
+        raise InvalidPermutation(f"{perm!r} is not a permutation of 0..{degree - 1}")
+    return p
+
+
+def _mul_table_from_perms(perms: list[tuple[int, ...]]) -> np.ndarray:
+    """Cayley table for a list of permutations closed under composition.
+
+    Composition convention everywhere in this package: (p*q)(x) = p(q(x)).
+    perms[0] must be the identity.
+    """
+    arr = np.array(perms, dtype=np.int64)
+    n = len(perms)
+    index = {arr[i].tobytes(): i for i in range(n)}
+    mul = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        composed = arr[i][arr]  # row j = perms[i] o perms[j]
+        mul[i] = [index[row.tobytes()] for row in composed]
+    return mul
+
+
+def build_from_permutations(
+    degree: int,
+    generators: Sequence[Sequence[int]],
+    order_cap: int = DEFAULT_PERM_ORDER_CAP,
+    *,
+    label: str | None = None,
+) -> FiniteGroup:
+    """Close a set of permutations of {0..degree-1} under composition.
+
+    Elements are indexed in breadth-first discovery order from the identity,
+    multiplying by generators on the right; index 0 is the identity.
+    """
+    if degree < 1:
+        raise UnsupportedParameter("degree must be at least 1")
+    if order_cap < 1:
+        raise ValueError("order_cap must be at least 1")
+    gens = [_validated_perm(g, degree) for g in generators]
+    identity = tuple(range(degree))
+    index: dict[tuple[int, ...], int] = {identity: 0}
+    elems: list[tuple[int, ...]] = [identity]
+    head = 0
+    while head < len(elems):
+        base = elems[head]
+        head += 1
+        for g in gens:
+            new = tuple(base[g[i]] for i in range(degree))
+            if new not in index:
+                if len(elems) >= order_cap:
+                    raise ClosureExceedsCap(
+                        f"closure exceeds order_cap={order_cap}"
+                    )
+                index[new] = len(elems)
+                elems.append(new)
+    mul = _mul_table_from_perms(elems)
+    gen_indices = tuple(dict.fromkeys(index[g] for g in gens))
+    return FiniteGroup(mul, label=label or f"perm:{degree}", generators=gen_indices)
+
+
+# ---------------------------------------------------------------------------
+# named families
+
+
+def _check_named_order(order: int, what: str) -> None:
+    if order > MAX_NAMED_ORDER:
+        raise OrderTooLarge(f"{what} has order {order}, cap is {MAX_NAMED_ORDER}")
+
+
+def _cyclic(n: int) -> FiniteGroup:
+    if n < 1:
+        raise UnsupportedParameter("cyclic:n needs n >= 1")
+    _check_named_order(n, f"cyclic:{n}")
+    idx = np.arange(n, dtype=np.int64)
+    mul = (idx[:, None] + idx[None, :]) % n
+    gens = (1,) if n > 1 else ()
+    return FiniteGroup(mul, label=f"cyclic:{n}", generators=gens)
+
+
+def _dihedral(n: int) -> FiniteGroup:
+    """Dihedral group of order 2n: indices 0..n-1 are rotations r^a, and
+    n..2n-1 are reflections s*r^a."""
+    if n < 1:
+        raise UnsupportedParameter("dihedral:n needs n >= 1")
+    _check_named_order(2 * n, f"dihedral:{n}")
+    a = np.arange(n, dtype=np.int64)
+    rr = (a[:, None] + a[None, :]) % n          # r^a * r^b = r^(a+b)
+    diff = (a[None, :] - a[:, None]) % n        # index [a, b] -> b - a
+    # r^a * (s r^b) = s r^(b-a);  (s r^a) * r^b = s r^(a+b);  (s r^a)(s r^b) = r^(b-a)
+    mul = np.block([[rr, n + diff], [n + rr, diff]])
+    gens = (1, n) if n > 1 else (1,)
+    return FiniteGroup(mul, label=f"dihedral:{n}", generators=gens)
+
+
+def _quaternion() -> FiniteGroup:
+    """Quaternion group on {1, -1, i, -i, j, -j, k, -k} in that element order."""
+    # basis products: (unit index, sign), units 0=1, 1=i, 2=j, 3=k
+    base: dict[tuple[int, int], tuple[int, int]] = {}
+    for t in range(4):
+        base[(0, t)] = (t, 0)
+        base[(t, 0)] = (t, 0)
+    for t in (1, 2, 3):
+        base[(t, t)] = (0, 1)
+    base[(1, 2)] = (3, 0)
+    base[(2, 3)] = (1, 0)
+    base[(3, 1)] = (2, 0)
+    base[(2, 1)] = (3, 1)
+    base[(3, 2)] = (1, 1)
+    base[(1, 3)] = (2, 1)
+    mul = np.empty((8, 8), dtype=np.int64)
+    for t1 in range(4):
+        for s1 in range(2):
+            for t2 in range(4):
+                for s2 in range(2):
+                    t3, flip = base[(t1, t2)]
+                    s3 = (s1 + s2 + flip) % 2
+                    mul[2 * t1 + s1, 2 * t2 + s2] = 2 * t3 + s3
+    return FiniteGroup(mul, label="quaternion", generators=(2, 4))
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def _heisenberg(p: int) -> FiniteGroup:
+    """Upper unitriangular 3x3 matrices over integers mod p, order p^3.
+
+    Element (a, b, c) (top row a, c; middle b) has index a*p^2 + b*p + c, so
+    the center {(0,0,c)} occupies indices 0..p-1 and the generators
+    x=(1,0,0), y=(0,1,0) sit at p^2 and p.
+    """
+    if not _is_prime(p):
+        raise UnsupportedParameter(f"heisenberg:p needs a prime p, got {p}")
+    _check_named_order(p**3, f"heisenberg:{p}")
+    n = p**3
+    idx = np.arange(n, dtype=np.int64)
+    a, b, c = idx // (p * p), (idx // p) % p, idx % p
+    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
+    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
+    mul = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + ((c1 + c2 + a1 * b2) % p)
+    return FiniteGroup(mul, label=f"heisenberg:{p}", generators=(p * p, p))
+
+
+def _product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
+    """Direct product; element (a, b) has index a*|B| + b."""
+    _check_named_order(A.order * B.order, f"product of {A.label} and {B.label}")
+    nb = B.order
+    mul = (A.mul_table[:, None, :, None] * nb + B.mul_table[None, :, None, :])
+    mul = mul.reshape(A.order * nb, A.order * nb)
+    gens = tuple(g * nb for g in A.generators) + tuple(B.generators)
+    return FiniteGroup(mul, label=f"product:{A.label}*{B.label}", generators=gens)
+
+
+def _symmetric(n: int) -> FiniteGroup:
+    """Symmetric group on n points, elements in lexicographic one-line order."""
+    if n < 1:
+        raise UnsupportedParameter("symmetric:n needs n >= 1")
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+    _check_named_order(order, f"symmetric:{n}")
+    perms = [tuple(p) for p in itertools.permutations(range(n))]
+    mul = _mul_table_from_perms(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    gens: tuple[int, ...] = ()
+    if n >= 2:
+        transposition = (1, 0) + tuple(range(2, n))
+        ncycle = tuple(range(1, n)) + (0,)
+        gens = tuple(dict.fromkeys((index[transposition], index[ncycle])))
+    return FiniteGroup(mul, label=f"symmetric:{n}", generators=gens)
+
+
+# ---------------------------------------------------------------------------
+# group-spec DSL
+#
+# spec   := family | "product:" spec "*" spec | "perm:" degree ":" cycles
+# family := "cyclic:" n | "dihedral:" n | "symmetric:" n
+#         | "quaternion" | "heisenberg:" p
+# cycles := cycle (";" cycle)*        each cycle is one generator
+# cycle  := "(" int (" " int)* ")"
+
+
+class _SpecParser:
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+
+    def fail(self, message: str) -> None:
+        raise ParseError(message, self.pos)
+
+    def literal(self, token: str) -> bool:
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def expect(self, token: str) -> None:
+        if not self.literal(token):
+            self.fail(f"expected {token!r}")
+
+    def integer(self) -> int:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            self.fail("expected an integer")
+        return int(self.text[start:self.pos])
+
+    def group(self) -> FiniteGroup:
+        if self.literal("product:"):
+            a = self.group()
+            self.expect("*")
+            b = self.group()
+            return _product(a, b)
+        if self.literal("perm:"):
+            degree = self.integer()
+            self.expect(":")
+            cycles = self.cycles()
+            gens = [_cycle_to_perm(c, degree) for c in cycles]
+            body = ";".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
+            return build_from_permutations(degree, gens, label=f"perm:{degree}:{body}")
+        if self.literal("cyclic:"):
+            return _cyclic(self.integer())
+        if self.literal("dihedral:"):
+            return _dihedral(self.integer())
+        if self.literal("symmetric:"):
+            return _symmetric(self.integer())
+        if self.literal("quaternion"):
+            return _quaternion()
+        if self.literal("heisenberg:"):
+            return _heisenberg(self.integer())
+        self.fail(
+            "expected one of cyclic:, dihedral:, symmetric:, quaternion, "
+            "heisenberg:, product:, perm:"
+        )
+        raise AssertionError("unreachable")
+
+    def cycles(self) -> list[tuple[int, ...]]:
+        out = [self.cycle()]
+        while self.literal(";"):
+            out.append(self.cycle())
+        return out
+
+    def cycle(self) -> tuple[int, ...]:
+        self.expect("(")
+        points = [self.integer()]
+        while self.literal(" "):
+            points.append(self.integer())
+        self.expect(")")
+        return tuple(points)
+
+
+def _cycle_to_perm(points: tuple[int, ...], degree: int) -> tuple[int, ...]:
+    if len(set(points)) != len(points):
+        raise InvalidPermutation(f"cycle {points!r} repeats a point")
+    for v in points:
+        if not 0 <= v < degree:
+            raise InvalidPermutation(f"cycle point {v} outside 0..{degree - 1}")
+    perm = list(range(degree))
+    for i, v in enumerate(points):
+        perm[v] = points[(i + 1) % len(points)]
+    return tuple(perm)
+
+
+def make_named_group(spec: str) -> FiniteGroup:
+    """Build a group from a spec string, e.g. "symmetric:4" or
+    "product:cyclic:2*cyclic:4" or "perm:3:(0 1);(0 1 2)"."""
+    if not isinstance(spec, str) or not spec:
+        raise ParseError("empty group spec", 0)
+    parser = _SpecParser(spec)
+    G = parser.group()
+    if parser.pos != len(spec):
+        parser.fail("unexpected trailing text")
+    return G
