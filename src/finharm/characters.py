@@ -184,13 +184,9 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
         chi = (omega / sizes[:, None]) * dint[None, :]
         rows = chi.T  # one irreducible character per row
 
-        def _sort_key(i: int) -> tuple:
-            quant = tuple(
-                (-int(round(v.real * 1e9)), -int(round(v.imag * 1e9))) for v in rows[i]
-            )
-            return (int(dint[i]), quant)
-
-        order = sorted(range(r), key=_sort_key)
+        order = sorted(
+            range(r), key=lambda i: (int(dint[i]), _quantized_descending_key(rows[i]))
+        )
         values = rows[order]
         degrees = tuple(int(dint[i]) for i in order)
         table = CharacterTable(
@@ -217,29 +213,26 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
 class LinearCharacter:
     """A homomorphism from a subgroup to the unit circle.
 
-    values maps every subgroup member index to a unit-modulus complex number,
-    with value 1 at the identity.
+    member_values[i] is the value at subgroup.members[i]: unit modulus, with
+    value 1 at the identity.
     """
 
-    def __init__(self, subgroup: Subgroup, values: dict[int, complex]) -> None:
-        if set(values) != set(subgroup.members):
+    def __init__(self, subgroup: Subgroup, member_values: Iterable[complex]) -> None:
+        values = np.array(member_values, dtype=np.complex128)
+        if values.shape != (subgroup.order,):
             raise SubgroupMismatch("character values must cover exactly the members")
-        self.subgroup = subgroup
-        self.values = {u: complex(values[u]) for u in subgroup.members}
-        member_values = np.array(
-            [self.values[u] for u in subgroup.members], dtype=np.complex128
-        )
-        if float(np.max(np.abs(np.abs(member_values) - 1.0))) > 1e-6:
+        if float(np.max(np.abs(np.abs(values) - 1.0))) > 1e-6:
             raise ValueError("character values must have modulus 1")
-        if abs(self.values[0] - 1.0) > 1e-6:
+        if abs(values[0] - 1.0) > 1e-6:
             raise ValueError("character value at the identity must be 1")
-        member_values.setflags(write=False)
-        self.member_values = member_values
+        values.setflags(write=False)
+        self.subgroup = subgroup
+        self.member_values = values
 
     def __call__(self, u: int) -> complex:
         try:
-            return self.values[u]
-        except KeyError:
+            return complex(self.member_values[self.subgroup.members.index(u)])
+        except ValueError:
             raise SubgroupMismatch(f"element {u} is not a member of the subgroup") from None
 
     @property
@@ -247,9 +240,7 @@ class LinearCharacter:
         return bool(np.max(np.abs(self.member_values - 1.0)) <= 1e-9)
 
     def conjugated(self) -> "LinearCharacter":
-        return LinearCharacter(
-            self.subgroup, {u: v.conjugate() for u, v in self.values.items()}
-        )
+        return LinearCharacter(self.subgroup, np.conj(self.member_values))
 
     def on_parent(self) -> np.ndarray:
         """Values extended by zero to the whole parent group."""
@@ -337,7 +328,6 @@ def linear_characters(U: Subgroup) -> list[LinearCharacter]:
 
     lifted = []
     for chi in chars:
-        values = {u: _unit_root(chi[coset_of[u]]) for u in members}
-        lifted.append(LinearCharacter(U, values))
+        lifted.append(LinearCharacter(U, [_unit_root(chi[coset_of[u]]) for u in members]))
     lifted.sort(key=lambda psi: _quantized_descending_key(psi.member_values))
     return lifted

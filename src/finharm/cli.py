@@ -66,12 +66,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _deliver(report: SweepReport, out_path: str) -> None:
+def _deliver(report: SweepReport, out_path: str) -> bool:
+    """Write the report; on an unwritable path say so and return False."""
     text = report.rendered()
-    if out_path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text)
+    try:
+        if out_path == "-":
+            sys.stdout.write(text)
+        else:
+            Path(out_path).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
     except FinharmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _deliver(report, config.output_path)
+    if not _deliver(report, config.output_path):
+        return 2
     return 0 if report.passed else 1
 
 

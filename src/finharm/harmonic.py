@@ -14,13 +14,16 @@ index order so reports are reproducible to the last bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .characters import CharacterTable, LinearCharacter
 from .errors import GroupMismatch, IndexOutOfRange, SubgroupMismatch
 from .groups import FiniteGroup, Subgroup
+
+if TYPE_CHECKING:
+    from .induction import PairSpectrum
 
 
 class GroupFunction:
@@ -90,27 +93,26 @@ def character_as_function(table: CharacterTable, pi: int) -> GroupFunction:
     return GroupFunction(table.group, table.character_on_elements(pi))
 
 
-def convolve_over_subgroup(
-    g: Mapping[int, complex], U: Subgroup, f: GroupFunction
-) -> GroupFunction:
-    """x -> sum_{u in U} g(u) * f(u^-1 x), counting measure on U.
+def convolve_over_subgroup(coeffs: np.ndarray, U: Subgroup, values: np.ndarray) -> np.ndarray:
+    """x -> sum_{u in U} coeffs(u) * values(u^-1 x), counting measure on U.
 
-    g maps subgroup member indices to coefficients; members are consumed in
-    ascending index order so the accumulation order is reproducible.
+    coeffs is aligned with U.members; values indexes the parent group along
+    its last axis, so a stack of functions is convolved in one pass. Members
+    are consumed in ascending index order so the accumulation order is
+    reproducible.
     """
-    if f.group is not U.parent:
-        raise GroupMismatch("f must live on the parent group of U")
+    if np.shape(coeffs) != (U.order,):
+        raise SubgroupMismatch("coefficients must be aligned with the members of U")
+    if values.shape[-1:] != (U.parent.order,):
+        raise GroupMismatch("values must live on the parent group of U")
     mul = U.parent.mul_table
     inv = U.parent.inv_table
-    out = np.zeros(U.parent.order, dtype=np.complex128)
-    for u in sorted(g):
-        if not U.member_mask[u]:
-            raise SubgroupMismatch(f"coefficient index {u} is not a member of U")
-        c = complex(g[u])
+    out = np.zeros(values.shape, dtype=np.complex128)
+    for u, c in zip(U.members, np.asarray(coeffs).tolist()):
         if c == 0:
             continue
-        out += c * f.values[mul[int(inv[u])]]
-    return GroupFunction(U.parent, out)
+        out += c * values[..., mul[int(inv[u])]]
+    return out
 
 
 def theta(table: CharacterTable, pi: int, f: GroupFunction) -> complex:
@@ -134,30 +136,18 @@ def whittaker_transform(U: Subgroup, psi: LinearCharacter, f: GroupFunction) -> 
     """psi *_U f. The output W satisfies W(u*g) = psi(u) * W(g) for u in U."""
     if psi.subgroup is not U:
         raise SubgroupMismatch("psi must be a character of U")
-    return convolve_over_subgroup(psi.values, U, f)
+    if f.group is not U.parent:
+        raise GroupMismatch("f must live on the parent group of U")
+    return GroupFunction(U.parent, convolve_over_subgroup(psi.member_values, U, f.values))
 
 
-def whittaker_kernel(
-    table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter
-) -> GroupFunction:
-    """x -> sum_{u in U} conj(psi(u)) * chi_pi(class of u^-1 x)."""
-    if U.parent is not table.group:
-        raise GroupMismatch("U must be a subgroup of the table's group")
-    if psi.subgroup is not U:
-        raise SubgroupMismatch("psi must be a character of U")
-    theta_fn = character_as_function(table, pi)
-    conj_map = {u: v.conjugate() for u, v in psi.values.items()}
-    return convolve_over_subgroup(conj_map, U, theta_fn)
-
-
-def phi(
-    table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter, f: GroupFunction
-) -> complex:
-    """Generalized character: sum_g f(g) * kernel(g) with the kernel above."""
-    if f.group is not table.group:
+def phi(spectrum: PairSpectrum, pi: int, f: GroupFunction) -> complex:
+    """Generalized character: sum_g f(g) * (conj(psi) *_U theta_pi)(g)."""
+    if f.group is not spectrum.table.group:
         raise GroupMismatch("f must live on the table's group")
-    kernel = whittaker_kernel(table, pi, U, psi)
-    return complex(np.dot(f.values, kernel.values))
+    if not 0 <= pi < spectrum.table.num_irreps:
+        raise IndexOutOfRange(f"irrep index {pi} out of range")
+    return complex(np.dot(f.values, spectrum.kernels[pi]))
 
 
 class IrrepTerm(NamedTuple):
@@ -179,34 +169,23 @@ class WhittakerCheckRecord:
 
 
 def generalized_plancherel_check_batch(
-    table: CharacterTable,
-    U: Subgroup,
-    psi: LinearCharacter,
-    fs: Sequence[GroupFunction],
+    spectrum: PairSpectrum, fs: Sequence[GroupFunction]
 ) -> list[WhittakerCheckRecord]:
-    """Run the identity check for several test functions at once.
-
-    Kernels and multiplicities depend only on (table, U, psi), so they are
-    computed once and reused across the batch.
-    """
-    from .induction import multiplicity_frobenius  # deferred: induction imports us
-
-    r = table.num_irreps
-    kernels = [whittaker_kernel(table, pi, U, psi).values for pi in range(r)]
-    mults = [multiplicity_frobenius(table, pi, U, psi) for pi in range(r)]
+    """Compare (psi *_U f)(1) against sum_pi mu_pi * Phi_pi(f) for each f,
+    reading the kernels and multiplicities of the pair from its spectrum."""
+    table = spectrum.table
     weights = table.plancherel_weights
     records = []
     for f in fs:
-        transformed = whittaker_transform(U, psi, f)
-        lhs = complex(transformed.values[0])
+        lhs = complex(whittaker_transform(spectrum.U, spectrum.psi, f).values[0])
         terms = tuple(
             IrrepTerm(
                 mu=float(weights[pi]),
                 theta=complex(np.dot(f.values, table.element_values[pi])),
-                phi=complex(np.dot(f.values, kernels[pi])),
-                multiplicity=mults[pi],
+                phi=complex(np.dot(f.values, spectrum.kernels[pi])),
+                multiplicity=spectrum.multiplicities[pi],
             )
-            for pi in range(r)
+            for pi in range(table.num_irreps)
         )
         rhs = _kahan_sum(term.mu * term.phi for term in terms)
         records.append(
@@ -219,10 +198,3 @@ def generalized_plancherel_check_batch(
             )
         )
     return records
-
-
-def generalized_plancherel_check(
-    table: CharacterTable, U: Subgroup, psi: LinearCharacter, f: GroupFunction
-) -> WhittakerCheckRecord:
-    """Compare (psi *_U f)(1) against sum_pi mu_pi * Phi_pi(f)."""
-    return generalized_plancherel_check_batch(table, U, psi, [f])[0]

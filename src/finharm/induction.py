@@ -6,7 +6,8 @@ restriction inner product (Frobenius reciprocity), the induced-character
 formula, and the trace of explicit monomial matrices. They must agree
 exactly; the test suite relies on that triple agreement.
 
-The kernel identity implemented by kernel_multiplicity_identity_check is
+The kernel identity, whose residuals pair_spectrum records once per
+(U, psi) and kernel_multiplicity_identity_check compares with a tolerance, is
 
     (conj(psi) *_U theta_pi)(1) = sum_{u in U} psi(u) chi_pi(u)
                                 = |U| * mult(pi, induced-from-conj(psi)),
@@ -37,7 +38,7 @@ from .errors import (
     ToleranceViolation,
 )
 from .groups import Subgroup
-from .harmonic import GroupFunction, character_as_function, convolve_over_subgroup, whittaker_kernel
+from .harmonic import GroupFunction, convolve_over_subgroup
 from .sampling import keyed_test_function
 
 logger = logging.getLogger(__name__)
@@ -164,51 +165,59 @@ def induced_rep_matrices(U: Subgroup, psi: LinearCharacter) -> InducedRep:
     return InducedRep(dimension=d, matrices=matrices, character=character)
 
 
-@dataclass(frozen=True)
-class KernelMultiplicityReport:
-    """Residuals of kernel(1) = |U| * mult(pi, induced-from-conj(psi))."""
+@dataclass(frozen=True, eq=False)
+class PairSpectrum:
+    """Everything the pair checks read about one (U, psi), computed once.
 
-    passed: bool
-    residuals: tuple[float, ...]
-    kernel_at_identity: tuple[complex, ...]
+    kernels[pi] is the kernel conj(psi) *_U theta_pi on the whole group, a
+    read-only (num_irreps, |G|) array. multiplicities and
+    conjugate_multiplicities count each pi in the representations induced
+    from psi and from conj(psi), and residuals[pi] is
+    |kernels[pi, identity] - |U| * conjugate_multiplicities[pi]|.
+    """
+
+    table: CharacterTable
+    U: Subgroup
+    psi: LinearCharacter
+    kernels: np.ndarray
     multiplicities: tuple[int, ...]
     conjugate_multiplicities: tuple[int, ...]
-    tol: float
+    residuals: tuple[float, ...]
 
 
-def kernel_multiplicity_identity_check(
-    table: CharacterTable, U: Subgroup, psi: LinearCharacter, tol: float = 1e-9
-) -> KernelMultiplicityReport:
-    """Verify the kernel value at the identity against |U| times the
+def pair_spectrum(table: CharacterTable, U: Subgroup, psi: LinearCharacter) -> PairSpectrum:
+    """Build the kernels of (U, psi) for every irrep in one pass over U,
+    together with both multiplicity vectors and the kernel-identity residuals."""
+    _check_wiring(table, U, psi)
+    kernels = convolve_over_subgroup(np.conj(psi.member_values), U, table.element_values)
+    kernels.setflags(write=False)
+    psi_bar = psi.conjugated()
+    irreps = range(table.num_irreps)
+    mults = tuple(multiplicity_frobenius(table, pi, U, psi) for pi in irreps)
+    conj_mults = tuple(multiplicity_frobenius(table, pi, U, psi_bar) for pi in irreps)
+    residuals = tuple(
+        abs(complex(kernels[pi, 0]) - U.order * m_bar) for pi, m_bar in enumerate(conj_mults)
+    )
+    return PairSpectrum(
+        table=table,
+        U=U,
+        psi=psi,
+        kernels=kernels,
+        multiplicities=mults,
+        conjugate_multiplicities=conj_mults,
+        residuals=residuals,
+    )
+
+
+def kernel_multiplicity_identity_check(spectrum: PairSpectrum, tol: float = 1e-9) -> bool:
+    """Whether every kernel value at the identity matches |U| times the
     multiplicity of pi in the representation induced from conj(psi).
 
     This is a theorem-level identity: a failure signals an implementation
-    bug, not a mathematical finding. The multiplicities for psi itself are
-    reported alongside; the two vectors coincide whenever psi is real.
+    bug, not a mathematical finding. The multiplicities for psi itself sit
+    alongside in the spectrum; the two vectors coincide whenever psi is real.
     """
-    _check_wiring(table, U, psi)
-    psi_bar = psi.conjugated()
-    kernel_values = []
-    mults = []
-    conj_mults = []
-    residuals = []
-    for pi in range(table.num_irreps):
-        k1 = complex(whittaker_kernel(table, pi, U, psi).values[0])
-        m = multiplicity_frobenius(table, pi, U, psi)
-        m_bar = multiplicity_frobenius(table, pi, U, psi_bar)
-        kernel_values.append(k1)
-        mults.append(m)
-        conj_mults.append(m_bar)
-        residuals.append(abs(k1 - U.order * m_bar))
-    passed = bool(max(residuals) <= tol)
-    return KernelMultiplicityReport(
-        passed=passed,
-        residuals=tuple(residuals),
-        kernel_at_identity=tuple(kernel_values),
-        multiplicities=tuple(mults),
-        conjugate_multiplicities=tuple(conj_mults),
-        tol=float(tol),
-    )
+    return max(spectrum.residuals) <= tol
 
 
 def fubini_interchange_oracle(
@@ -311,11 +320,12 @@ def truncation_demo(
     if not stages or set(stages[-1]) != member_set:
         raise ChainNotExhaustive("chain must terminate at the full subgroup")
 
-    theta_fn = character_as_function(table, pi)
+    theta_values = table.character_on_elements(pi)
+    psi_bar = np.conj(psi.member_values)
     kernels = []
     for support in stages:
-        coeffs = {u: psi.values[u].conjugate() for u in support}
-        kernels.append(convolve_over_subgroup(coeffs, U, theta_fn))
+        coeffs = np.where(np.isin(U.members_array, support), psi_bar, 0)
+        kernels.append(GroupFunction(table.group, convolve_over_subgroup(coeffs, U, theta_values)))
     final = kernels[-1].values
     for i, k in enumerate(kernels[:-1]):
         logger.debug(
@@ -328,52 +338,32 @@ def truncation_demo(
 
 @dataclass(frozen=True)
 class ProbeIrrepRecord:
-    multiplicity: int
-    multiplicity_conj: int
-    kernel_at_identity: complex
     ratio_samples: tuple[complex, ...]
     ratio_constant: bool
     theta_zero_flags: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class ConjectureProbeReport:
-    """Raw ratio evidence, deliberately free of any verdict.
-
-    For each irrep this records the sampled ratios Phi_pi(f) / Theta_pi(f),
-    the multiplicities for psi and conj(psi), and the kernel value at the
-    identity, leaving any proportionality judgement to the reader. Samples
-    whose denominator could not be bounded away from zero within the
-    resample budget are flagged, not dropped.
-    """
-
-    per_pi: tuple[ProbeIrrepRecord, ...]
-    identity_check: bool
-
-
 def conjecture_probe(
-    table: CharacterTable,
-    U: Subgroup,
-    psi: LinearCharacter,
-    num_test_functions: int,
-    seed: int = 0,
-) -> ConjectureProbeReport:
+    spectrum: PairSpectrum, num_test_functions: int, seed: int = 0
+) -> tuple[ProbeIrrepRecord, ...]:
     """Sample Phi/Theta ratios over seeded random test functions.
 
-    Each irrep uses an independent substream keyed by (seed, pi). A sample
-    with |Theta_pi(f)| <= 1e-6 is resampled up to 32 times from reserved
-    indices; exhausting the budget records a flagged NaN sample.
+    Returns raw ratio evidence per irrep, deliberately free of any verdict:
+    the sampled ratios Phi_pi(f) / Theta_pi(f) and whether they all agree,
+    leaving any proportionality judgement to the reader. Each irrep uses an
+    independent substream keyed by (seed, pi). A sample with
+    |Theta_pi(f)| <= 1e-6 is resampled up to 32 times from reserved indices;
+    exhausting the budget records a flagged NaN sample, not a dropped one.
     """
-    _check_wiring(table, U, psi)
     if num_test_functions < 1:
         raise ValueError("num_test_functions must be at least 1")
+    table = spectrum.table
     G = table.group
-    identity_report = kernel_multiplicity_identity_check(table, U, psi)
     records = []
     for pi in range(table.num_irreps):
         substream = derive_stream_seed(int(seed), pi)
         theta_el = table.character_on_elements(pi)
-        kernel_values = whittaker_kernel(table, pi, U, psi).values
+        kernel_values = spectrum.kernels[pi]
         ratios: list[complex] = []
         flags: list[bool] = []
         for slot in range(num_test_functions):
@@ -402,12 +392,9 @@ def conjecture_probe(
             constant = False
         records.append(
             ProbeIrrepRecord(
-                multiplicity=identity_report.multiplicities[pi],
-                multiplicity_conj=identity_report.conjugate_multiplicities[pi],
-                kernel_at_identity=identity_report.kernel_at_identity[pi],
                 ratio_samples=tuple(ratios),
                 ratio_constant=constant,
                 theta_zero_flags=tuple(flags),
             )
         )
-    return ConjectureProbeReport(per_pi=tuple(records), identity_check=identity_report.passed)
+    return tuple(records)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from .characters import (
@@ -27,15 +27,15 @@ from .errors import FinharmError, IndexOutOfRange, OrderTooLarge, SweepAborted
 from .formatting import fmt_complex, fmt_real
 from .groups import FiniteGroup, Subgroup, enumerate_subgroups, make_named_group, subgroup_closure
 from .harmonic import plancherel_invert_at_identity, generalized_plancherel_check_batch
-from .induction import conjecture_probe, kernel_multiplicity_identity_check
+from .induction import (
+    PairSpectrum,
+    conjecture_probe,
+    kernel_multiplicity_identity_check,
+    pair_spectrum,
+)
 from .sampling import random_test_functions
 
 SWEEP_ORDER_CAP = 200
-
-
-def parse_group_spec(spec: str) -> FiniteGroup:
-    """Build a group from the spec DSL (see groups.make_named_group)."""
-    return make_named_group(spec)
 
 
 @dataclass(frozen=True)
@@ -236,16 +236,14 @@ def _subgroup_block(U: Subgroup) -> dict[str, Any]:
     }
 
 
-def _select_subgroups(G: FiniteGroup, config: RunConfig) -> list[Subgroup]:
-    if config.subgroup_selector == "all":
-        return enumerate_subgroups(G)
-    return [subgroup_closure(G, config.subgroup_selector)]
-
-
 def _iter_pairs(
     G: FiniteGroup, config: RunConfig
 ) -> Iterator[tuple[Subgroup, int, LinearCharacter]]:
-    for U in _select_subgroups(G, config):
+    if config.subgroup_selector == "all":
+        subgroups = enumerate_subgroups(G)
+    else:
+        subgroups = [subgroup_closure(G, config.subgroup_selector)]
+    for U in subgroups:
         psis = linear_characters(U)
         if config.character_selector == "all":
             indices: Sequence[int] = range(len(psis))
@@ -261,11 +259,38 @@ def _iter_pairs(
             yield U, j, psis[j]
 
 
-def _enforce_sweep_cap(G: FiniteGroup) -> None:
-    if G.order > SWEEP_ORDER_CAP:
-        raise OrderTooLarge(
-            f"sweeps are capped at group order {SWEEP_ORDER_CAP}, got {G.order}"
+def _identity_block(spectrum: PairSpectrum, passed: bool) -> dict[str, Any]:
+    return {
+        "max_residual": fmt_real(max(spectrum.residuals)),
+        "pass": passed,
+        "kernel_at_identity": [fmt_complex(v) for v in spectrum.kernels[:, 0]],
+        "multiplicities": list(spectrum.multiplicities),
+        "conjugate_multiplicities": list(spectrum.conjugate_multiplicities),
+    }
+
+
+def _probe_per_pi(spectrum: PairSpectrum, config: RunConfig) -> list[dict[str, Any]]:
+    probe = conjecture_probe(spectrum, config.num_test_functions, config.seed)
+    per_pi = []
+    for pi, rec in enumerate(probe):
+        clean = [
+            rv for rv, flagged in zip(rec.ratio_samples, rec.theta_zero_flags) if not flagged
+        ]
+        spread = max(abs(rv - clean[0]) for rv in clean) if clean else float("nan")
+        per_pi.append(
+            {
+                "pi": pi,
+                "degree": spectrum.table.degrees[pi],
+                "multiplicity": spectrum.multiplicities[pi],
+                "conjugate_multiplicity": spectrum.conjugate_multiplicities[pi],
+                "kernel_at_identity": fmt_complex(spectrum.kernels[pi, 0]),
+                "ratio_constant": rec.ratio_constant,
+                "num_flagged": sum(rec.theta_zero_flags),
+                "first_ratio": fmt_complex(clean[0]) if clean else None,
+                "max_ratio_spread": fmt_real(spread),
+            }
         )
+    return per_pi
 
 
 def build_report(command: str, config: RunConfig) -> SweepReport:
@@ -286,7 +311,7 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
     worst = 0.0
     all_pass = True
     try:
-        G = parse_group_spec(config.group_spec)
+        G = make_named_group(config.group_spec)
         table = character_table(G, seed=config.seed, tol=config.tol)
         orth = verify_orthogonality(table, config.tol)
         payload["group"] = _group_block(config, G, table)
@@ -313,79 +338,49 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
             worst = max(worst, max(errors))
             all_pass = all_pass and ok
 
-        if command in ("whittaker-check", "sweep"):
-            _enforce_sweep_cap(G)
-            fs = random_test_functions(G, config.num_test_functions, config.seed)
+        if command in ("whittaker-check", "conjecture-probe", "sweep"):
+            if G.order > SWEEP_ORDER_CAP:
+                raise OrderTooLarge(
+                    f"sweeps are capped at group order {SWEEP_ORDER_CAP}, got {G.order}"
+                )
+            with_checks = command != "conjecture-probe"
+            with_probes = command != "whittaker-check"
+            if with_checks:
+                fs = random_test_functions(G, config.num_test_functions, config.seed)
+            # one pass: each pair's spectrum feeds both its check and its probe
             for U, j, psi in _iter_pairs(G, config):
-                records = generalized_plancherel_check_batch(table, U, psi, fs)
-                identity = kernel_multiplicity_identity_check(table, U, psi, config.tol)
-                theorem_ok = all(
-                    rec.abs_error <= config.tol * (1.0 + rec.f_l1) for rec in records
-                )
-                max_err = max(rec.abs_error for rec in records)
-                block_pass = bool(theorem_ok and identity.passed)
-                checks.append(
-                    {
-                        "subgroup": _subgroup_block(U),
-                        "psi_index": j,
-                        "psi_on_members": [fmt_complex(v) for v in psi.member_values],
-                        "num_functions": config.num_test_functions,
-                        "max_abs_error": fmt_real(max_err),
-                        "identity": {
-                            "max_residual": fmt_real(max(identity.residuals)),
-                            "pass": identity.passed,
-                            "kernel_at_identity": [
-                                fmt_complex(v) for v in identity.kernel_at_identity
-                            ],
-                            "multiplicities": list(identity.multiplicities),
-                            "conjugate_multiplicities": list(
-                                identity.conjugate_multiplicities
-                            ),
-                        },
-                        "pass": block_pass,
-                    }
-                )
-                worst = max(worst, max_err, max(identity.residuals))
-                all_pass = all_pass and block_pass
-
-        if command in ("conjecture-probe", "sweep"):
-            _enforce_sweep_cap(G)
-            for U, j, psi in _iter_pairs(G, config):
-                probe = conjecture_probe(
-                    table, U, psi, config.num_test_functions, config.seed
-                )
-                per_pi = []
-                for pi, rec in enumerate(probe.per_pi):
-                    clean = [
-                        rv
-                        for rv, flagged in zip(rec.ratio_samples, rec.theta_zero_flags)
-                        if not flagged
-                    ]
-                    spread = (
-                        max(abs(rv - clean[0]) for rv in clean) if clean else float("nan")
+                spectrum = pair_spectrum(table, U, psi)
+                identity_ok = kernel_multiplicity_identity_check(spectrum, config.tol)
+                if with_checks:
+                    records = generalized_plancherel_check_batch(spectrum, fs)
+                    theorem_ok = all(
+                        rec.abs_error <= config.tol * (1.0 + rec.f_l1) for rec in records
                     )
-                    per_pi.append(
+                    max_err = max(rec.abs_error for rec in records)
+                    block_pass = bool(theorem_ok and identity_ok)
+                    checks.append(
                         {
-                            "pi": pi,
-                            "degree": table.degrees[pi],
-                            "multiplicity": rec.multiplicity,
-                            "conjugate_multiplicity": rec.multiplicity_conj,
-                            "kernel_at_identity": fmt_complex(rec.kernel_at_identity),
-                            "ratio_constant": rec.ratio_constant,
-                            "num_flagged": sum(rec.theta_zero_flags),
-                            "first_ratio": fmt_complex(clean[0]) if clean else None,
-                            "max_ratio_spread": fmt_real(spread),
+                            "subgroup": _subgroup_block(U),
+                            "psi_index": j,
+                            "psi_on_members": [fmt_complex(v) for v in psi.member_values],
+                            "num_functions": config.num_test_functions,
+                            "max_abs_error": fmt_real(max_err),
+                            "identity": _identity_block(spectrum, identity_ok),
+                            "pass": block_pass,
                         }
                     )
-                probes.append(
-                    {
-                        "subgroup": _subgroup_block(U),
-                        "psi_index": j,
-                        "identity_check": probe.identity_check,
-                        "per_pi": per_pi,
-                    }
-                )
-                all_pass = all_pass and probe.identity_check
+                    worst = max(worst, max_err, max(spectrum.residuals))
+                    all_pass = all_pass and block_pass
+                if with_probes:
+                    probes.append(
+                        {
+                            "subgroup": _subgroup_block(U),
+                            "psi_index": j,
+                            "identity_check": identity_ok,
+                            "per_pi": _probe_per_pi(spectrum, config),
+                        }
+                    )
+                    all_pass = all_pass and identity_ok
     except FinharmError as exc:
         payload["incomplete"] = True
         payload["error"] = str(exc)
@@ -420,9 +415,3 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
 def _payload_digest(payload: dict[str, Any]) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def run_sweep(config: RunConfig) -> SweepReport:
-    """Full verification sweep: transform checks plus probes for every
-    selected (subgroup, character) pair."""
-    return build_report("sweep", config)

@@ -27,6 +27,7 @@ from finharm import (
     linear_characters,
     make_named_group,
     multiplicity_frobenius,
+    pair_spectrum,
     phi,
     plancherel_invert_at_identity,
     random_test_functions,
@@ -34,7 +35,6 @@ from finharm import (
     theta,
     truncation_demo,
     verify_orthogonality,
-    whittaker_kernel,
 )
 from finharm.cli import main as cli_main
 from conftest import CORPUS_SPECS
@@ -73,7 +73,7 @@ def theorem_sweep(built):
         fs = random_test_functions(G, NUM_F, seed=SWEEP_SEED)
         for U, psi in _pairs(G):
             pairs += 1
-            for rec in generalized_plancherel_check_batch(table, U, psi, fs):
+            for rec in generalized_plancherel_check_batch(pair_spectrum(table, U, psi), fs):
                 worst = max(worst, rec.abs_error / (1.0 + rec.f_l1))
     elapsed = time.perf_counter() - start
     return SimpleNamespace(worst=worst, pairs=pairs, elapsed=elapsed)
@@ -128,24 +128,24 @@ def test_c4_kernel_multiplicity_identity(built):
         G = built.groups[spec]
         table = built.tables[spec]
         for U, psi in _pairs(G):
-            report = kernel_multiplicity_identity_check(table, U, psi, tol=1e-8)
-            assert report.passed, spec
-            worst = max(worst, max(report.residuals))
+            spectrum = pair_spectrum(table, U, psi)
+            assert kernel_multiplicity_identity_check(spectrum, tol=1e-8), spec
+            worst = max(worst, max(spectrum.residuals))
 
     # frozen spot values, re-derived through the explicit matrix route
     s3 = built.groups["symmetric:3"]
     t3 = built.tables["symmetric:3"]
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    spot = kernel_multiplicity_identity_check(t3, U, sign)
-    assert [round(v.real) for v in spot.kernel_at_identity] == [0, 2, 2]
+    spot = pair_spectrum(t3, U, sign)
+    assert [round(v.real) for v in spot.kernels[:, 0]] == [0, 2, 2]
 
     q8 = built.groups["quaternion"]
     t8 = built.tables["quaternion"]
     center = subgroup_closure(q8, [1])
     psi_c = next(p for p in linear_characters(center) if abs(p(1) + 1) < 1e-9)
-    spot8 = kernel_multiplicity_identity_check(t8, center, psi_c)
-    assert round(spot8.kernel_at_identity[4].real) == 4
+    spot8 = pair_spectrum(t8, center, psi_c)
+    assert round(spot8.kernels[4, 0].real) == 4
 
     for table, U_, psi_, kernels in (
         (t3, U, sign, [0, 2, 2]),
@@ -242,10 +242,10 @@ def test_c6_summation_order_oracles(built):
         table = built.tables[spec]
         for U, psi in _pairs(G):
             chain = _canonical_chain(U)
+            kernels = pair_spectrum(table, U, psi).kernels
             for pi in range(table.num_irreps):
                 stages = truncation_demo(U, psi, table, pi, chain)
-                full = whittaker_kernel(table, pi, U, psi)
-                assert np.array_equal(stages[-1].values, full.values)
+                assert np.array_equal(stages[-1].values, kernels[pi])
     elapsed = time.perf_counter() - start
     print(
         f"[C6] summation-order oracles: PASS "
@@ -260,9 +260,9 @@ def test_c7_probe_sanity(built):
         table = built.tables[spec]
         U = Subgroup(G, [0])
         psi = linear_characters(U)[0]
-        report = conjecture_probe(table, U, psi, 20, seed=SWEEP_SEED)
-        assert report.identity_check, spec
-        for rec in report.per_pi:
+        spectrum = pair_spectrum(table, U, psi)
+        assert kernel_multiplicity_identity_check(spectrum), spec
+        for rec in conjecture_probe(spectrum, 20, seed=SWEEP_SEED):
             assert not any(rec.theta_zero_flags), spec
             for ratio in rec.ratio_samples:
                 assert abs(ratio - 1.0) <= 1e-9, spec
@@ -271,15 +271,15 @@ def test_c7_probe_sanity(built):
     t3 = built.tables["symmetric:3"]
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    probe = conjecture_probe(t3, U, sign, 20, seed=SWEEP_SEED)
-    sign_rec, std_rec = probe.per_pi[1], probe.per_pi[2]
+    spectrum = pair_spectrum(t3, U, sign)
+    _, sign_rec, std_rec = conjecture_probe(spectrum, 20, seed=SWEEP_SEED)
     delta = GroupFunction.delta(s3, 0)
-    ratio_sign = phi(t3, 1, U, sign, delta) / theta(t3, 1, delta)
-    ratio_std = phi(t3, 2, U, sign, delta) / theta(t3, 2, delta)
+    ratio_sign = phi(spectrum, 1, delta) / theta(t3, 1, delta)
+    ratio_std = phi(spectrum, 2, delta) / theta(t3, 2, delta)
     assert abs(ratio_sign - 2) < 1e-10
     assert abs(ratio_std - 1) < 1e-10
-    assert abs(sign_rec.kernel_at_identity / t3.degrees[1] - 2) < 1e-10
-    assert abs(std_rec.kernel_at_identity / t3.degrees[2] - 1) < 1e-10
+    assert abs(spectrum.kernels[1, 0] / t3.degrees[1] - 2) < 1e-10
+    assert abs(spectrum.kernels[2, 0] / t3.degrees[2] - 1) < 1e-10
     # the ratios genuinely distinguish the two irreps
     assert sign_rec.ratio_constant
     assert not std_rec.ratio_constant

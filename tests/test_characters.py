@@ -256,11 +256,11 @@ def test_character_call_outside_subgroup(s3):
 def test_linear_character_validation(s3):
     U = subgroup_closure(s3, [1])
     with pytest.raises(SubgroupMismatch):
-        LinearCharacter(U, {0: 1.0})  # missing member 1
+        LinearCharacter(U, [1.0])  # missing member 1
     with pytest.raises(ValueError):
-        LinearCharacter(U, {0: 1.0, 1: 2.0})  # modulus
+        LinearCharacter(U, [1.0, 2.0])  # modulus
     with pytest.raises(ValueError):
-        LinearCharacter(U, {0: -1.0, 1: 1.0})  # identity value
+        LinearCharacter(U, [-1.0, 1.0])  # identity value
 
 
 def test_restriction_of_linear_parent_characters(s3_table, s3):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import finharm.cli
 from finharm.cli import main
 
 
@@ -93,6 +97,37 @@ def test_partial_report_still_delivered(tmp_path, capsys):
     assert doc["verdict"] == "fail"
 
 
+def test_failing_verdict_exits_1(monkeypatch, capsys):
+    build_report = finharm.cli.build_report
+
+    def failing_report(command, config):
+        report = build_report(command, config)
+        payload = dict(report.payload, verdict="fail")
+        return dataclasses.replace(report, payload=payload, passed=False)
+
+    monkeypatch.setattr(finharm.cli, "build_report", failing_report)
+    assert main(["chartable", "cyclic:2"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["chartable", "cyclic:2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write report")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_unwritable_out_on_aborted_run_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "partial.json"
+    assert main(["sweep", "symmetric:3", "--psi-index", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write report" in err
+    assert "error: psi index 1 out of range" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate", "cyclic:2"])
@@ -100,10 +135,14 @@ def test_unknown_command_exits_2():
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(finharm.cli.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "finharm.cli", "chartable", "cyclic:3"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"

@@ -14,15 +14,14 @@ from finharm import (
     character_as_function,
     convolve_over_subgroup,
     enumerate_subgroups,
-    generalized_plancherel_check,
     generalized_plancherel_check_batch,
     linear_characters,
     make_named_group,
+    pair_spectrum,
     plancherel_invert_at_identity,
     random_test_functions,
     subgroup_closure,
     theta,
-    whittaker_kernel,
     whittaker_transform,
 )
 from oracle_helpers import brute_convolve, brute_inversion, brute_whittaker_sides
@@ -64,19 +63,21 @@ def test_convolution_matches_brute_loops(s3, q8):
         U = subgroup_closure(G, seeds)
         f = random_test_functions(G, 1, seed=41)[0]
         for psi in linear_characters(U):
-            out = convolve_over_subgroup(psi.values, U, f)
-            expected = brute_convolve(psi.values, U, f)
-            assert np.allclose(out.values, expected, atol=1e-12)
+            out = convolve_over_subgroup(psi.member_values, U, f.values)
+            expected = brute_convolve(dict(zip(U.members, psi.member_values)), U, f)
+            assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_convolution_rejects_bad_wiring(s3, q8):
     U = subgroup_closure(s3, [1])
     f_wrong = GroupFunction.delta(q8, 0)
     with pytest.raises(GroupMismatch):
-        convolve_over_subgroup({0: 1.0}, U, f_wrong)
+        convolve_over_subgroup(np.ones(2), U, f_wrong.values)
+    with pytest.raises(GroupMismatch):
+        whittaker_transform(U, linear_characters(U)[0], f_wrong)
     f = GroupFunction.delta(s3, 0)
     with pytest.raises(SubgroupMismatch):
-        convolve_over_subgroup({3: 1.0}, U, f)  # 3 is not in U
+        convolve_over_subgroup(np.ones(3), U, f.values)  # U has 2 members, not 3
 
 
 def test_theta_frozen_values(s3_table, s3):
@@ -139,9 +140,9 @@ def test_kernel_total_mass(s3_table, q8_table):
         G = table.group
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
+                kernels = pair_spectrum(table, U, psi).kernels
                 for pi in range(table.num_irreps):
-                    kernel = whittaker_kernel(table, pi, U, psi)
-                    lhs = complex(kernel.values.sum())
+                    lhs = complex(kernels[pi].sum())
                     psi_mass = sum(psi(u) for u in U.members)
                     theta_mass = complex(table.character_on_elements(pi).sum())
                     assert abs(lhs - psi_mass.conjugate() * theta_mass) < 1e-10
@@ -163,7 +164,8 @@ def test_transform_surjectivity_rank(corpus_groups):
 def test_check_frozen_s3_spot(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    record = generalized_plancherel_check(s3_table, U, sign, GroupFunction.delta(s3, 0))
+    spectrum = pair_spectrum(s3_table, U, sign)
+    (record,) = generalized_plancherel_check_batch(spectrum, [GroupFunction.delta(s3, 0)])
     assert record.lhs == 1
     assert abs(record.rhs - 1) < 1e-12
     assert [round(t.phi.real, 9) for t in record.per_pi] == [0, 2, 2]
@@ -178,8 +180,8 @@ def test_check_matches_brute_sides(s3_table, q8_table):
         fs = random_test_functions(G, 2, seed=77)
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
-                for f in fs:
-                    rec = generalized_plancherel_check(table, U, psi, f)
+                records = generalized_plancherel_check_batch(pair_spectrum(table, U, psi), fs)
+                for f, rec in zip(fs, records):
                     lhs_ref, rhs_ref = brute_whittaker_sides(table, U, psi, f)
                     assert abs(rec.lhs - lhs_ref) < 1e-10
                     assert abs(rec.rhs - rhs_ref) < 1e-10
@@ -190,9 +192,10 @@ def test_batch_matches_single(s3_table, s3):
     U = subgroup_closure(s3, [3])
     psi = linear_characters(U)[2]
     fs = random_test_functions(s3, 4, seed=13)
-    batch = generalized_plancherel_check_batch(s3_table, U, psi, fs)
+    spectrum = pair_spectrum(s3_table, U, psi)
+    batch = generalized_plancherel_check_batch(spectrum, fs)
     for f, rec in zip(fs, batch):
-        single = generalized_plancherel_check(s3_table, U, psi, f)
+        (single,) = generalized_plancherel_check_batch(spectrum, [f])
         assert rec.lhs == single.lhs
         assert rec.rhs == single.rhs
         assert rec.per_pi == single.per_pi
@@ -209,11 +212,12 @@ def test_trivial_subgroup_degenerates_to_inversion(corpus_groups, corpus_tables)
         f = random_test_functions(G, 1, seed=3)[0]
         W = whittaker_transform(U, psi, f)
         assert np.array_equal(W.values, f.values)
-        rec = generalized_plancherel_check(table, U, psi, f)
+        spectrum = pair_spectrum(table, U, psi)
+        (rec,) = generalized_plancherel_check_batch(spectrum, [f])
         assert rec.rhs == plancherel_invert_at_identity(table, f)
         for pi in range(table.num_irreps):
-            kernel = whittaker_kernel(table, pi, U, psi)
-            assert np.array_equal(kernel.values, character_as_function(table, pi).values)
+            kernel = spectrum.kernels[pi]
+            assert np.array_equal(kernel, character_as_function(table, pi).values)
 
 
 def test_character_as_function(s3_table, s3):

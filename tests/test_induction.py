@@ -11,9 +11,11 @@ from finharm import (
     ChainNotSymmetric,
     CharacterTable,
     GroupFunction,
+    GroupMismatch,
     IndexTooLarge,
     NonIntegralMultiplicity,
     Subgroup,
+    SubgroupMismatch,
     character_table,
     conjecture_probe,
     enumerate_subgroups,
@@ -24,12 +26,12 @@ from finharm import (
     linear_characters,
     make_named_group,
     multiplicity_frobenius,
+    pair_spectrum,
     phi,
     random_test_functions,
     subgroup_closure,
     theta,
     truncation_demo,
-    whittaker_kernel,
 )
 from oracle_helpers import (
     brute_fubini_value,
@@ -149,12 +151,12 @@ def test_nonintegral_multiplicity_detected(s3_table, s3):
 def test_kernel_identity_spot_s3(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    report = kernel_multiplicity_identity_check(s3_table, U, sign)
-    assert report.passed
-    assert max(report.residuals) < 1e-10
-    assert [round(v.real) for v in report.kernel_at_identity] == [0, 2, 2]
-    assert report.multiplicities == (0, 1, 1)
-    assert report.conjugate_multiplicities == (0, 1, 1)
+    spectrum = pair_spectrum(s3_table, U, sign)
+    assert kernel_multiplicity_identity_check(spectrum)
+    assert max(spectrum.residuals) < 1e-10
+    assert [round(v.real) for v in spectrum.kernels[:, 0]] == [0, 2, 2]
+    assert spectrum.multiplicities == (0, 1, 1)
+    assert spectrum.conjugate_multiplicities == (0, 1, 1)
 
 
 def test_kernel_identity_spot_q8_center(q8_table, q8):
@@ -162,11 +164,11 @@ def test_kernel_identity_spot_q8_center(q8_table, q8):
     assert center.members == (0, 1)
     # the character with psi(-1) = -1
     psi = next(p for p in linear_characters(center) if abs(p(1) + 1) < 1e-9)
-    report = kernel_multiplicity_identity_check(q8_table, center, psi)
-    assert report.passed
-    assert abs(report.kernel_at_identity[4] - 4) < 1e-10
-    assert report.multiplicities[4] == 2
-    assert [round(v.real) for v in report.kernel_at_identity[:4]] == [0, 0, 0, 0]
+    spectrum = pair_spectrum(q8_table, center, psi)
+    assert kernel_multiplicity_identity_check(spectrum)
+    assert abs(spectrum.kernels[4, 0] - 4) < 1e-10
+    assert spectrum.multiplicities[4] == 2
+    assert [round(v.real) for v in spectrum.kernels[:4, 0]] == [0, 0, 0, 0]
 
 
 def test_kernel_identity_needs_conjugate_for_complex_psi():
@@ -176,14 +178,14 @@ def test_kernel_identity_needs_conjugate_for_complex_psi():
     table = character_table(G)
     U = Subgroup(G, range(3))
     psi = linear_characters(U)[1]
-    report = kernel_multiplicity_identity_check(table, U, psi)
-    assert report.passed
-    assert report.multiplicities != report.conjugate_multiplicities
-    assert sorted(report.multiplicities) == [0, 0, 1]
-    kernels = [round(v.real) for v in report.kernel_at_identity]
+    spectrum = pair_spectrum(table, U, psi)
+    assert kernel_multiplicity_identity_check(spectrum)
+    assert spectrum.multiplicities != spectrum.conjugate_multiplicities
+    assert sorted(spectrum.multiplicities) == [0, 0, 1]
+    kernels = [round(v.real) for v in spectrum.kernels[:, 0]]
     assert sorted(kernels) == [0, 0, 3]
     # the naive pairing fails where the two multiplicity vectors differ
-    naive = [abs(k - 3 * m) for k, m in zip(report.kernel_at_identity, report.multiplicities)]
+    naive = [abs(k - 3 * m) for k, m in zip(spectrum.kernels[:, 0], spectrum.multiplicities)]
     assert abs(max(naive) - 3) < 1e-9
 
 
@@ -191,17 +193,31 @@ def test_kernel_identity_across_sweep_spot(corpus_tables):
     table = corpus_tables["dihedral:4"]
     for U in enumerate_subgroups(table.group):
         for psi in linear_characters(U):
-            report = kernel_multiplicity_identity_check(table, U, psi)
-            assert report.passed
-            assert max(report.residuals) < 1e-10
+            spectrum = pair_spectrum(table, U, psi)
+            assert kernel_multiplicity_identity_check(spectrum)
+            assert max(spectrum.residuals) < 1e-10
+
+
+def test_pair_spectrum_wiring_and_read_only(s3_table, s3, q8):
+    U = subgroup_closure(s3, [3])
+    psi = linear_characters(U)[1]
+    spectrum = pair_spectrum(s3_table, U, psi)
+    assert spectrum.kernels.shape == (3, 6)
+    with pytest.raises(ValueError):
+        spectrum.kernels[0, 0] = 0
+    other = subgroup_closure(q8, [1])
+    with pytest.raises(GroupMismatch):
+        pair_spectrum(s3_table, other, linear_characters(other)[0])
+    with pytest.raises(SubgroupMismatch):
+        pair_spectrum(s3_table, U, linear_characters(subgroup_closure(s3, [1]))[0])
 
 
 def test_kernel_values_match_brute(s3_table, s3):
     U = subgroup_closure(s3, [3])
     for psi in linear_characters(U):
+        kernels = pair_spectrum(s3_table, U, psi).kernels
         for pi in range(3):
-            kernel = whittaker_kernel(s3_table, pi, U, psi)
-            assert np.allclose(kernel.values, brute_kernel_values(s3_table, pi, U, psi), atol=1e-10)
+            assert np.allclose(kernels[pi], brute_kernel_values(s3_table, pi, U, psi), atol=1e-10)
 
 
 # --- fubini oracle ----------------------------------------------------------
@@ -227,8 +243,6 @@ def test_fubini_matches_brute_and_is_seed_independent(s3_table, q8_table):
 def test_fubini_requires_matching_group(s3_table, q8):
     U = Subgroup(q8, [0, 1])
     psi = linear_characters(U)[0]
-    from finharm import GroupMismatch
-
     with pytest.raises(GroupMismatch):
         fubini_interchange_oracle(s3_table, 0, U, psi, GroupFunction.delta(q8, 0))
 
@@ -243,11 +257,11 @@ def test_truncation_final_stage_is_bit_identical(s3_table, s3, q8_table, q8):
     ]
     for table, U, chain in cases:
         for psi in linear_characters(U):
+            kernels = pair_spectrum(table, U, psi).kernels
             for pi in range(table.num_irreps):
                 stages = truncation_demo(U, psi, table, pi, chain)
                 assert len(stages) == len(chain)
-                full = whittaker_kernel(table, pi, U, psi)
-                assert np.array_equal(stages[-1].values, full.values)
+                assert np.array_equal(stages[-1].values, kernels[pi])
 
 
 def test_truncation_chain_validation(s3_table, s3):
@@ -274,9 +288,9 @@ def test_truncation_chain_validation(s3_table, s3):
 def test_probe_trivial_configuration_gives_unit_ratios(s3_table, s3):
     U = Subgroup(s3, [0])
     psi = linear_characters(U)[0]
-    report = conjecture_probe(s3_table, U, psi, 10, seed=1)
-    assert report.identity_check
-    for rec in report.per_pi:
+    spectrum = pair_spectrum(s3_table, U, psi)
+    assert kernel_multiplicity_identity_check(spectrum)
+    for rec in conjecture_probe(spectrum, 10, seed=1):
         assert not any(rec.theta_zero_flags)
         assert rec.ratio_constant
         for ratio in rec.ratio_samples:
@@ -286,11 +300,11 @@ def test_probe_trivial_configuration_gives_unit_ratios(s3_table, s3):
 def test_probe_s3_sign_distinguishes_irreps(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    report = conjecture_probe(s3_table, U, sign, 20, seed=0)
-    assert report.identity_check
-    triv, sgn, std = report.per_pi
+    spectrum = pair_spectrum(s3_table, U, sign)
+    assert kernel_multiplicity_identity_check(spectrum)
+    triv, sgn, std = conjecture_probe(spectrum, 20, seed=0)
     # trivial irrep: kernel vanishes identically, all ratios 0
-    assert triv.multiplicity == 0
+    assert spectrum.multiplicities[0] == 0
     assert triv.ratio_constant
     assert all(abs(r) < 1e-12 for r in triv.ratio_samples)
     # sign irrep: kernel = 2 * theta, ratio exactly 2 for every sample
@@ -299,16 +313,17 @@ def test_probe_s3_sign_distinguishes_irreps(s3_table, s3):
     # standard irrep: kernel is NOT proportional to theta
     assert not std.ratio_constant
     # and the identity-point ratios reproduce the frozen spot values
-    assert abs(sgn.kernel_at_identity / s3_table.degrees[1] - 2) < 1e-10
-    assert abs(std.kernel_at_identity / s3_table.degrees[2] - 1) < 1e-10
+    assert abs(spectrum.kernels[1, 0] / s3_table.degrees[1] - 2) < 1e-10
+    assert abs(spectrum.kernels[2, 0] / s3_table.degrees[2] - 1) < 1e-10
 
 
 def test_probe_ratio_at_delta_equals_kernel_over_degree(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
     delta = GroupFunction.delta(s3, 0)
+    spectrum = pair_spectrum(s3_table, U, sign)
     for pi, expected in ((1, 2), (2, 1)):
-        ratio = phi(s3_table, pi, U, sign, delta) / theta(s3_table, pi, delta)
+        ratio = phi(spectrum, pi, delta) / theta(s3_table, pi, delta)
         assert abs(ratio - expected) < 1e-10
 
 
@@ -316,12 +331,12 @@ def test_probe_rejects_bad_count(s3_table, s3):
     U = Subgroup(s3, [0])
     psi = linear_characters(U)[0]
     with pytest.raises(ValueError):
-        conjecture_probe(s3_table, U, psi, 0)
+        conjecture_probe(pair_spectrum(s3_table, U, psi), 0)
 
 
 def test_probe_determinism(q8_table, q8):
     center = subgroup_closure(q8, [1])
     psi = linear_characters(center)[1]
-    r1 = conjecture_probe(q8_table, center, psi, 5, seed=42)
-    r2 = conjecture_probe(q8_table, center, psi, 5, seed=42)
-    assert r1.per_pi == r2.per_pi
+    r1 = conjecture_probe(pair_spectrum(q8_table, center, psi), 5, seed=42)
+    r2 = conjecture_probe(pair_spectrum(q8_table, center, psi), 5, seed=42)
+    assert r1 == r2

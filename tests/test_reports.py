@@ -6,13 +6,7 @@ import json
 
 import pytest
 
-from finharm import (
-    IndexOutOfRange,
-    SweepAborted,
-    build_report,
-    parse_group_spec,
-    run_sweep,
-)
+from finharm import IndexOutOfRange, SweepAborted, build_report
 from finharm.formatting import fmt_complex, fmt_real
 from finharm.reports import RunConfig
 
@@ -35,7 +29,8 @@ def test_fmt_complex():
 
 
 def test_parse_group_spec_roundtrip():
-    assert parse_group_spec("dihedral:3").order == 6
+    report = build_report("chartable", RunConfig(group_spec="dihedral:3"))
+    assert report.payload["group"]["order"] == 6
 
 
 def test_runconfig_validation():
@@ -110,11 +105,19 @@ def test_whittaker_report_single_pair(s3):
 
 
 def test_sweep_counts_every_pair(s3):
-    report = run_sweep(RunConfig(group_spec="symmetric:3", num_test_functions=5))
+    report = build_report("sweep", RunConfig(group_spec="symmetric:3", num_test_functions=5))
     assert report.passed
     assert len(report.payload["checks"]) == 12
     assert len(report.payload["probes"]) == 12
     assert report.payload["verdict"] == "pass"
+
+
+def test_sweep_blocks_match_single_commands(s3):
+    # the sweep's one pass emits exactly what the two narrower commands emit
+    cfg = RunConfig(group_spec="symmetric:3", num_test_functions=3)
+    sweep = build_report("sweep", cfg).payload
+    assert sweep["checks"] == build_report("whittaker-check", cfg).payload["checks"]
+    assert sweep["probes"] == build_report("conjecture-probe", cfg).payload["probes"]
 
 
 def test_probe_report_fields(q8):
@@ -141,8 +144,8 @@ def test_probe_report_fields(q8):
 
 def test_sweep_determinism(s3):
     cfg = RunConfig(group_spec="symmetric:3", seed=7, num_test_functions=5)
-    a = run_sweep(cfg)
-    b = run_sweep(cfg)
+    a = build_report("sweep", cfg)
+    b = build_report("sweep", cfg)
     assert a.digest == b.digest
     assert a.payload == b.payload
     # only wall_time may differ between the rendered documents
@@ -153,8 +156,8 @@ def test_sweep_determinism(s3):
 
 
 def test_seed_changes_digest(s3):
-    a = run_sweep(RunConfig(group_spec="symmetric:3", seed=1, num_test_functions=3))
-    b = run_sweep(RunConfig(group_spec="symmetric:3", seed=2, num_test_functions=3))
+    a = build_report("sweep", RunConfig(group_spec="symmetric:3", seed=1, num_test_functions=3))
+    b = build_report("sweep", RunConfig(group_spec="symmetric:3", seed=2, num_test_functions=3))
     assert a.digest != b.digest
 
 
@@ -189,7 +192,7 @@ def test_csv_rendering(s3):
 
 def test_sweep_cap_aborts_with_partial_report():
     with pytest.raises(SweepAborted) as err:
-        run_sweep(RunConfig(group_spec="cyclic:201"))
+        build_report("sweep", RunConfig(group_spec="cyclic:201"))
     report = err.value.report
     assert report is not None
     assert not report.passed
