@@ -9,58 +9,75 @@ out here and pinned by a regression test.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_KEY1 = 0xD1B54A32D192ED03
-_KEY2 = 0x8CB92BA72F3D8DD7
+from .groups import FiniteGroup
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_KEY1 = np.uint64(0xD1B54A32D192ED03)
+_KEY2 = np.uint64(0x8CB92BA72F3D8DD7)
 
-def _mix_int(x: int) -> int:
-    """splitmix64 finalizer on a plain Python integer."""
-    x &= _MASK
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK
-    x ^= x >> 31
-    return x
+# elements drawn per block of test functions; bounds the uint64 temporaries
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _mix_u64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; x must be uint64."""
+    """Vectorized splitmix64 finalizer; x must be uint64. It wraps mod 2^64:
+    arrays silently, numpy scalars with a warning that callers silence."""
     x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):  # mod-2^64 wraparound is the algorithm
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(_MIX1)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(_MIX2)
-        x ^= x >> np.uint64(31)
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
     return x
 
 
-def derive_stream_seed(seed: int, *indices: int) -> int:
+def derive_stream_seed(seed: int, *indices: int | np.ndarray) -> np.uint64 | np.ndarray:
     """Fold integer indices into a seed, one mixing round per index.
 
     Used to key independent substreams, e.g. (seed, function index, 0) for
-    real parts and (seed, function index, 1) for imaginary parts.
+    real parts and (seed, function index, 1) for imaginary parts. Indices
+    may be integer arrays; they broadcast, giving an array of stream seeds.
     """
-    h = _mix_int((int(seed) + _GOLDEN) & _MASK)
-    for ix in indices:
-        h = _mix_int(h ^ ((int(ix) * _KEY1 + _KEY2) & _MASK))
+    with np.errstate(over="ignore"):
+        h = _mix_u64(np.uint64(seed) + _GOLDEN)
+        for ix in indices:
+            h = _mix_u64(h ^ (np.asarray(ix, dtype=np.uint64) * _KEY1 + _KEY2))
     return h
 
 
-def unit_uniforms(stream_seed: int, count: int) -> np.ndarray:
-    """`count` float64 values uniform in [-1, 1), keyed by (stream_seed, k)."""
+def unit_uniforms(stream_seed: int | np.ndarray, count: int) -> np.ndarray:
+    """`count` float64 values uniform in [-1, 1), keyed by (stream_seed, k).
+
+    An array of stream seeds gives one row of `count` values per seed.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
     ctr = np.arange(1, count + 1, dtype=np.uint64)
-    x = ctr * np.uint64(_GOLDEN)
-    x += np.uint64(int(stream_seed) & _MASK)
-    x = _mix_u64(x)
+    x = _mix_u64(ctr * _GOLDEN + np.asarray(stream_seed, dtype=np.uint64)[..., None])
     # top 53 bits give a dyadic rational in [0, 2), shifted to [-1, 1)
     return (x >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
+
+
+def test_functions(G: FiniteGroup, seed: int, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Test functions number `indices` of stream `seed`, one per row of a
+    read-only (len(indices), |G|) complex array. Real and imaginary parts are
+    uniform in [-1, 1), keyed by (seed, index, 0) and (seed, index, 1)."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or (idx < 0).any():
+        raise ValueError("indices must be a 1-D sequence of nonnegative integers")
+    n = G.order
+    F = np.empty((len(idx), n), dtype=np.complex128)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, len(idx), step):
+        rows = slice(start, start + step)
+        parts = unit_uniforms(derive_stream_seed(seed, idx[rows, None], np.arange(2)), n)
+        F[rows].real = parts[:, 0]
+        F[rows].imag = parts[:, 1]
+    F.setflags(write=False)
+    return F

@@ -28,6 +28,7 @@ from ._rng import derive_stream_seed, unit_uniforms
 from .errors import (
     EigensplitFailure,
     IndexOutOfRange,
+    OrderTooLarge,
     SubgroupMismatch,
     ToleranceViolation,
 )
@@ -35,6 +36,9 @@ from .formatting import fmt_complex
 from .groups import FiniteGroup, Subgroup, subgroup_closure
 
 _RETRY_BUDGET = 16
+
+# Bytes allowed for the r^3 float64 class-algebra tensor: admits r = 256 (134 MB)
+_CLASS_ALGEBRA_BYTES_CAP = 1 << 28
 
 
 @dataclass(eq=False)
@@ -120,6 +124,11 @@ def _structure_constants(G: FiniteGroup) -> np.ndarray:
     (element of C_j), which is the class-algebra coefficient.
     """
     r = len(G.classes)
+    if r**3 * 8 > _CLASS_ALGEBRA_BYTES_CAP:
+        raise OrderTooLarge(
+            f"class algebra of {r} classes needs {r**3 * 8} bytes, "
+            f"cap is {_CLASS_ALGEBRA_BYTES_CAP}"
+        )
     a = np.zeros((r, r, r), dtype=np.float64)
     mul = G.mul_table
     inv = G.inv_table

@@ -35,6 +35,10 @@ MAX_NAMED_ORDER = 4096
 # Default closure cap for perm:... specs and direct permutation builds.
 DEFAULT_PERM_ORDER_CAP = 2048
 
+# Deepest nesting of product: in a spec. Every tree of 13 nontrivial factors
+# already exceeds MAX_NAMED_ORDER, so no group within the cap is lost.
+_MAX_PRODUCT_DEPTH = 12
+
 
 class FiniteGroup:
     """A finite group given by its full multiplication table.
@@ -490,11 +494,12 @@ def _symmetric(n: int) -> FiniteGroup:
 
 
 class _SpecParser:
-    __slots__ = ("text", "pos")
+    __slots__ = ("text", "pos", "depth")
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def fail(self, message: str) -> None:
         raise ParseError(message, self.pos)
@@ -519,9 +524,13 @@ class _SpecParser:
 
     def group(self) -> FiniteGroup:
         if self.literal("product:"):
+            self.depth += 1
+            if self.depth > _MAX_PRODUCT_DEPTH:
+                self.fail(f"product: nested deeper than {_MAX_PRODUCT_DEPTH} levels")
             a = self.group()
             self.expect("*")
             b = self.group()
+            self.depth -= 1
             return _product(a, b)
         if self.literal("perm:"):
             degree = self.integer()

@@ -14,7 +14,7 @@ index order so reports are reproducible to the last bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -122,13 +122,14 @@ def theta(table: CharacterTable, pi: int, f: GroupFunction) -> complex:
     return complex(np.dot(f.values, table.character_on_elements(pi)))
 
 
-def plancherel_invert_at_identity(table: CharacterTable, f: GroupFunction) -> complex:
-    """sum_pi mu_pi * theta(pi, f); equals f(identity) for a correct table."""
-    if f.group is not table.group:
-        raise GroupMismatch("f must live on the table's group")
-    weights = table.plancherel_weights
-    return _kahan_sum(
-        float(weights[pi]) * theta(table, pi, f) for pi in range(table.num_irreps)
+def plancherel_invert_at_identity(table: CharacterTable, F: np.ndarray) -> np.ndarray:
+    """sum_pi mu_pi * Theta_pi(f) for each row f of F, a (k, |G|) array;
+    equals f(identity) for a correct table."""
+    if F.ndim != 2 or F.shape[1] != table.group.order:
+        raise GroupMismatch("F must hold functions on the table's group, one per row")
+    terms = list(zip(table.plancherel_weights, table.element_values))
+    return np.array(
+        [_kahan_sum(float(w) * complex(np.dot(f, chi)) for w, chi in terms) for f in F]
     )
 
 
@@ -150,51 +151,43 @@ def phi(spectrum: PairSpectrum, pi: int, f: GroupFunction) -> complex:
     return complex(np.dot(f.values, spectrum.kernels[pi]))
 
 
-class IrrepTerm(NamedTuple):
-    mu: float
-    theta: complex
-    phi: complex
-    multiplicity: int
-
-
 @dataclass(frozen=True)
 class WhittakerCheckRecord:
-    """Both sides of the transform identity for one test function."""
+    """Both sides of the transform identity for one test function;
+    phi[pi] is Phi_pi(f)."""
 
     lhs: complex
-    per_pi: tuple[IrrepTerm, ...]
+    phi: tuple[complex, ...]
     rhs: complex
     abs_error: float
     f_l1: float
 
 
 def generalized_plancherel_check_batch(
-    spectrum: PairSpectrum, fs: Sequence[GroupFunction]
+    spectrum: PairSpectrum, F: np.ndarray
 ) -> list[WhittakerCheckRecord]:
-    """Compare (psi *_U f)(1) against sum_pi mu_pi * Phi_pi(f) for each f,
-    reading the kernels and multiplicities of the pair from its spectrum."""
-    table = spectrum.table
-    weights = table.plancherel_weights
+    """Compare (psi *_U f)(1) against sum_pi mu_pi * Phi_pi(f) for each row f
+    of F, a (k, |G|) array, reading the kernels of the pair from its spectrum."""
+    G = spectrum.table.group
+    if F.ndim != 2 or F.shape[1] != G.order:
+        raise GroupMismatch("F must hold functions on the table's group, one per row")
+    # (psi *_U f)(1) = sum_u psi(u) f(u^-1), over U in ascending order as in
+    # convolve_over_subgroup
+    lhs = np.zeros(len(F), dtype=np.complex128)
+    for u, c in zip(spectrum.U.members, spectrum.psi.member_values.tolist()):
+        lhs += c * F[:, G.inv_table[u]]
+    weights = spectrum.table.plancherel_weights
     records = []
-    for f in fs:
-        lhs = complex(whittaker_transform(spectrum.U, spectrum.psi, f).values[0])
-        terms = tuple(
-            IrrepTerm(
-                mu=float(weights[pi]),
-                theta=complex(np.dot(f.values, table.element_values[pi])),
-                phi=complex(np.dot(f.values, spectrum.kernels[pi])),
-                multiplicity=spectrum.multiplicities[pi],
-            )
-            for pi in range(table.num_irreps)
-        )
-        rhs = _kahan_sum(term.mu * term.phi for term in terms)
+    for f, left in zip(F, lhs.tolist()):
+        phis = tuple(complex(np.dot(f, kernel)) for kernel in spectrum.kernels)
+        rhs = _kahan_sum(float(w) * p for w, p in zip(weights, phis))
         records.append(
             WhittakerCheckRecord(
-                lhs=lhs,
-                per_pi=terms,
+                lhs=left,
+                phi=phis,
                 rhs=rhs,
-                abs_error=abs(lhs - rhs),
-                f_l1=f.l1_norm,
+                abs_error=abs(left - rhs),
+                f_l1=float(np.abs(f).sum()),
             )
         )
     return records

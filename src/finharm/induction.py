@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._rng import derive_stream_seed, unit_uniforms
+from ._rng import derive_stream_seed, test_functions, unit_uniforms
 from .characters import CharacterTable, LinearCharacter
 from .errors import (
     ChainNotExhaustive,
@@ -39,7 +39,6 @@ from .errors import (
 )
 from .groups import Subgroup
 from .harmonic import GroupFunction, convolve_over_subgroup
-from .sampling import keyed_test_function
 
 logger = logging.getLogger(__name__)
 
@@ -360,28 +359,25 @@ def conjecture_probe(
     table = spectrum.table
     G = table.group
     records = []
-    for pi in range(table.num_irreps):
-        substream = derive_stream_seed(int(seed), pi)
+    substreams = derive_stream_seed(int(seed), np.arange(table.num_irreps))
+    for pi, substream in enumerate(substreams):
         theta_el = table.character_on_elements(pi)
         kernel_values = spectrum.kernels[pi]
         ratios: list[complex] = []
         flags: list[bool] = []
-        for slot in range(num_test_functions):
-            f = keyed_test_function(G, substream, slot)
-            th = complex(np.dot(f.values, theta_el))
+        for slot, f in enumerate(test_functions(G, substream, range(num_test_functions))):
+            th = complex(np.dot(f, theta_el))
             if abs(th) <= _THETA_ZERO_THRESHOLD:
-                for retry in range(_RESAMPLE_BUDGET):
-                    f = keyed_test_function(
-                        G, substream, num_test_functions + slot * _RESAMPLE_BUDGET + retry
-                    )
-                    th = complex(np.dot(f.values, theta_el))
+                first = num_test_functions + slot * _RESAMPLE_BUDGET
+                for f in test_functions(G, substream, range(first, first + _RESAMPLE_BUDGET)):
+                    th = complex(np.dot(f, theta_el))
                     if abs(th) > _THETA_ZERO_THRESHOLD:
                         break
                 else:
                     ratios.append(complex(float("nan"), float("nan")))
                     flags.append(True)
                     continue
-            ph = complex(np.dot(f.values, kernel_values))
+            ph = complex(np.dot(f, kernel_values))
             ratios.append(ph / th)
             flags.append(False)
         clean = [rv for rv, flagged in zip(ratios, flags) if not flagged]

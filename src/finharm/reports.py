@@ -16,6 +16,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
+import numpy as np
+
+from ._rng import test_functions
 from .characters import (
     CharacterTable,
     LinearCharacter,
@@ -33,7 +36,6 @@ from .induction import (
     kernel_multiplicity_identity_check,
     pair_spectrum,
 )
-from .sampling import random_test_functions
 
 SWEEP_ORDER_CAP = 200
 
@@ -320,22 +322,19 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
         all_pass = all_pass and orth.passed
 
         if command == "plancherel-check":
-            fs = random_test_functions(G, config.num_test_functions, config.seed)
-            errors = [
-                abs(f.values[0] - plancherel_invert_at_identity(table, f)) for f in fs
-            ]
-            ok = all(
-                err <= config.tol * (1.0 + f.l1_norm) for err, f in zip(errors, fs)
-            )
+            F = test_functions(G, config.seed, range(config.num_test_functions))
+            errors = np.abs(F[:, 0] - plancherel_invert_at_identity(table, F))
+            ok = all(err <= config.tol * (1.0 + np.abs(f).sum()) for err, f in zip(errors, F))
+            max_err = float(errors.max())
             checks.append(
                 {
                     "kind": "plancherel-inversion",
                     "num_functions": config.num_test_functions,
-                    "max_abs_error": fmt_real(max(errors)),
+                    "max_abs_error": fmt_real(max_err),
                     "pass": ok,
                 }
             )
-            worst = max(worst, max(errors))
+            worst = max(worst, max_err)
             all_pass = all_pass and ok
 
         if command in ("whittaker-check", "conjecture-probe", "sweep"):
@@ -346,13 +345,13 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
             with_checks = command != "conjecture-probe"
             with_probes = command != "whittaker-check"
             if with_checks:
-                fs = random_test_functions(G, config.num_test_functions, config.seed)
+                F = test_functions(G, config.seed, range(config.num_test_functions))
             # one pass: each pair's spectrum feeds both its check and its probe
             for U, j, psi in _iter_pairs(G, config):
                 spectrum = pair_spectrum(table, U, psi)
                 identity_ok = kernel_multiplicity_identity_check(spectrum, config.tol)
                 if with_checks:
-                    records = generalized_plancherel_check_batch(spectrum, fs)
+                    records = generalized_plancherel_check_batch(spectrum, F)
                     theorem_ok = all(
                         rec.abs_error <= config.tol * (1.0 + rec.f_l1) for rec in records
                     )

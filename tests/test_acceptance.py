@@ -30,12 +30,12 @@ from finharm import (
     pair_spectrum,
     phi,
     plancherel_invert_at_identity,
-    random_test_functions,
     subgroup_closure,
     theta,
     truncation_demo,
     verify_orthogonality,
 )
+from finharm import test_functions as draw_test_functions
 from finharm.cli import main as cli_main
 from conftest import CORPUS_SPECS
 
@@ -70,10 +70,10 @@ def theorem_sweep(built):
     for spec in built.sweep:
         G = built.groups[spec]
         table = built.tables[spec]
-        fs = random_test_functions(G, NUM_F, seed=SWEEP_SEED)
+        F = draw_test_functions(G, SWEEP_SEED, range(NUM_F))
         for U, psi in _pairs(G):
             pairs += 1
-            for rec in generalized_plancherel_check_batch(pair_spectrum(table, U, psi), fs):
+            for rec in generalized_plancherel_check_batch(pair_spectrum(table, U, psi), F):
                 worst = max(worst, rec.abs_error / (1.0 + rec.f_l1))
     elapsed = time.perf_counter() - start
     return SimpleNamespace(worst=worst, pairs=pairs, elapsed=elapsed)
@@ -99,8 +99,10 @@ def test_c2_pointwise_inversion(built):
     worst = 0.0
     for spec, G in built.groups.items():
         table = built.tables[spec]
-        for f in random_test_functions(G, NUM_F, seed=SWEEP_SEED):
-            err = abs(f.at_identity - plancherel_invert_at_identity(table, f))
+        F = draw_test_functions(G, SWEEP_SEED, range(NUM_F))
+        for row, inverted in zip(F, plancherel_invert_at_identity(table, F)):
+            f = GroupFunction(G, row)
+            err = abs(f.at_identity - inverted)
             assert err <= 1e-8 * (1.0 + f.l1_norm), spec
             worst = max(worst, err / (1.0 + f.l1_norm))
     elapsed = time.perf_counter() - start
@@ -219,7 +221,7 @@ def test_c6_summation_order_oracles(built):
     for spec in FUBINI_SPECS:
         G = built.groups[spec]
         table = built.tables[spec]
-        fs = random_test_functions(G, NUM_F, seed=SWEEP_SEED)
+        fs = [GroupFunction(G, row) for row in draw_test_functions(G, SWEEP_SEED, range(NUM_F))]
         for U, psi in _pairs(G):
             for pi in range(table.num_irreps):
                 configs += 1
@@ -232,7 +234,8 @@ def test_c6_summation_order_oracles(built):
         table = built.tables[spec]
         U = enumerate_subgroups(G)[-1]
         psi = linear_characters(U)[-1]
-        for f in random_test_functions(G, 3, seed=7):
+        for row in draw_test_functions(G, 7, range(3)):
+            f = GroupFunction(G, row)
             a, _ = fubini_interchange_oracle(table, 0, U, psi, f)
             ref = brute_fubini_value(table, 0, U, psi, f)
             assert abs(a - ref) <= 1e-10 * (1.0 + abs(ref))

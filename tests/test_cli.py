@@ -97,6 +97,28 @@ def test_partial_report_still_delivered(tmp_path, capsys):
     assert doc["verdict"] == "fail"
 
 
+def test_class_algebra_over_memory_cap_exits_2(tmp_path, capsys):
+    # the r^3 tensor of cyclic:1024 would need 8 GiB; it is refused before allocation
+    out = tmp_path / "partial.json"
+    assert main(["chartable", "cyclic:1024", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: class algebra of 1024 classes" in err
+    assert "Traceback" not in err
+    doc = json.loads(out.read_text())
+    assert doc["incomplete"] is True
+    assert doc["config"]["group_spec"] == "cyclic:1024"
+
+
+def test_deeply_nested_product_exits_2(capsys):
+    spec = "product:" * 1200 + "cyclic:2" + "*cyclic:1" * 1200
+    assert main(["chartable", spec]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "nested deeper" in captured.err
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["incomplete"] is True
+
+
 def test_failing_verdict_exits_1(monkeypatch, capsys):
     build_report = finharm.cli.build_report
 

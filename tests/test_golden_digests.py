@@ -58,3 +58,34 @@ def test_report_digest_is_frozen(tmp_path, capsys, argv, exit_code, digest):
     del doc["digest"], doc["wall_time"]
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+# The resample branch of conjecture_probe (|Theta_pi(f)| at or below the
+# threshold) is never reached at the real threshold of 1e-6 by any other
+# test. Raising the threshold forces it: at 4.0 most slots resample and some
+# exhaust the budget, at 6.0 most do.
+RESAMPLE_CASES = [
+    (4.0, ["conjecture-probe", "symmetric:3", "--subgroup", "1", "--count", "6", "--seed", "4"],
+     26, "aa18144fd12b12b695755105c941ffa9a9a7ac78c2bdb14ee54658ac085f50e7"),
+    (4.0, ["sweep", "quaternion", "--count", "3", "--seed", "2"],
+     19, "83f406db1d62f8112f7f61d4b568919d426d9c507e4f1936fa302f0c97d333dc"),
+    (6.0, ["conjecture-probe", "symmetric:3", "--subgroup", "1", "--count", "6", "--seed", "4"],
+     36, "98628e15bd4b366b5b58d239d6bde4ca8d4660e4bc5d3bea395723e80a61f7af"),
+    (6.0, ["sweep", "quaternion", "--count", "3", "--seed", "2"],
+     285, "50c56b9b4555914038cc68cf5d43bd81af326f5000f5020c9dcb086408c1f679"),
+]
+
+
+@pytest.mark.parametrize(
+    "threshold, argv, num_flagged, digest",
+    RESAMPLE_CASES,
+    ids=[f"{c[0]} " + " ".join(c[1]) for c in RESAMPLE_CASES],
+)
+def test_resample_digest_is_frozen(monkeypatch, capsys, threshold, argv, num_flagged, digest):
+    import finharm.induction
+
+    monkeypatch.setattr(finharm.induction, "_THETA_ZERO_THRESHOLD", threshold)
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sum(rec["num_flagged"] for blk in doc["probes"] for rec in blk["per_pi"]) == num_flagged
+    assert doc["digest"] == digest

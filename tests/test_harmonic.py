@@ -19,11 +19,11 @@ from finharm import (
     make_named_group,
     pair_spectrum,
     plancherel_invert_at_identity,
-    random_test_functions,
     subgroup_closure,
     theta,
     whittaker_transform,
 )
+from finharm import test_functions as draw_test_functions
 from oracle_helpers import brute_convolve, brute_inversion, brute_whittaker_sides
 
 
@@ -61,7 +61,7 @@ def test_values_read_only(s3):
 def test_convolution_matches_brute_loops(s3, q8):
     for G, seeds in ((s3, [1]), (q8, [1])):
         U = subgroup_closure(G, seeds)
-        f = random_test_functions(G, 1, seed=41)[0]
+        f = GroupFunction(G, draw_test_functions(G, 41, [0])[0])
         for psi in linear_characters(U):
             out = convolve_over_subgroup(psi.member_values, U, f.values)
             expected = brute_convolve(dict(zip(U.members, psi.member_values)), U, f)
@@ -90,18 +90,24 @@ def test_theta_frozen_values(s3_table, s3):
 
 
 def test_inversion_frozen_values(s3_table, s3):
-    assert abs(plancherel_invert_at_identity(s3_table, GroupFunction.delta(s3, 0)) - 1) < 1e-12
+    delta = GroupFunction.delta(s3, 0)
+    assert abs(plancherel_invert_at_identity(s3_table, delta.values[None])[0] - 1) < 1e-12
     # functions vanishing at the identity invert to zero
     three_cycles = GroupFunction.indicator(s3, [3, 4])
-    assert abs(plancherel_invert_at_identity(s3_table, three_cycles)) < 1e-12
+    assert abs(plancherel_invert_at_identity(s3_table, three_cycles.values[None])[0]) < 1e-12
+    with pytest.raises(GroupMismatch):
+        plancherel_invert_at_identity(s3_table, np.zeros((1, 8)))
 
 
 def test_inversion_matches_brute(corpus_groups, corpus_tables):
     for spec in ("cyclic:6", "dihedral:3", "quaternion", "symmetric:4"):
         table = corpus_tables[spec]
         G = corpus_groups[spec]
-        for f in random_test_functions(G, 3, seed=9):
-            mine = plancherel_invert_at_identity(table, f)
+        F = draw_test_functions(G, 9, range(3))
+        stacked = plancherel_invert_at_identity(table, F)
+        for row, mine in zip(F, stacked):
+            f = GroupFunction(G, row)
+            assert mine == plancherel_invert_at_identity(table, row[None])[0]
             ref = brute_inversion(table, f)
             assert abs(mine - ref) < 1e-10
             assert abs(mine - f.at_identity) < 1e-8 * (1 + f.l1_norm)
@@ -111,7 +117,7 @@ def test_transform_equivariance(s3_table, q8_table):
     # W(u*g) = psi(u) * W(g) for every member u
     for table in (s3_table, q8_table):
         G = table.group
-        f = random_test_functions(G, 1, seed=23)[0]
+        f = GroupFunction(G, draw_test_functions(G, 23, [0])[0])
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
                 W = whittaker_transform(U, psi, f)
@@ -126,7 +132,7 @@ def test_transform_idempotence(s3_table, q8_table):
     # psi * (psi * f) = |U| * (psi * f)
     for table in (s3_table, q8_table):
         G = table.group
-        f = random_test_functions(G, 1, seed=29)[0]
+        f = GroupFunction(G, draw_test_functions(G, 29, [0])[0])
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
                 once = whittaker_transform(U, psi, f)
@@ -165,11 +171,12 @@ def test_check_frozen_s3_spot(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
     spectrum = pair_spectrum(s3_table, U, sign)
-    (record,) = generalized_plancherel_check_batch(spectrum, [GroupFunction.delta(s3, 0)])
+    delta = GroupFunction.delta(s3, 0)
+    (record,) = generalized_plancherel_check_batch(spectrum, delta.values[None])
     assert record.lhs == 1
     assert abs(record.rhs - 1) < 1e-12
-    assert [round(t.phi.real, 9) for t in record.per_pi] == [0, 2, 2]
-    assert [t.multiplicity for t in record.per_pi] == [0, 1, 1]
+    assert [round(p.real, 9) for p in record.phi] == [0, 2, 2]
+    assert list(spectrum.multiplicities) == [0, 1, 1]
     assert record.abs_error < 1e-12
     assert record.f_l1 == 1.0
 
@@ -177,12 +184,12 @@ def test_check_frozen_s3_spot(s3_table, s3):
 def test_check_matches_brute_sides(s3_table, q8_table):
     for table in (s3_table, q8_table):
         G = table.group
-        fs = random_test_functions(G, 2, seed=77)
+        F = draw_test_functions(G, 77, range(2))
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
-                records = generalized_plancherel_check_batch(pair_spectrum(table, U, psi), fs)
-                for f, rec in zip(fs, records):
-                    lhs_ref, rhs_ref = brute_whittaker_sides(table, U, psi, f)
+                records = generalized_plancherel_check_batch(pair_spectrum(table, U, psi), F)
+                for f, rec in zip(F, records):
+                    lhs_ref, rhs_ref = brute_whittaker_sides(table, U, psi, GroupFunction(G, f))
                     assert abs(rec.lhs - lhs_ref) < 1e-10
                     assert abs(rec.rhs - rhs_ref) < 1e-10
                     assert rec.abs_error <= 1e-10 * (1 + rec.f_l1)
@@ -191,14 +198,18 @@ def test_check_matches_brute_sides(s3_table, q8_table):
 def test_batch_matches_single(s3_table, s3):
     U = subgroup_closure(s3, [3])
     psi = linear_characters(U)[2]
-    fs = random_test_functions(s3, 4, seed=13)
+    F = draw_test_functions(s3, 13, range(4))
     spectrum = pair_spectrum(s3_table, U, psi)
-    batch = generalized_plancherel_check_batch(spectrum, fs)
-    for f, rec in zip(fs, batch):
-        (single,) = generalized_plancherel_check_batch(spectrum, [f])
+    batch = generalized_plancherel_check_batch(spectrum, F)
+    for i, rec in enumerate(batch):
+        (single,) = generalized_plancherel_check_batch(spectrum, F[i : i + 1])
         assert rec.lhs == single.lhs
         assert rec.rhs == single.rhs
-        assert rec.per_pi == single.per_pi
+        assert rec.phi == single.phi
+        # the left-hand side is the transform at the identity, bit for bit
+        assert rec.lhs == whittaker_transform(U, psi, GroupFunction(s3, F[i])).values[0]
+    with pytest.raises(GroupMismatch):
+        generalized_plancherel_check_batch(spectrum, F[0])
 
 
 def test_trivial_subgroup_degenerates_to_inversion(corpus_groups, corpus_tables):
@@ -209,12 +220,12 @@ def test_trivial_subgroup_degenerates_to_inversion(corpus_groups, corpus_tables)
         table = corpus_tables[spec]
         U = Subgroup(G, [0])
         psi = linear_characters(U)[0]
-        f = random_test_functions(G, 1, seed=3)[0]
+        f = GroupFunction(G, draw_test_functions(G, 3, [0])[0])
         W = whittaker_transform(U, psi, f)
         assert np.array_equal(W.values, f.values)
         spectrum = pair_spectrum(table, U, psi)
-        (rec,) = generalized_plancherel_check_batch(spectrum, [f])
-        assert rec.rhs == plancherel_invert_at_identity(table, f)
+        (rec,) = generalized_plancherel_check_batch(spectrum, f.values[None])
+        assert rec.rhs == plancherel_invert_at_identity(table, f.values[None])[0]
         for pi in range(table.num_irreps):
             kernel = spectrum.kernels[pi]
             assert np.array_equal(kernel, character_as_function(table, pi).values)

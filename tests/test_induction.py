@@ -28,11 +28,11 @@ from finharm import (
     multiplicity_frobenius,
     pair_spectrum,
     phi,
-    random_test_functions,
     subgroup_closure,
     theta,
     truncation_demo,
 )
+from finharm import test_functions as draw_test_functions
 from oracle_helpers import (
     brute_fubini_value,
     brute_induced_character_value,
@@ -226,7 +226,7 @@ def test_kernel_values_match_brute(s3_table, s3):
 def test_fubini_matches_brute_and_is_seed_independent(s3_table, q8_table):
     for table in (s3_table, q8_table):
         G = table.group
-        fs = random_test_functions(G, 3, seed=5)
+        fs = [GroupFunction(G, row) for row in draw_test_functions(G, 5, range(3))]
         for U in enumerate_subgroups(G)[:4]:
             for psi in linear_characters(U):
                 for pi in range(table.num_irreps):

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from finharm import keyed_test_function, random_test_functions
-from finharm._rng import _mix_int, _mix_u64, derive_stream_seed, unit_uniforms
+import finharm._rng
+from finharm import test_functions as draw_test_functions
+from finharm._rng import derive_stream_seed, unit_uniforms
 
 
 def test_stream_seed_frozen_values():
@@ -35,9 +36,19 @@ def test_unit_uniforms_range_and_dtype():
     assert abs(float(u.mean())) < 0.05  # crude uniformity sanity
 
 
-def test_scalar_and_vector_mixers_agree():
-    for x in (0, 1, 2**63, 2**64 - 1, 987654321):
-        assert _mix_int(x) == int(_mix_u64(np.uint64(x)))
+def test_array_indices_match_scalar_calls():
+    idx = np.array([0, 1, 5, 2**40])
+    seeds = derive_stream_seed(7, idx[:, None], np.arange(2))
+    assert seeds.shape == (4, 2)
+    assert seeds.dtype == np.uint64
+    for i, ix in enumerate(idx.tolist()):
+        for part in (0, 1):
+            assert seeds[i, part] == derive_stream_seed(7, ix, part)
+    rows = unit_uniforms(seeds, 5)
+    assert rows.shape == (4, 2, 5)
+    for i in range(4):
+        for part in (0, 1):
+            assert np.array_equal(rows[i, part], unit_uniforms(seeds[i, part], 5))
 
 
 def test_streams_are_independent():
@@ -49,26 +60,52 @@ def test_streams_are_independent():
     assert derive_stream_seed(0, 1, 2) != derive_stream_seed(0, 2, 1)
 
 
-def test_keyed_test_function_reproducible(s3):
-    f1 = keyed_test_function(s3, 99, 5)
-    f2 = keyed_test_function(s3, 99, 5)
-    assert np.array_equal(f1.values, f2.values)
-    f3 = keyed_test_function(s3, 99, 6)
-    assert not np.array_equal(f1.values, f3.values)
-    assert f1.values.shape == (6,)
-    assert f1.values.dtype == np.complex128
+def test_test_functions_reproducible(s3):
+    f1 = draw_test_functions(s3, 99, [5])[0]
+    f2 = draw_test_functions(s3, 99, [5])[0]
+    assert np.array_equal(f1, f2)
+    f3 = draw_test_functions(s3, 99, [6])[0]
+    assert not np.array_equal(f1, f3)
+    assert f1.shape == (6,)
+    assert f1.dtype == np.complex128
     # genuinely complex-valued
-    assert float(np.abs(f1.values.imag).max()) > 0
+    assert float(np.abs(f1.imag).max()) > 0
 
 
-def test_random_test_functions_batch(s3):
-    fs = random_test_functions(s3, 7, seed=3)
-    assert len(fs) == 7
-    again = random_test_functions(s3, 7, seed=3)
-    for f, g in zip(fs, again):
-        assert np.array_equal(f.values, g.values)
-    # batch index k matches the keyed single function
-    single = keyed_test_function(s3, 3, 4)
-    assert np.array_equal(fs[4].values, single.values)
+def test_test_functions_batch(s3, monkeypatch):
+    F = draw_test_functions(s3, 3, range(7))
+    assert F.shape == (7, 6)
+    assert not F.flags.writeable
+    assert np.array_equal(F, draw_test_functions(s3, 3, range(7)))
+    # row k matches the single function of index k
+    assert np.array_equal(F[4], draw_test_functions(s3, 3, [4])[0])
+    # rows drawn in blocks of two functions match rows drawn in one block
+    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 12)
+    assert np.array_equal(draw_test_functions(s3, 3, range(7)), F)
     with pytest.raises(ValueError):
-        random_test_functions(s3, 0)
+        draw_test_functions(s3, 0, [-1])
+    with pytest.raises(ValueError):
+        draw_test_functions(s3, 0, [[0, 1]])
+
+
+def test_test_function_rows_frozen(s3):
+    # regression pins: the first three values of three rows of the stream
+    expected = {
+        (0, 0): [
+            -0.771198302763155 + 0.9750586448073855j,
+            -0.4949498411792377 + 0.5612392037519305j,
+            -0.3679021555203208 + 0.03915734752285638j,
+        ],
+        (5, 7): [
+            0.28181637850919006 - 0.9486823767377635j,
+            0.3670790748783219 - 0.024411529171078916j,
+            -0.4919086790389364 + 0.8774153742532442j,
+        ],
+        (2**64 - 1, 2**63): [
+            -0.03727895481943988 - 0.20709514374257698j,
+            0.2086089708563248 - 0.30939983155712136j,
+            -0.8718421502544373 + 0.3620448635117015j,
+        ],
+    }
+    for (seed, index), values in expected.items():
+        assert draw_test_functions(s3, seed, [index])[0, :3].tolist() == values
