@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -32,7 +33,7 @@ from .errors import (
     SubgroupMismatch,
     ToleranceViolation,
 )
-from .formatting import fmt_complex
+from .formatting import fmt_complex_rows
 from .groups import FiniteGroup, Subgroup, subgroup_closure
 
 _RETRY_BUDGET = 16
@@ -77,12 +78,17 @@ class CharacterTable:
             raise IndexOutOfRange(f"irrep index {pi} out of range 0..{self.num_irreps - 1}")
         return self.element_values[pi]
 
+    @cached_property
+    def value_strings(self) -> tuple[tuple[str, ...], ...]:
+        """fmt_complex of every table value, formatted once and shared by
+        the CSV form and the report's rows block."""
+        return fmt_complex_rows(self.values)
+
     def to_csv(self) -> str:
         header = "degree," + ",".join(f"class{k}" for k in range(len(self.group.classes)))
         lines = [header]
-        for i in range(self.num_irreps):
-            row = ",".join(fmt_complex(v) for v in self.values[i])
-            lines.append(f"{self.degrees[i]},{row}")
+        for degree, row in zip(self.degrees, self.value_strings):
+            lines.append(f"{degree}," + ",".join(row))
         return "\n".join(lines) + "\n"
 
 
@@ -193,9 +199,7 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
         chi = (omega / sizes[:, None]) * dint[None, :]
         rows = chi.T  # one irreducible character per row
 
-        order = sorted(
-            range(r), key=lambda i: (int(dint[i]), _quantized_descending_key(rows[i]))
-        )
+        order = _descending_row_order(rows, dint)
         values = rows[order]
         degrees = tuple(int(dint[i]) for i in order)
         table = CharacterTable(
@@ -262,8 +266,16 @@ class LinearCharacter:
         return f"<LinearCharacter {kind} on subgroup of order {self.subgroup.order}>"
 
 
-def _quantized_descending_key(values: Iterable[complex]) -> tuple:
-    return tuple((-int(round(v.real * 1e9)), -int(round(v.imag * 1e9))) for v in values)
+def _descending_row_order(values: np.ndarray, leading: np.ndarray | None = None) -> np.ndarray:
+    """Stable row order by the leading key, if given, then by each column's
+    (real, imag) quantized at 1e-9, descending, compared left to right."""
+    quantized = np.empty((values.shape[0], 2 * values.shape[1]), dtype=np.int64)
+    quantized[:, 0::2] = -np.rint(values.real * 1e9)
+    quantized[:, 1::2] = -np.rint(values.imag * 1e9)
+    keys = quantized.T[::-1]  # np.lexsort sorts by its last key first
+    if leading is not None:
+        keys = np.vstack([keys, leading])
+    return np.lexsort(keys)
 
 
 def _unit_root(turns: Fraction) -> complex:
@@ -335,8 +347,8 @@ def linear_characters(U: Subgroup) -> list[LinearCharacter]:
         chars = extended
         covered = set(chars[0].keys())
 
-    lifted = []
-    for chi in chars:
-        lifted.append(LinearCharacter(U, [_unit_root(chi[coset_of[u]]) for u in members]))
-    lifted.sort(key=lambda psi: _quantized_descending_key(psi.member_values))
-    return lifted
+    lifted = [
+        LinearCharacter(U, [_unit_root(chi[coset_of[u]]) for u in members]) for chi in chars
+    ]
+    order = _descending_row_order(np.array([psi.member_values for psi in lifted]))
+    return [lifted[i] for i in order]

@@ -35,6 +35,9 @@ MAX_NAMED_ORDER = 4096
 # Default closure cap for perm:... specs and direct permutation builds.
 DEFAULT_PERM_ORDER_CAP = 2048
 
+# Composed permutation entries looked up per block in _mul_table_from_perms.
+_PERM_BLOCK_ENTRIES = 1 << 16
+
 # Deepest nesting of product: in a spec. Every tree of 13 nontrivial factors
 # already exceeds MAX_NAMED_ORDER, so no group within the cap is lost.
 _MAX_PRODUCT_DEPTH = 12
@@ -67,9 +70,14 @@ class FiniteGroup:
         ar = np.arange(n)
         if not np.array_equal(mul[0], ar) or not np.array_equal(mul[:, 0], ar):
             raise ValueError("element 0 must act as the identity")
-        if not np.array_equal(np.sort(mul, axis=1), np.broadcast_to(ar, mul.shape)):
+        # with entries in range, a row or column is bijective iff it hits every index
+        hit = np.zeros((n, n), dtype=bool)
+        hit[ar[:, None], mul] = True
+        if not hit.all():
             raise ValueError("left translations must be bijective")
-        if not np.array_equal(np.sort(mul, axis=0), np.broadcast_to(ar[:, None], mul.shape)):
+        hit[:] = False
+        hit[mul, ar] = True
+        if not hit.all():
             raise ValueError("right translations must be bijective")
 
         mul = mul.copy()
@@ -314,15 +322,26 @@ def _mul_table_from_perms(perms: list[tuple[int, ...]]) -> np.ndarray:
     """Cayley table for a list of permutations closed under composition.
 
     Composition convention everywhere in this package: (p*q)(x) = p(q(x)).
-    perms[0] must be the identity.
+    perms[0] must be the identity. Each permutation is looked up as one
+    fixed-width byte key by binary search in the sorted keys; a composition
+    that is not in the list raises ValueError.
     """
-    arr = np.array(perms, dtype=np.int64)
+    degree = len(perms[0])
+    arr = np.array(perms, dtype=np.min_scalar_type(degree - 1))
     n = len(perms)
-    index = {arr[i].tobytes(): i for i in range(n)}
+    key = np.dtype((np.void, arr.itemsize * degree))
+    keys = arr.view(key).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
     mul = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        composed = arr[i][arr]  # row j = perms[i] o perms[j]
-        mul[i] = [index[row.tobytes()] for row in composed]
+    rows = max(1, _PERM_BLOCK_ENTRIES // (n * degree))
+    for start in range(0, n, rows):
+        composed = arr[start:start + rows, arr]  # [i, j] = perms[i] o perms[j]
+        composed_keys = np.ascontiguousarray(composed).view(key)[..., 0]
+        pos = np.minimum(np.searchsorted(sorted_keys, composed_keys), n - 1)
+        if not np.array_equal(sorted_keys[pos], composed_keys):
+            raise ValueError("permutations are not closed under composition")
+        mul[start:start + rows] = order[pos]
     return mul
 
 

@@ -220,7 +220,7 @@ def _table_block(table: CharacterTable, orth) -> dict[str, Any]:
         "num_irreps": table.num_irreps,
         "degrees": list(table.degrees),
         "plancherel_weights": [fmt_real(w) for w in table.plancherel_weights],
-        "rows": [[fmt_complex(v) for v in row] for row in table.values],
+        "rows": [list(row) for row in table.value_strings],
         "orthogonality": {
             "max_row_deviation": fmt_real(orth.max_row_deviation),
             "max_column_deviation": fmt_real(orth.max_column_deviation),
@@ -298,9 +298,10 @@ def _probe_per_pi(spectrum: PairSpectrum, config: RunConfig) -> list[dict[str, A
 def build_report(command: str, config: RunConfig) -> SweepReport:
     """Assemble the report for one CLI command.
 
-    On any package error the partially assembled payload is flagged
-    incomplete and carried inside the raised SweepAborted, so the CLI can
-    still deliver it alongside a nonzero exit code.
+    On any package error, and when memory or the recursion limit runs out,
+    the partially assembled payload is flagged incomplete and carried inside
+    the raised SweepAborted, so the CLI can still deliver it alongside a
+    nonzero exit code.
     """
     start = time.perf_counter()
     checks: list[dict[str, Any]] = []
@@ -380,9 +381,10 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
                         }
                     )
                     all_pass = all_pass and identity_ok
-    except FinharmError as exc:
+    except (FinharmError, MemoryError, RecursionError) as exc:
+        message = str(exc) or type(exc).__name__
         payload["incomplete"] = True
-        payload["error"] = str(exc)
+        payload["error"] = message
         payload["verdict"] = "fail"
         payload["max_abs_error"] = fmt_real(worst)
         digest = _payload_digest(payload)
@@ -395,7 +397,7 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
             max_abs_error=worst,
             wall_time=time.perf_counter() - start,
         )
-        raise SweepAborted(str(exc), report) from exc
+        raise SweepAborted(message, report) from exc
 
     payload["verdict"] = "pass" if all_pass else "fail"
     payload["max_abs_error"] = fmt_real(worst)

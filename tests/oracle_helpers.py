@@ -142,3 +142,37 @@ def brute_fubini_value(
         for u in U.members:
             total += chi * complex(f.values[G.mul(G.inv(u), g)]) * psi(u)
     return total
+
+
+def perm_closure(degree: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Closure in breadth-first discovery order, right-multiplying by gens."""
+    elems = [tuple(range(degree))]
+    seen = set(elems)
+    for base in elems:  # grows while iterating
+        for g in gens:
+            new = compose(base, g)
+            if new not in seen:
+                seen.add(new)
+                elems.append(new)
+    return elems
+
+
+def dict_mul_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
+    """Cayley table by one dict lookup per product."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[compose(p, q)] for q in perms] for p in perms]
+
+
+def quantized_descending_key(values) -> tuple:
+    """Row sort key: each (real, imag) quantized at 1e-9, negated."""
+    return tuple((-int(round(v.real * 1e9)), -int(round(v.imag * 1e9))) for v in values)
+
+
+def fmt_complex_scalar(z: complex) -> str:
+    """Per-value report formatting: %.12g parts, -0 folded, sign joined."""
+    parts = []
+    for x in (complex(z).real, complex(z).imag):
+        s = f"{float(x):.12g}"
+        parts.append("0" if s == "-0" else s)
+    re, im = parts
+    return f"{re}-{im[1:]}i" if im.startswith("-") else f"{re}+{im}i"

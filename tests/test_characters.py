@@ -19,7 +19,14 @@ from finharm import (
     subgroup_closure,
     verify_orthogonality,
 )
-from oracle_helpers import brute_multiplicity, perm_list, perm_parity
+from finharm.characters import _descending_row_order
+from oracle_helpers import (
+    brute_multiplicity,
+    fmt_complex_scalar,
+    perm_list,
+    perm_parity,
+    quantized_descending_key,
+)
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -160,6 +167,45 @@ def test_to_csv_layout(s3_table):
     assert len(lines) == 4
     assert lines[1].startswith("1,")
     assert lines[3].startswith("2,")
+
+
+def test_value_strings_match_scalar_format(corpus_tables):
+    for table in corpus_tables.values():
+        expected = [[fmt_complex_scalar(v) for v in row] for row in table.values]
+        assert [list(row) for row in table.value_strings] == expected
+        lines = table.to_csv().split("\n")[1:-1]
+        assert lines == [
+            f"{d}," + ",".join(row) for d, row in zip(table.degrees, expected)
+        ]
+
+
+# half-quanta, exact ties, signed zeros and values that agree after quantizing
+_ORDER_ALPHABET = np.array(
+    [0.0, -0.0, 5e-10, -5e-10, 2.5e-9, -2.5e-9, 3.5e-9, 1e-10, 1.0, -1.0, 1 + 2.5e-9]
+)
+
+
+def test_row_order_matches_tuple_key_sort():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        r, c = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+        values = rng.choice(_ORDER_ALPHABET, (r, c)) + 1j * rng.choice(_ORDER_ALPHABET, (r, c))
+        values[rng.integers(0, r, r // 3)] = values[0]  # whole-row ties
+        degrees = rng.integers(1, 3, r)
+        with_degree = sorted(
+            range(r), key=lambda i: (int(degrees[i]), quantized_descending_key(values[i]))
+        )
+        assert _descending_row_order(values, degrees).tolist() == with_degree
+        plain = sorted(range(r), key=lambda i: quantized_descending_key(values[i]))
+        assert _descending_row_order(values).tolist() == plain
+
+
+def test_linear_character_order_matches_tuple_key_sort(corpus_groups):
+    for spec in ("cyclic:12", "product:cyclic:2*cyclic:4", "dihedral:8"):
+        U = Subgroup(corpus_groups[spec], range(corpus_groups[spec].order))
+        psis = linear_characters(U)
+        keys = [quantized_descending_key(psi.member_values) for psi in psis]
+        assert keys == sorted(keys)
 
 
 def test_character_on_elements_bounds(s3_table):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import finharm.cli
+import finharm.reports
 from finharm.cli import main
 
 
@@ -117,6 +118,28 @@ def test_deeply_nested_product_exits_2(capsys):
     assert "nested deeper" in captured.err
     assert "Traceback" not in captured.err
     assert json.loads(captured.out)["incomplete"] is True
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(), "MemoryError"),
+        (RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"),
+    ],
+)
+def test_resource_exhaustion_exits_2_with_partial_report(monkeypatch, capsys, exc, message):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(finharm.reports, "character_table", exhausted)
+    assert main(["chartable", "symmetric:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    doc = json.loads(captured.out)
+    assert doc["incomplete"] is True
+    assert doc["error"] == message
+    assert doc["verdict"] == "fail"
+    assert "group" not in doc
 
 
 def test_failing_verdict_exits_1(monkeypatch, capsys):

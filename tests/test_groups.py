@@ -20,7 +20,15 @@ from finharm import (
     subgroup_closure,
     verify_group_axioms,
 )
-from oracle_helpers import brute_classes, compose, element_orders, perm_list
+from finharm.groups import _mul_table_from_perms
+from oracle_helpers import (
+    brute_classes,
+    compose,
+    dict_mul_table,
+    element_orders,
+    perm_closure,
+    perm_list,
+)
 
 # a Latin square with identity and two-sided inverses that is NOT associative
 LOOP5 = [
@@ -175,13 +183,51 @@ def test_build_from_permutations_rejects_non_permutation():
         build_from_permutations(3, [(0, 1)])
 
 
+# S4 on points 0..3 times a 16-cycle on 4..19: order 384
+DEGREE20_SPEC = "perm:20:(0 1 2 3);(0 1);(4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19)"
+DEGREE20_GENS = [
+    (1, 2, 3, 0) + tuple(range(4, 20)),
+    (1, 0) + tuple(range(2, 20)),
+    tuple(range(4)) + tuple(range(5, 20)) + (4,),
+]
+
+
+@pytest.mark.parametrize(
+    "perms", [perm_list(5), perm_closure(20, DEGREE20_GENS)], ids=["S5", "degree20"]
+)
+def test_perm_mul_table_matches_dict_lookup(perms, monkeypatch):
+    expected = dict_mul_table(perms)
+    assert _mul_table_from_perms(perms).tolist() == expected
+    # blocks of a few rows, and of one row, give the same table
+    monkeypatch.setattr("finharm.groups._PERM_BLOCK_ENTRIES", 5 * len(perms) * len(perms[0]))
+    assert _mul_table_from_perms(perms).tolist() == expected
+    monkeypatch.setattr("finharm.groups._PERM_BLOCK_ENTRIES", 1)
+    assert _mul_table_from_perms(perms).tolist() == expected
+
+
+def test_perm_spec_of_degree_20_uses_breadth_first_order():
+    G = make_named_group(DEGREE20_SPEC)
+    assert G.order == 384
+    expected = _mul_table_from_perms(perm_closure(20, DEGREE20_GENS))
+    assert np.array_equal(G.mul_table, expected)
+
+
+def test_perm_mul_table_rejects_unclosed_set():
+    with pytest.raises(ValueError, match="not closed"):
+        _mul_table_from_perms([(0, 1, 2), (1, 2, 0)])  # the 3-cycle without its square
+    with pytest.raises(ValueError, match="not closed"):
+        _mul_table_from_perms(perm_list(3)[:5])
+
+
 def test_constructor_rejects_malformed_tables():
     with pytest.raises(ValueError):
         FiniteGroup(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ValueError):
         FiniteGroup([[1, 0], [0, 1]])  # 0 is not the identity
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="left translations must be bijective"):
         FiniteGroup([[0, 1], [1, 1]])  # row 1 not a bijection
+    with pytest.raises(ValueError, match="right translations must be bijective"):
+        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # column 1 not a bijection
     with pytest.raises(ValueError):
         FiniteGroup(ONE_SIDED5)  # left inverse of 3 is 2, right inverse is 4
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from finharm import IndexOutOfRange, SweepAborted, build_report
-from finharm.formatting import fmt_complex, fmt_real
+from finharm.formatting import fmt_complex, fmt_complex_rows, fmt_real
 from finharm.reports import RunConfig
+from oracle_helpers import fmt_complex_scalar
 
 TOP_LEVEL_KEYS = {"config", "group", "table", "checks", "probes", "verdict", "max_abs_error"}
 
@@ -26,6 +28,14 @@ def test_fmt_complex():
     assert fmt_complex(-1.0 + 0j) == "-1+0i"
     assert fmt_complex(0.5 - 2j) == "0.5-2i"
     assert fmt_complex(complex(-0.0, -0.0)) == "0+0i"
+
+
+def test_fmt_complex_rows_match_scalar_oracle():
+    parts = [0.0, -0.0, 1e-13, -1e-13, -1e-20, 1e16, np.nan, np.inf, -np.inf, 0.5, -2.0]
+    values = np.array([[complex(a, b) for b in parts] for a in parts])
+    expected = [[fmt_complex_scalar(v) for v in row] for row in values]
+    assert [list(row) for row in fmt_complex_rows(values)] == expected
+    assert [[fmt_complex(v) for v in row] for row in values] == expected
 
 
 def test_parse_group_spec_roundtrip():
