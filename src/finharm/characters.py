@@ -302,11 +302,9 @@ def linear_characters(U: Subgroup) -> list[LinearCharacter]:
     inv = G.inv_table
     members = U.members
 
-    commutators = set()
-    for x in members:
-        for y in members:
-            commutators.add(int(mul[mul[inv[x], inv[y]], mul[x, y]]))
-    derived = subgroup_closure(G, sorted(commutators))
+    x, y = U.members_array[:, None], U.members_array[None, :]
+    commutators = mul[mul[inv[x], inv[y]], mul[x, y]]
+    derived = subgroup_closure(G, np.unique(commutators))
 
     # cosets of the derived subgroup inside U, reps in ascending member order
     coset_of: dict[int, int] = {}

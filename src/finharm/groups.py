@@ -212,60 +212,99 @@ class Subgroup:
         return f"<Subgroup order {self.order} of {self.parent!r}>"
 
 
-def _closure_members(G: FiniteGroup, seeds: Iterable[int]) -> set[int]:
-    mul = G.mul_table
-    members = {0}
-    queue = [0]
-    for s in seeds:
-        s = int(s)
-        if not 0 <= s < G.order:
-            raise IndexOutOfRange(f"seed {s} out of range for order {G.order}")
-        if s not in members:
-            members.add(s)
-            queue.append(s)
-    while queue:
-        x = queue.pop()
-        for y in tuple(members):
-            for z in (int(mul[x, y]), int(mul[y, x])):
-                if z not in members:
-                    members.add(z)
-                    queue.append(z)
-    return members
+def _close_mask(mul: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mask of the smallest subgroup containing the identity and mask's elements.
+
+    Each round adds every product of two current members, so a round doubles
+    the word length reached and log2 |H| + 1 rounds suffice. In a finite group
+    a nonempty set closed under multiplication is a subgroup, because every
+    inverse is a power.
+    """
+    grown = mask.copy()
+    grown[0] = True
+    count = np.count_nonzero(grown)
+    while True:
+        if 2 * count > grown.size:  # a proper subgroup has index >= 2
+            grown[:] = True
+            return grown
+        m = grown.nonzero()[0]
+        grown[mul[m[:, None], m]] = True
+        new_count = np.count_nonzero(grown)
+        if new_count == count:
+            return grown
+        count = new_count
 
 
 def subgroup_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the seed elements."""
-    return Subgroup(G, sorted(_closure_members(G, seeds)))
+    mask = np.zeros(G.order, dtype=bool)
+    for s in seeds:
+        s = int(s)
+        if not 0 <= s < G.order:
+            raise IndexOutOfRange(f"seed {s} out of range for order {G.order}")
+        mask[s] = True
+    return Subgroup(G, np.flatnonzero(_close_mask(G.mul_table, mask)).tolist())
+
+
+def _cyclic_subgroups(mul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct cyclic subgroups <g>, as (generators, masks).
+
+    Row k of masks is the member mask of <generators[k]>; generators[k] is the
+    smallest element generating it. The powers of all elements are taken
+    together, one multiplication per round, until the first round in which
+    every power is the identity (the exponent of the group).
+    """
+    n = mul.shape[0]
+    ar = np.arange(n)
+    masks = np.zeros((n, n), dtype=bool)
+    masks[:, 0] = True
+    power = ar.copy()
+    while power.any():
+        masks[ar, power] = True
+        power = mul[power, ar]
+    _, first = np.unique(masks, axis=0, return_index=True)
+    generators = np.sort(first)
+    return generators, masks[generators]
 
 
 def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All subgroups of G, deduplicated, sorted by (order, member list).
 
-    Works by growing generating sets: starting from the trivial subgroup,
-    repeatedly adjoin one outside element and close. Every subgroup is
-    reachable this way because adjoining its generators one at a time visits
-    only recorded subgroups.
+    Subgroups are held as boolean member masks and found by joining cyclic
+    subgroups (the cyclic-extension lattice of Neubueser, Numer. Math. 2,
+    1960): starting from the trivial subgroup, every subgroup found is joined
+    with every cyclic subgroup <g> it does not contain, and the join is closed
+    and deduplicated on the bytes of its mask.
+
+    Completeness: a subgroup K is the join of the cyclic subgroups <k>,
+    k in K. Adding them one at a time, H_0 = 1, H_i = H_(i-1) v <k_i>, passes
+    only through subgroups of K, and each step either leaves H unchanged
+    (k_i already in H) or is a join the search makes from a subgroup it has
+    already found. So K is found. No step asks <k_i> to normalise H, which is
+    why perfect subgroups such as A5 < S5 are reached as well.
     """
     if G.order > SUBGROUP_ENUMERATION_CAP:
         raise OrderTooLarge(
             f"subgroup enumeration is capped at order {SUBGROUP_ENUMERATION_CAP}, "
             f"got {G.order}; pass explicit generators instead"
         )
-    trivial = frozenset({0})
-    found = {trivial}
+    mul = G.mul_table
+    generators, cyclic = _cyclic_subgroups(mul)
+    trivial = np.zeros(G.order, dtype=bool)
+    trivial[0] = True
+    found = {trivial.tobytes(): trivial}
     queue = [trivial]
     while queue:
         base = queue.pop()
-        seeds = sorted(base)
-        for g in range(1, G.order):
-            if g in base:
-                continue
-            grown = frozenset(_closure_members(G, seeds + [g]))
-            if grown not in found:
-                found.add(grown)
+        for k in np.flatnonzero(~base[generators]):
+            grown = _close_mask(mul, base | cyclic[k])
+            key = grown.tobytes()
+            if key not in found:
+                found[key] = grown
                 queue.append(grown)
-    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return [Subgroup(G, sorted(s)) for s in ordered]
+    member_lists = [np.flatnonzero(mask).tolist() for mask in found.values()]
+    member_lists.sort(key=lambda members: (len(members), members))
+    return [Subgroup(G, members) for members in member_lists]
 
 
 def verify_group_axioms(G: FiniteGroup) -> bool:
@@ -465,11 +504,19 @@ def _heisenberg(p: int) -> FiniteGroup:
         raise UnsupportedParameter(f"heisenberg:p needs a prime p, got {p}")
     _check_named_order(p**3, f"heisenberg:{p}")
     n = p**3
-    idx = np.arange(n, dtype=np.int64)
-    a, b, c = idx // (p * p), (idx // p) % p, idx % p
-    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
-    mul = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + ((c1 + c2 + a1 * b2) % p)
+    # (a1, b1, c1)(a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1*b2); the
+    # table is filled one index component at a time through a 6-axis view
+    # [a1, b1, c1, a2, b2, c2], so no n x n temporary is built
+    r = np.arange(p, dtype=np.int64)
+    add = (r[:, None] + r[None, :]) % p
+    mul = np.empty((n, n), dtype=np.int64)
+    view = mul.reshape(p, p, p, p, p, p)
+    view[...] = (add * (p * p))[:, None, None, :, None, None]
+    view += (add * p)[None, :, None, None, :, None]
+    # [a1, c1, b2, c2] -> c1 + c2 + a1*b2 mod p, p^4 entries
+    top = (r[None, :, None, None] + r[None, None, None, :]
+           + r[:, None, None, None] * r[None, None, :, None]) % p
+    view += top[:, None, :, None, :, :]
     return FiniteGroup(mul, label=f"heisenberg:{p}", generators=(p * p, p))
 
 

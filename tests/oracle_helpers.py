@@ -176,3 +176,43 @@ def fmt_complex_scalar(z: complex) -> str:
         parts.append("0" if s == "-0" else s)
     re, im = parts
     return f"{re}-{im[1:]}i" if im.startswith("-") else f"{re}+{im}i"
+
+
+def set_closure(G: FiniteGroup, seeds) -> set[int]:
+    """Subgroup generated by seeds, by a set-based breadth-first search:
+    every new element is multiplied on both sides by every member so far."""
+    mul = G.mul_table
+    members = {0}
+    queue = [0]
+    for s in seeds:
+        s = int(s)
+        if s not in members:
+            members.add(s)
+            queue.append(s)
+    while queue:
+        x = queue.pop()
+        for y in tuple(members):
+            for z in (int(mul[x, y]), int(mul[y, x])):
+                if z not in members:
+                    members.add(z)
+                    queue.append(z)
+    return members
+
+
+def element_subgroup_lattice(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Member lists of every subgroup, sorted by (order, members): from each
+    subgroup found, adjoin every outside element and close."""
+    trivial = frozenset({0})
+    found = {trivial}
+    queue = [trivial]
+    while queue:
+        base = queue.pop()
+        seeds = sorted(base)
+        for g in range(1, G.order):
+            if g in base:
+                continue
+            grown = frozenset(set_closure(G, seeds + [g]))
+            if grown not in found:
+                found.add(grown)
+                queue.append(grown)
+    return sorted((tuple(sorted(s)) for s in found), key=lambda m: (len(m), m))

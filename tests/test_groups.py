@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,14 +22,28 @@ from finharm import (
     subgroup_closure,
     verify_group_axioms,
 )
-from finharm.groups import _mul_table_from_perms
+import finharm.groups
+from finharm.groups import _heisenberg, _mul_table_from_perms
 from oracle_helpers import (
     brute_classes,
     compose,
     dict_mul_table,
     element_orders,
+    element_subgroup_lattice,
     perm_closure,
     perm_list,
+    perm_parity,
+    set_closure,
+)
+from conftest import CORPUS_SPECS
+
+# the groups swept by the benchmark's lattice workload
+LATTICE_SPECS = (
+    "symmetric:4",
+    "dihedral:12",
+    "heisenberg:3",
+    "product:quaternion*cyclic:3",
+    "product:dihedral:4*cyclic:2",
 )
 
 # a Latin square with identity and two-sided inverses that is NOT associative
@@ -94,6 +110,19 @@ def test_heisenberg_has_exponent_p():
     assert element_orders(G) == [1] + [3] * 26
     assert len(G.classes) == 11
     assert sorted(G.class_sizes.tolist()) == [1, 1, 1] + [3] * 8
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_heisenberg_table_matches_broadcast_formula(p):
+    n = p**3
+    idx = np.arange(n, dtype=np.int64)
+    a, b, c = idx // (p * p), (idx // p) % p, idx % p
+    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
+    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
+    expected = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + ((c1 + c2 + a1 * b2) % p)
+    table = _heisenberg(p).mul_table
+    assert table.dtype == np.int64
+    assert np.array_equal(table, expected)
 
 
 def test_product_group_is_componentwise():
@@ -296,6 +325,47 @@ def test_q8_subgroup_lattice_frozen(q8):
 
 def test_subgroup_count_s4(corpus_groups):
     assert len(enumerate_subgroups(corpus_groups["symmetric:4"])) == 30
+
+
+@pytest.mark.parametrize("spec", sorted(set(CORPUS_SPECS + LATTICE_SPECS)))
+def test_subgroup_lattice_matches_element_oracle(spec):
+    G = make_named_group(spec)
+    assert [U.members for U in enumerate_subgroups(G)] == element_subgroup_lattice(G)
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "heisenberg:3"])
+def test_subgroup_closure_matches_set_oracle(spec):
+    G = make_named_group(spec)
+    singletons = itertools.combinations(range(G.order), 1)
+    pairs = itertools.combinations(range(G.order), 2)
+    for seeds in itertools.chain(singletons, pairs):
+        assert subgroup_closure(G, seeds).members == tuple(sorted(set_closure(G, seeds))), seeds
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        ("dihedral:24", 68),  # tau(24) + sigma(24)
+        # (Z/2)^5: the Gaussian binomials [5 choose k]_2 sum to 374
+        ("product:cyclic:2*product:cyclic:2*product:cyclic:2*product:cyclic:2*cyclic:2", 374),
+        ("product:symmetric:3*symmetric:3", 60),
+        ("product:symmetric:4*cyclic:2", 98),
+    ],
+)
+def test_subgroup_counts_pinned(spec, count):
+    assert len(enumerate_subgroups(make_named_group(spec))) == count
+
+
+def test_symmetric_5_lattice_reaches_a5(monkeypatch):
+    monkeypatch.setattr(finharm.groups, "SUBGROUP_ENUMERATION_CAP", 120)
+    G = make_named_group("symmetric:5")
+    subs = enumerate_subgroups(G)
+    assert len(subs) == 156
+    # A5, the only subgroup of order 60, is perfect: no cyclic extension by
+    # normalising elements reaches it from a proper subgroup
+    (a5,) = [U for U in subs if U.order == 60]
+    even = {i for i, p in enumerate(perm_list(5)) if perm_parity(p) == 1}
+    assert set(a5.members) == even
 
 
 def test_subgroup_list_closed_under_conjugation(corpus_groups, sweep_specs):

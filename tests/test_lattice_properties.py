@@ -1,0 +1,44 @@
+"""Property tests of the subgroup lattice on random permutation groups."""
+
+from __future__ import annotations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from finharm import (
+    ClosureExceedsCap,
+    SUBGROUP_ENUMERATION_CAP,
+    build_from_permutations,
+    enumerate_subgroups,
+    subgroup_closure,
+)
+from oracle_helpers import element_subgroup_lattice, set_closure
+
+
+@st.composite
+def small_perm_groups(draw):
+    """perm: groups of degree <= 5 on 1-3 random generators, order <= 48."""
+    degree = draw(st.integers(min_value=1, max_value=5))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    try:
+        G = build_from_permutations(degree, gens, order_cap=SUBGROUP_ENUMERATION_CAP)
+    except ClosureExceedsCap:
+        assume(False)
+    return G
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(G=small_perm_groups(), data=st.data())
+def test_lattice_of_random_perm_group(G, data):
+    subs = [U.members for U in enumerate_subgroups(G)]
+    assert subs == element_subgroup_lattice(G)
+
+    member_sets = set(subs)
+    for members in member_sets:
+        for g in range(G.order):
+            conj = tuple(sorted(G.mul(G.mul(g, m), G.inv(g)) for m in members))
+            assert conj in member_sets
+
+    element = st.integers(min_value=0, max_value=G.order - 1)
+    seeds = data.draw(st.lists(element, max_size=3))
+    assert subgroup_closure(G, seeds).members == tuple(sorted(set_closure(G, seeds)))
