@@ -9,7 +9,7 @@ out here and pinned by a regression test.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,15 +37,18 @@ def _mix_u64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def derive_stream_seed(seed: int, *indices: int | np.ndarray) -> np.uint64 | np.ndarray:
+def derive_stream_seed(
+    seed: int | np.ndarray, *indices: int | np.ndarray
+) -> np.uint64 | np.ndarray:
     """Fold integer indices into a seed, one mixing round per index.
 
     Used to key independent substreams, e.g. (seed, function index, 0) for
-    real parts and (seed, function index, 1) for imaginary parts. Indices
-    may be integer arrays; they broadcast, giving an array of stream seeds.
+    real parts and (seed, function index, 1) for imaginary parts. The seed
+    and the indices may be integer arrays; they broadcast, giving an array
+    of stream seeds.
     """
     with np.errstate(over="ignore"):
-        h = _mix_u64(np.uint64(seed) + _GOLDEN)
+        h = _mix_u64(np.asarray(seed, dtype=np.uint64) + _GOLDEN)
         for ix in indices:
             h = _mix_u64(h ^ (np.asarray(ix, dtype=np.uint64) * _KEY1 + _KEY2))
     return h
@@ -64,19 +67,28 @@ def unit_uniforms(stream_seed: int | np.ndarray, count: int) -> np.ndarray:
     return (x >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
 
 
-def test_functions(G: FiniteGroup, seed: int, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+def row_blocks(num_rows: int, n: int) -> Iterator[slice]:
+    """Consecutive row slices of about _BLOCK_ELEMENTS entries of length n."""
+    step = max(1, _BLOCK_ELEMENTS // n)
+    return (slice(start, start + step) for start in range(0, num_rows, step))
+
+
+def test_functions(
+    G: FiniteGroup, seed: int | np.ndarray, indices: Sequence[int] | np.ndarray
+) -> np.ndarray:
     """Test functions number `indices` of stream `seed`, one per row of a
     read-only (len(indices), |G|) complex array. Real and imaginary parts are
-    uniform in [-1, 1), keyed by (seed, index, 0) and (seed, index, 1)."""
+    uniform in [-1, 1), keyed by (seed, index, 0) and (seed, index, 1). seed
+    may also be an array holding one stream seed per index."""
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.dtype.kind not in "iu" or (idx < 0).any():
         raise ValueError("indices must be a 1-D sequence of nonnegative integers")
+    seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), idx.shape)
     n = G.order
     F = np.empty((len(idx), n), dtype=np.complex128)
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for start in range(0, len(idx), step):
-        rows = slice(start, start + step)
-        parts = unit_uniforms(derive_stream_seed(seed, idx[rows, None], np.arange(2)), n)
+    for rows in row_blocks(len(idx), n):
+        keys = derive_stream_seed(seeds[rows, None], idx[rows, None], np.arange(2))
+        parts = unit_uniforms(keys, n)
         F[rows].real = parts[:, 0]
         F[rows].imag = parts[:, 1]
     F.setflags(write=False)

@@ -42,6 +42,10 @@ _PERM_BLOCK_ENTRIES = 1 << 16
 # already exceeds MAX_NAMED_ORDER, so no group within the cap is lost.
 _MAX_PRODUCT_DEPTH = 12
 
+# Longest digit run in a spec. Every number of up to 18 digits fits an int64
+# index, far beyond what any cap admits; longer runs are refused unparsed.
+_MAX_SPEC_DIGITS = 18
+
 
 class FiniteGroup:
     """A finite group given by its full multiplication table.
@@ -500,9 +504,9 @@ def _heisenberg(p: int) -> FiniteGroup:
     the center {(0,0,c)} occupies indices 0..p-1 and the generators
     x=(1,0,0), y=(0,1,0) sit at p^2 and p.
     """
+    _check_named_order(p**3, f"heisenberg:{p}")
     if not _is_prime(p):
         raise UnsupportedParameter(f"heisenberg:p needs a prime p, got {p}")
-    _check_named_order(p**3, f"heisenberg:{p}")
     n = p**3
     # (a1, b1, c1)(a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1*b2); the
     # table is filled one index component at a time through a 6-axis view
@@ -537,7 +541,8 @@ def _symmetric(n: int) -> FiniteGroup:
     order = 1
     for k in range(2, n + 1):
         order *= k
-    _check_named_order(order, f"symmetric:{n}")
+        if order > MAX_NAMED_ORDER:
+            raise OrderTooLarge(f"symmetric:{n} has order {n}!, cap is {MAX_NAMED_ORDER}")
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     mul = _mul_table_from_perms(perms)
     index = {p: i for i, p in enumerate(perms)}
@@ -582,10 +587,12 @@ class _SpecParser:
 
     def integer(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
+        if self.pos - start > _MAX_SPEC_DIGITS:
+            raise ParseError(f"integer longer than {_MAX_SPEC_DIGITS} digits", start)
         return int(self.text[start:self.pos])
 
     def group(self) -> FiniteGroup:

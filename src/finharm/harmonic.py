@@ -77,15 +77,29 @@ class GroupFunction:
         return f"<GroupFunction on {self.group!r}>"
 
 
-def _kahan_sum(terms: Iterable[complex]) -> complex:
-    total = 0.0 + 0.0j
-    carry = 0.0 + 0.0j
-    for term in terms:
-        y = term - carry
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_x a[..., x] * b[..., x] over broadcast stacks of vectors. Each
+    entry is the vector.vector product np.dot(a_row, b_row) bit for bit,
+    which F @ B.T and einsum are not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _kahan_rows(terms: np.ndarray) -> np.ndarray:
+    """Compensated sum of each row of terms, over its columns in ascending
+    order; the same operations per row as a scalar Kahan loop."""
+    total = np.zeros(terms.shape[:-1], dtype=np.complex128)
+    carry = np.zeros_like(total)
+    for column in np.moveaxis(terms, -1, 0):
+        y = column - carry
         t = total + y
         carry = (t - total) - y
         total = t
     return total
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| with the bits of Python abs(complex), which np.abs does not give."""
+    return np.hypot(z.real, z.imag)
 
 
 def character_as_function(table: CharacterTable, pi: int) -> GroupFunction:
@@ -127,10 +141,7 @@ def plancherel_invert_at_identity(table: CharacterTable, F: np.ndarray) -> np.nd
     equals f(identity) for a correct table."""
     if F.ndim != 2 or F.shape[1] != table.group.order:
         raise GroupMismatch("F must hold functions on the table's group, one per row")
-    terms = list(zip(table.plancherel_weights, table.element_values))
-    return np.array(
-        [_kahan_sum(float(w) * complex(np.dot(f, chi)) for w, chi in terms) for f in F]
-    )
+    return _kahan_rows(_dots(F[:, None, :], table.element_values) * table.plancherel_weights)
 
 
 def whittaker_transform(U: Subgroup, psi: LinearCharacter, f: GroupFunction) -> GroupFunction:
@@ -151,21 +162,22 @@ def phi(spectrum: PairSpectrum, pi: int, f: GroupFunction) -> complex:
     return complex(np.dot(f.values, spectrum.kernels[pi]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhittakerCheckRecord:
-    """Both sides of the transform identity for one test function;
-    phi[pi] is Phi_pi(f)."""
+    """Both sides of the transform identity for k test functions, as
+    read-only arrays: lhs, rhs, abs_error and f_l1 of shape (k,), and phi of
+    shape (k, num_irreps) with phi[i, pi] = Phi_pi(f_i)."""
 
-    lhs: complex
-    phi: tuple[complex, ...]
-    rhs: complex
-    abs_error: float
-    f_l1: float
+    lhs: np.ndarray
+    phi: np.ndarray
+    rhs: np.ndarray
+    abs_error: np.ndarray
+    f_l1: np.ndarray
 
 
 def generalized_plancherel_check_batch(
     spectrum: PairSpectrum, F: np.ndarray
-) -> list[WhittakerCheckRecord]:
+) -> WhittakerCheckRecord:
     """Compare (psi *_U f)(1) against sum_pi mu_pi * Phi_pi(f) for each row f
     of F, a (k, |G|) array, reading the kernels of the pair from its spectrum."""
     G = spectrum.table.group
@@ -176,18 +188,9 @@ def generalized_plancherel_check_batch(
     lhs = np.zeros(len(F), dtype=np.complex128)
     for u, c in zip(spectrum.U.members, spectrum.psi.member_values.tolist()):
         lhs += c * F[:, G.inv_table[u]]
-    weights = spectrum.table.plancherel_weights
-    records = []
-    for f, left in zip(F, lhs.tolist()):
-        phis = tuple(complex(np.dot(f, kernel)) for kernel in spectrum.kernels)
-        rhs = _kahan_sum(float(w) * p for w, p in zip(weights, phis))
-        records.append(
-            WhittakerCheckRecord(
-                lhs=left,
-                phi=phis,
-                rhs=rhs,
-                abs_error=abs(left - rhs),
-                f_l1=float(np.abs(f).sum()),
-            )
-        )
-    return records
+    phis = _dots(F[:, None, :], spectrum.kernels)
+    rhs = _kahan_rows(phis * spectrum.table.plancherel_weights)
+    arrays = (lhs, phis, rhs, _modulus(lhs - rhs), np.abs(F).sum(axis=1))
+    for a in arrays:
+        a.setflags(write=False)
+    return WhittakerCheckRecord(*arrays)

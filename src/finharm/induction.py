@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._rng import derive_stream_seed, test_functions, unit_uniforms
+from ._rng import derive_stream_seed, row_blocks, test_functions
 from .characters import CharacterTable, LinearCharacter
 from .errors import (
     ChainNotExhaustive,
@@ -38,7 +38,7 @@ from .errors import (
     ToleranceViolation,
 )
 from .groups import Subgroup
-from .harmonic import GroupFunction, convolve_over_subgroup
+from .harmonic import GroupFunction, _dots, _modulus, convolve_over_subgroup
 
 logger = logging.getLogger(__name__)
 
@@ -62,15 +62,15 @@ def _snap_to_int(value: complex, tol: float, what: str) -> int:
     return rounded
 
 
-def multiplicity_frobenius(
-    table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter, tol: float = 1e-6
-) -> int:
-    """Multiplicity of pi in the induction of psi, via restriction:
+def frobenius_multiplicities(
+    table: CharacterTable, U: Subgroup, psi: LinearCharacter, tol: float = 1e-6
+) -> tuple[int, ...]:
+    """Multiplicity of every irrep pi in the induction of psi, via restriction:
     (1/|U|) sum_{u in U} chi_pi(u) * conj(psi(u))."""
     _check_wiring(table, U, psi)
-    restricted = table.character_on_elements(pi)[U.members_array]
-    value = complex(np.dot(restricted, np.conj(psi.member_values))) / U.order
-    return _snap_to_int(value, tol, "Frobenius inner product")
+    restricted = table.element_values[:, U.members_array]
+    inner = _dots(restricted, np.conj(psi.member_values)).tolist()
+    return tuple(_snap_to_int(v / U.order, tol, "Frobenius inner product") for v in inner)
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,10 @@ def induced_character(
     for pi in range(r):
         inner = complex(np.sum(sizes * values * np.conj(table.values[pi]))) / n
         mults.append(_snap_to_int(inner, tol, f"coefficient of irrep {pi}"))
-    for pi, m in enumerate(mults):
-        if m != multiplicity_frobenius(table, pi, U, psi, tol):
-            raise ToleranceViolation(
-                f"induced-character coefficient of irrep {pi} disagrees with "
-                "the restriction inner product"
-            )
+    if tuple(mults) != frobenius_multiplicities(table, U, psi, tol):
+        raise ToleranceViolation(
+            "induced-character coefficients disagree with the restriction inner product"
+        )
     values.setflags(write=False)
     return InducedCharacter(values=values, multiplicities=tuple(mults))
 
@@ -190,10 +188,8 @@ def pair_spectrum(table: CharacterTable, U: Subgroup, psi: LinearCharacter) -> P
     _check_wiring(table, U, psi)
     kernels = convolve_over_subgroup(np.conj(psi.member_values), U, table.element_values)
     kernels.setflags(write=False)
-    psi_bar = psi.conjugated()
-    irreps = range(table.num_irreps)
-    mults = tuple(multiplicity_frobenius(table, pi, U, psi) for pi in irreps)
-    conj_mults = tuple(multiplicity_frobenius(table, pi, U, psi_bar) for pi in irreps)
+    mults = frobenius_multiplicities(table, U, psi)
+    conj_mults = frobenius_multiplicities(table, U, psi.conjugated())
     residuals = tuple(
         abs(complex(kernels[pi, 0]) - U.order * m_bar) for pi, m_bar in enumerate(conj_mults)
     )
@@ -217,71 +213,6 @@ def kernel_multiplicity_identity_check(spectrum: PairSpectrum, tol: float = 1e-9
     alongside in the spectrum; the two vectors coincide whenever psi is real.
     """
     return max(spectrum.residuals) <= tol
-
-
-def fubini_interchange_oracle(
-    table: CharacterTable,
-    pi: int,
-    U: Subgroup,
-    psi: LinearCharacter,
-    f: GroupFunction,
-    seed: int = 0,
-) -> tuple[complex, complex]:
-    """Evaluate sum_g sum_u theta_pi(g) f(u^-1 g) psi(u) three ways.
-
-    Order A runs the g-sum outermost, order B the u-sum outermost, and a
-    third form substitutes g = u * x before summing. The outer enumeration
-    order is shuffled deterministically by `seed`, so agreement exercises
-    genuine order-independence rather than one fixed loop nesting. The three
-    values are required to agree; (orderA, orderB) is returned and the
-    substituted value is logged at debug level.
-    """
-    _check_wiring(table, U, psi)
-    if f.group is not table.group:
-        raise GroupMismatch("f must live on the table's group")
-    G = table.group
-    n = G.order
-    mul = G.mul_table
-    inv = G.inv_table
-    theta_el = table.character_on_elements(pi)
-    members = U.members_array
-    psiv = psi.member_values
-
-    # f(u^-1 g) laid out as a |U| x |G| matrix
-    translates = f.values[mul[np.ix_(inv[members], np.arange(n))]]
-    inner_over_u = psiv @ translates
-
-    g_order = np.argsort(unit_uniforms(derive_stream_seed(int(seed), 0), n), kind="stable")
-    order_a = 0.0 + 0.0j
-    for g in g_order:
-        order_a += complex(theta_el[g]) * complex(inner_over_u[g])
-
-    u_order = np.argsort(
-        unit_uniforms(derive_stream_seed(int(seed), 1), len(members)), kind="stable"
-    )
-    order_b = 0.0 + 0.0j
-    for ui in u_order:
-        u = int(members[ui])
-        order_b += complex(psiv[ui]) * complex(np.dot(theta_el, f.values[mul[inv[u]]]))
-
-    substituted = 0.0 + 0.0j
-    u_order_s = np.argsort(
-        unit_uniforms(derive_stream_seed(int(seed), 2), len(members)), kind="stable"
-    )
-    for ui in u_order_s:
-        u = int(members[ui])
-        substituted += complex(psiv[ui]) * complex(np.dot(theta_el[mul[u]], f.values))
-    logger.debug("substituted-form value %s", substituted)
-
-    scale = 1.0 + max(abs(order_a), abs(order_b), abs(substituted))
-    worst = max(
-        abs(order_a - order_b), abs(order_a - substituted), abs(order_b - substituted)
-    )
-    if worst > 1e-10 * scale:
-        raise ToleranceViolation(
-            f"summation orders disagree by {worst:g} (scale {scale:g})"
-        )
-    return (order_a, order_b)
 
 
 def truncation_demo(
@@ -335,11 +266,40 @@ def truncation_demo(
     return kernels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeIrrepRecord:
-    ratio_samples: tuple[complex, ...]
-    ratio_constant: bool
-    theta_zero_flags: tuple[bool, ...]
+    """Phi/Theta samples of one irrep. ratios and flagged are read-only arrays
+    with one entry per sample; a flagged sample's ratio is NaN. spread is the
+    largest |ratio - first clean ratio|, NaN when every sample is flagged."""
+
+    ratios: np.ndarray
+    flagged: np.ndarray
+    spread: float
+
+    @property
+    def first_ratio(self) -> complex | None:
+        clean = self.ratios[~self.flagged]
+        return complex(clean[0]) if len(clean) else None
+
+    @property
+    def constant(self) -> bool:
+        """Whether every clean ratio agrees with the first to 1e-6 relative."""
+        first = self.first_ratio
+        return first is not None and self.spread <= 1e-6 * (1.0 + abs(first))
+
+
+def _probe_pairings(
+    spectrum: PairSpectrum, pis: np.ndarray, streams: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Theta_pi(f) and Phi_pi(f) for function indices[i] of stream streams[i]
+    against irrep pis[i], drawn and paired in row blocks."""
+    theta = np.empty(len(pis), dtype=np.complex128)
+    phis = np.empty_like(theta)
+    for rows in row_blocks(len(pis), spectrum.table.group.order):
+        F = test_functions(spectrum.table.group, streams[rows], indices[rows])
+        theta[rows] = _dots(F, spectrum.table.element_values[pis[rows]])
+        phis[rows] = _dots(F, spectrum.kernels[pis[rows]])
+    return theta, phis
 
 
 def conjecture_probe(
@@ -348,49 +308,43 @@ def conjecture_probe(
     """Sample Phi/Theta ratios over seeded random test functions.
 
     Returns raw ratio evidence per irrep, deliberately free of any verdict:
-    the sampled ratios Phi_pi(f) / Theta_pi(f) and whether they all agree,
-    leaving any proportionality judgement to the reader. Each irrep uses an
-    independent substream keyed by (seed, pi). A sample with
-    |Theta_pi(f)| <= 1e-6 is resampled up to 32 times from reserved indices;
+    the sampled ratios Phi_pi(f) / Theta_pi(f) and their spread, leaving any
+    proportionality judgement to the reader. Each irrep uses an independent
+    substream keyed by (seed, pi). A sample with |Theta_pi(f)| <= 1e-6 is
+    resampled from 32 reserved indices, taking the first usable one;
     exhausting the budget records a flagged NaN sample, not a dropped one.
     """
     if num_test_functions < 1:
         raise ValueError("num_test_functions must be at least 1")
-    table = spectrum.table
-    G = table.group
-    records = []
-    substreams = derive_stream_seed(int(seed), np.arange(table.num_irreps))
-    for pi, substream in enumerate(substreams):
-        theta_el = table.character_on_elements(pi)
-        kernel_values = spectrum.kernels[pi]
-        ratios: list[complex] = []
-        flags: list[bool] = []
-        for slot, f in enumerate(test_functions(G, substream, range(num_test_functions))):
-            th = complex(np.dot(f, theta_el))
-            if abs(th) <= _THETA_ZERO_THRESHOLD:
-                first = num_test_functions + slot * _RESAMPLE_BUDGET
-                for f in test_functions(G, substream, range(first, first + _RESAMPLE_BUDGET)):
-                    th = complex(np.dot(f, theta_el))
-                    if abs(th) > _THETA_ZERO_THRESHOLD:
-                        break
-                else:
-                    ratios.append(complex(float("nan"), float("nan")))
-                    flags.append(True)
-                    continue
-            ph = complex(np.dot(f, kernel_values))
-            ratios.append(ph / th)
-            flags.append(False)
-        clean = [rv for rv, flagged in zip(ratios, flags) if not flagged]
-        if clean:
-            first = clean[0]
-            constant = all(abs(rv - first) <= 1e-6 * (1.0 + abs(first)) for rv in clean)
-        else:
-            constant = False
-        records.append(
-            ProbeIrrepRecord(
-                ratio_samples=tuple(ratios),
-                ratio_constant=constant,
-                theta_zero_flags=tuple(flags),
-            )
-        )
-    return tuple(records)
+    count, budget = num_test_functions, _RESAMPLE_BUDGET
+    r = spectrum.table.num_irreps
+    # one row per (pi, slot), irreps outermost
+    pis = np.repeat(np.arange(r), count)
+    slots = np.tile(np.arange(count), r)
+    streams = derive_stream_seed(int(seed), pis)
+    theta, phis = _probe_pairings(spectrum, pis, streams, slots)
+    zero = np.flatnonzero(_modulus(theta) <= _THETA_ZERO_THRESHOLD)
+    flagged = np.zeros(len(pis), dtype=bool)
+    if len(zero):
+        # slot s resamples from indices count + s*budget onwards
+        reserved = (count + slots[zero, None] * budget + np.arange(budget)).ravel()
+        rows = np.repeat(zero, budget)
+        theta_re, phis_re = _probe_pairings(spectrum, pis[rows], streams[rows], reserved)
+        usable = (_modulus(theta_re) > _THETA_ZERO_THRESHOLD).reshape(-1, budget)
+        pick = np.arange(len(zero)) * budget + usable.argmax(axis=1)
+        theta[zero], phis[zero] = theta_re[pick], phis_re[pick]
+        flagged[zero] = ~usable.any(axis=1)
+    ratios = np.full(len(pis), complex(float("nan"), float("nan")))
+    clean = np.flatnonzero(~flagged)
+    # Python complex division: numpy's differs in the last bits
+    ratios[clean] = [p / t for p, t in zip(phis[clean].tolist(), theta[clean].tolist())]
+    ratios, flagged = ratios.reshape(r, count), flagged.reshape(r, count)
+    first = ratios[np.arange(r), np.argmin(flagged, axis=1)]
+    distance = np.where(flagged, 0.0, _modulus(ratios - first[:, None]))
+    spreads = np.where(flagged.all(axis=1), np.nan, distance.max(axis=1))
+    ratios.setflags(write=False)
+    flagged.setflags(write=False)
+    return tuple(
+        ProbeIrrepRecord(ratios=ratios[pi], flagged=flagged[pi], spread=float(spreads[pi]))
+        for pi in range(r)
+    )

@@ -275,10 +275,7 @@ def _probe_per_pi(spectrum: PairSpectrum, config: RunConfig) -> list[dict[str, A
     probe = conjecture_probe(spectrum, config.num_test_functions, config.seed)
     per_pi = []
     for pi, rec in enumerate(probe):
-        clean = [
-            rv for rv, flagged in zip(rec.ratio_samples, rec.theta_zero_flags) if not flagged
-        ]
-        spread = max(abs(rv - clean[0]) for rv in clean) if clean else float("nan")
+        first = rec.first_ratio
         per_pi.append(
             {
                 "pi": pi,
@@ -286,10 +283,10 @@ def _probe_per_pi(spectrum: PairSpectrum, config: RunConfig) -> list[dict[str, A
                 "multiplicity": spectrum.multiplicities[pi],
                 "conjugate_multiplicity": spectrum.conjugate_multiplicities[pi],
                 "kernel_at_identity": fmt_complex(spectrum.kernels[pi, 0]),
-                "ratio_constant": rec.ratio_constant,
-                "num_flagged": sum(rec.theta_zero_flags),
-                "first_ratio": fmt_complex(clean[0]) if clean else None,
-                "max_ratio_spread": fmt_real(spread),
+                "ratio_constant": rec.constant,
+                "num_flagged": int(rec.flagged.sum()),
+                "first_ratio": None if first is None else fmt_complex(first),
+                "max_ratio_spread": fmt_real(rec.spread),
             }
         )
     return per_pi
@@ -352,11 +349,9 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
                 spectrum = pair_spectrum(table, U, psi)
                 identity_ok = kernel_multiplicity_identity_check(spectrum, config.tol)
                 if with_checks:
-                    records = generalized_plancherel_check_batch(spectrum, F)
-                    theorem_ok = all(
-                        rec.abs_error <= config.tol * (1.0 + rec.f_l1) for rec in records
-                    )
-                    max_err = max(rec.abs_error for rec in records)
+                    rec = generalized_plancherel_check_batch(spectrum, F)
+                    theorem_ok = bool((rec.abs_error <= config.tol * (1.0 + rec.f_l1)).all())
+                    max_err = float(rec.abs_error.max())
                     block_pass = bool(theorem_ok and identity_ok)
                     checks.append(
                         {

@@ -1,15 +1,30 @@
 """Loop-only reference computations used to cross-check the package.
 
-Nothing here shares a code path with the vectorized internals: every sum
-runs as a plain Python loop over scalar table lookups, so agreement between
-these values and the package's is meaningful evidence.
+Nothing here shares a code path with the vectorized internals: sums run as
+plain Python loops over scalar table lookups, or over one 1-D np.dot per
+function and irrep, so agreement between these values and the package's is
+meaningful evidence. The summation-order oracle shuffles its loops by seed.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from finharm import CharacterTable, FiniteGroup, GroupFunction, LinearCharacter, Subgroup
+import numpy as np
+
+from finharm import (
+    CharacterTable,
+    FiniteGroup,
+    GroupFunction,
+    GroupMismatch,
+    LinearCharacter,
+    PairSpectrum,
+    Subgroup,
+    ToleranceViolation,
+    test_functions,
+    whittaker_transform,
+)
+from finharm._rng import derive_stream_seed, unit_uniforms
 
 
 def perm_list(n: int) -> list[tuple[int, ...]]:
@@ -144,6 +159,68 @@ def brute_fubini_value(
     return total
 
 
+def fubini_interchange_oracle(
+    table: CharacterTable,
+    pi: int,
+    U: Subgroup,
+    psi: LinearCharacter,
+    f: GroupFunction,
+    seed: int = 0,
+) -> tuple[complex, complex]:
+    """Evaluate sum_g sum_u theta_pi(g) f(u^-1 g) psi(u) three ways.
+
+    Order A runs the g-sum outermost, order B the u-sum outermost, and a
+    third form substitutes g = u * x before summing. The outer enumeration
+    order is shuffled deterministically by `seed`, so agreement exercises
+    genuine order-independence rather than one fixed loop nesting. The three
+    values are required to agree; (orderA, orderB) is returned.
+    """
+    if not (U.parent is table.group is f.group and psi.subgroup is U):
+        raise GroupMismatch("table, U, psi and f must share one group")
+    G = table.group
+    n = G.order
+    mul = G.mul_table
+    inv = G.inv_table
+    theta_el = table.character_on_elements(pi)
+    members = U.members_array
+    psiv = psi.member_values
+
+    # f(u^-1 g) laid out as a |U| x |G| matrix
+    translates = f.values[mul[np.ix_(inv[members], np.arange(n))]]
+    inner_over_u = psiv @ translates
+
+    g_order = np.argsort(unit_uniforms(derive_stream_seed(int(seed), 0), n), kind="stable")
+    order_a = 0.0 + 0.0j
+    for g in g_order:
+        order_a += complex(theta_el[g]) * complex(inner_over_u[g])
+
+    u_order = np.argsort(
+        unit_uniforms(derive_stream_seed(int(seed), 1), len(members)), kind="stable"
+    )
+    order_b = 0.0 + 0.0j
+    for ui in u_order:
+        u = int(members[ui])
+        order_b += complex(psiv[ui]) * complex(np.dot(theta_el, f.values[mul[inv[u]]]))
+
+    substituted = 0.0 + 0.0j
+    u_order_s = np.argsort(
+        unit_uniforms(derive_stream_seed(int(seed), 2), len(members)), kind="stable"
+    )
+    for ui in u_order_s:
+        u = int(members[ui])
+        substituted += complex(psiv[ui]) * complex(np.dot(theta_el[mul[u]], f.values))
+
+    scale = 1.0 + max(abs(order_a), abs(order_b), abs(substituted))
+    worst = max(
+        abs(order_a - order_b), abs(order_a - substituted), abs(order_b - substituted)
+    )
+    if worst > 1e-10 * scale:
+        raise ToleranceViolation(
+            f"summation orders disagree by {worst:g} (scale {scale:g})"
+        )
+    return (order_a, order_b)
+
+
 def perm_closure(degree: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Closure in breadth-first discovery order, right-multiplying by gens."""
     elems = [tuple(range(degree))]
@@ -216,3 +293,82 @@ def element_subgroup_lattice(G: FiniteGroup) -> list[tuple[int, ...]]:
                 found.add(grown)
                 queue.append(grown)
     return sorted((tuple(sorted(s)) for s in found), key=lambda m: (len(m), m))
+
+
+# --- per-row forms of the batched pairings ----------------------------------
+# One 1-D np.dot per (function, irrep) and a scalar Kahan loop per function:
+# the package's stacked products and row-wise sums must match them bit for bit.
+
+
+def kahan_sum(terms) -> complex:
+    total = 0.0 + 0.0j
+    carry = 0.0 + 0.0j
+    for term in terms:
+        y = term - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+def scalar_inversion(table: CharacterTable, F: np.ndarray) -> list[complex]:
+    terms = list(zip(table.plancherel_weights, table.element_values))
+    return [kahan_sum(float(w) * complex(np.dot(f, chi)) for w, chi in terms) for f in F]
+
+
+def scalar_check(spectrum: PairSpectrum, F: np.ndarray) -> list[tuple]:
+    """(lhs, phi, rhs, abs_error, f_l1) per row of F; lhs is the transform
+    of the row alone, at the identity."""
+    G = spectrum.table.group
+    out = []
+    for f in F:
+        lhs = complex(whittaker_transform(spectrum.U, spectrum.psi, GroupFunction(G, f)).values[0])
+        phis = tuple(complex(np.dot(f, kernel)) for kernel in spectrum.kernels)
+        rhs = kahan_sum(float(w) * p for w, p in zip(spectrum.table.plancherel_weights, phis))
+        out.append((lhs, phis, rhs, abs(lhs - rhs), float(np.abs(f).sum())))
+    return out
+
+
+def scalar_frobenius(
+    table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter, tol: float = 1e-6
+) -> int:
+    restricted = table.character_on_elements(pi)[U.members_array]
+    value = complex(np.dot(restricted, np.conj(psi.member_values))) / U.order
+    rounded = int(round(value.real))
+    assert rounded >= 0 and abs(value - rounded) <= tol
+    return rounded
+
+
+def scalar_probe(
+    spectrum: PairSpectrum, count: int, seed: int, threshold: float, budget: int = 32
+) -> list[tuple]:
+    """(ratios, flags, spread, constant) per irrep, one slot at a time: a slot
+    with |Theta| <= threshold tries its reserved indices count + slot*budget
+    onwards in order, and is flagged NaN when none clears the threshold."""
+    table = spectrum.table
+    out = []
+    for pi in range(table.num_irreps):
+        stream = derive_stream_seed(seed, pi)
+        chi = table.character_on_elements(pi)
+        ratios, flags = [], []
+        for slot in range(count):
+            first = count + slot * budget
+            candidates = [slot] + list(range(first, first + budget))
+            for index in candidates:
+                f = test_functions(table.group, stream, [index])[0]
+                th = complex(np.dot(f, chi))
+                if abs(th) > threshold:
+                    ratios.append(complex(np.dot(f, spectrum.kernels[pi])) / th)
+                    flags.append(False)
+                    break
+            else:
+                ratios.append(complex(float("nan"), float("nan")))
+                flags.append(True)
+        clean = [rv for rv, flagged in zip(ratios, flags) if not flagged]
+        if clean:
+            spread = max(abs(rv - clean[0]) for rv in clean)
+            constant = all(abs(rv - clean[0]) <= 1e-6 * (1.0 + abs(clean[0])) for rv in clean)
+        else:
+            spread, constant = float("nan"), False
+        out.append((ratios, flags, spread, constant))
+    return out

@@ -121,6 +121,27 @@ def test_deeply_nested_product_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclic:" + "9" * 5000,
+        "perm:3:(0 " + "1" * 5000 + ")",
+        "symmetric:2000",
+        "symmetric:200000",
+        "heisenberg:1000000000000000003",
+        "heisenberg:100000000000000003",
+    ],
+    ids=["long cyclic", "long perm point", "symmetric:2000", "symmetric:200000",
+         "19-digit heisenberg", "18-digit heisenberg"],
+)
+def test_oversized_spec_integer_exits_2(capsys, spec):
+    assert main(["chartable", spec]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["incomplete"] is True
+
+
+@pytest.mark.parametrize(
     "exc, message",
     [
         (MemoryError(), "MemoryError"),

@@ -88,6 +88,19 @@ def test_test_functions_batch(s3, monkeypatch):
         draw_test_functions(s3, 0, [[0, 1]])
 
 
+def test_test_functions_with_array_seeds(s3, monkeypatch):
+    seeds = derive_stream_seed(11, np.array([0, 1, 1, 2, 0]))
+    idx = np.array([3, 0, 9, 2**40, 3])
+    F = draw_test_functions(s3, seeds, idx)
+    assert F.shape == (5, 6)
+    for row, seed, index in zip(F, seeds, idx.tolist()):
+        assert np.array_equal(row, draw_test_functions(s3, seed, [index])[0])
+    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 12)
+    assert np.array_equal(draw_test_functions(s3, seeds, idx), F)
+    with pytest.raises(ValueError):
+        draw_test_functions(s3, seeds[:2], idx)
+
+
 def test_test_function_rows_frozen(s3):
     # regression pins: the first three values of three rows of the stream
     expected = {
