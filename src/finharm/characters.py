@@ -17,6 +17,7 @@ lose digits.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -38,8 +39,12 @@ from .groups import FiniteGroup, Subgroup, subgroup_closure
 
 _RETRY_BUDGET = 16
 
-# Bytes allowed for the r^3 float64 class-algebra tensor: admits r = 256 (134 MB)
-_CLASS_ALGEBRA_BYTES_CAP = 1 << 28
+# Most conjugacy classes a table is computed for. The Schur eigensplit takes
+# O(r^3) time on r x r complex matrices: about 2 s and 150 MB at r = 512.
+_MAX_CLASSES = 512
+
+# Bytes of one slab of the class-algebra tensor (see _ClassAlgebra).
+_SLAB_BYTES = 1 << 23
 
 
 @dataclass(eq=False)
@@ -123,26 +128,49 @@ def verify_orthogonality(table: CharacterTable, tol: float = 1e-9) -> Orthogonal
     )
 
 
-def _structure_constants(G: FiniteGroup) -> np.ndarray:
-    """a[i, j, k] = #{x in C_i : x^-1 * z_k in C_j} for the class rep z_k.
+class _ClassAlgebra:
+    """Random combinations M = sum_i c_i A_i of the class-algebra matrices.
 
-    Equivalently the number of ways z_k factors as (element of C_i) times
-    (element of C_j), which is the class-algebra coefficient.
+    (A_i)[j, k] = a[i, j, k] = #{x in C_i : x^-1 z_k in C_j} for the class rep
+    z_k: the number of ways z_k factors as (element of C_i) times (element of
+    C_j). The r^3 tensor a is never held whole. It is filled and contracted
+    in slabs of output rows a[:, j0:j1, :] of about _SLAB_BYTES each, in one
+    buffer that is reused and reset through the entries it was filled at.
+
+    Each slab is contracted by np.tensordot, a BLAS dgemv over the flattened
+    (r, (j1 - j0) * r) slab, as the whole (r, r^2) tensor would be. Slab
+    heights are multiples of 8 // gcd(r, 8), so every slab starts at a flat
+    output offset that is a multiple of 8. With one BLAS thread, M is then
+    the same bits as the contraction of the whole tensor. This relies on how
+    OpenBLAS's dgemv handles vector tails: it sums the outputs in blocks of 4
+    and the last m % 4 outputs with other arithmetic, so a slab that starts
+    off a block boundary differs in the last bits; 8 leaves room for kernels
+    with wider blocks. Other BLAS builds, and a contraction split across
+    threads, need not match.
     """
-    r = len(G.classes)
-    if r**3 * 8 > _CLASS_ALGEBRA_BYTES_CAP:
-        raise OrderTooLarge(
-            f"class algebra of {r} classes needs {r**3 * 8} bytes, "
-            f"cap is {_CLASS_ALGEBRA_BYTES_CAP}"
-        )
-    a = np.zeros((r, r, r), dtype=np.float64)
-    mul = G.mul_table
-    inv = G.inv_table
-    cls = G.class_of
-    for k, rep in enumerate(G.class_reps):
-        partner = cls[mul[inv, int(rep)]]
-        np.add.at(a[:, :, k], (cls, partner), 1.0)
-    return a
+
+    def __init__(self, G: FiniteGroup) -> None:
+        r = len(G.classes)
+        step = 8 // math.gcd(r, 8)
+        self.height = min(r, max(step, _SLAB_BYTES // (8 * r * r) // step * step))
+        # with y = x^-1: a[i, j, k] counts the y with y^-1 in C_i and y z_k in C_j
+        self.i = G.class_of[G.inv_table]
+        j = G.class_of[G.mul_table[:, G.class_reps]].astype(np.int16)  # r <= 512
+        self.slab, self.row = np.divmod(j, self.height)
+        self.buffer = np.zeros(r * self.height * r)
+
+    def combination(self, coeffs: np.ndarray) -> np.ndarray:
+        r = len(coeffs)
+        M = np.empty((r, r))
+        for s, j0 in enumerate(range(0, r, self.height)):
+            j1 = min(j0 + self.height, r)
+            y, k = np.nonzero(self.slab == s)
+            flat = (self.i[y] * (j1 - j0) + self.row[y, k]) * r + k
+            slab = self.buffer[: r * (j1 - j0) * r]
+            np.add.at(slab, flat, 1.0)
+            M[j0:j1] = np.tensordot(coeffs, slab.reshape(r, j1 - j0, r), axes=(0, 0))
+            slab[flat] = 0.0
+        return M
 
 
 def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> CharacterTable:
@@ -151,7 +179,8 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
     Deterministic for fixed (G, seed). Retries with fresh random coefficients
     up to 16 times if the eigenvalues fail to separate; raises
     EigensplitFailure when the budget runs out and ToleranceViolation if a
-    structurally sound table still misses the orthogonality tolerance.
+    structurally sound table still misses the orthogonality tolerance. Groups
+    of more than 512 conjugacy classes raise OrderTooLarge before any work.
     """
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-12, 1e-6]")
@@ -166,14 +195,18 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
             plancherel_weights=np.array([1.0 / n]),
         )
 
-    a = _structure_constants(G)
+    if r > _MAX_CLASSES:
+        raise OrderTooLarge(
+            f"class algebra of {r} classes exceeds the cap of {_MAX_CLASSES} classes"
+        )
+    algebra = _ClassAlgebra(G)
     sizes = G.class_sizes.astype(np.float64)
     sq = np.sqrt(sizes)
     split_ok = False
     orth_report: OrthogonalityReport | None = None
     for attempt in range(_RETRY_BUDGET):
         coeffs = unit_uniforms(derive_stream_seed(int(seed), attempt), r)
-        M = np.tensordot(coeffs, a, axes=(0, 0))
+        M = algebra.combination(coeffs)
         B = (M * (sq[None, :] / sq[:, None])).astype(np.complex128)
         T, Z = scipy.linalg.schur(B, output="complex")
         lam = np.diag(T).copy()

@@ -54,7 +54,8 @@ class FiniteGroup:
     and column at index 0, and bijective rows and columns. Associativity is
     not re-proved here (it is exhaustively checkable via
     :func:`verify_group_axioms`); every builder in this module produces
-    associative tables by construction.
+    associative tables by construction. The group keeps a read-only copy of
+    the table it is given.
     """
 
     def __init__(
@@ -63,7 +64,12 @@ class FiniteGroup:
         label: str = "",
         generators: Sequence[int] = (),
     ) -> None:
-        mul = np.asarray(mul_table, dtype=np.int64)
+        # the caller may still write to its array, so the group keeps a copy
+        self._adopt(np.array(mul_table, dtype=np.int64), label, generators)
+
+    def _adopt(self, mul: np.ndarray, label: str, generators: Sequence[int]) -> None:
+        """Validate mul, an int64 table nothing else writes to, and freeze it
+        as this group's table."""
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         n = mul.shape[0]
@@ -84,7 +90,6 @@ class FiniteGroup:
         if not hit.all():
             raise ValueError("right translations must be bijective")
 
-        mul = mul.copy()
         mul.setflags(write=False)
         self._mul = mul
         # each row holds 0 exactly once, in row-major order of np.where
@@ -155,6 +160,13 @@ class FiniteGroup:
     def __repr__(self) -> str:
         name = self.label or "unnamed"
         return f"<FiniteGroup {name!r} order {self.order}>"
+
+
+def _owning(mul: np.ndarray, label: str, generators: Sequence[int] = ()) -> FiniteGroup:
+    """The group of a table a builder here has just made, taken without a copy."""
+    G = FiniteGroup.__new__(FiniteGroup)
+    G._adopt(mul, label, generators)
+    return G
 
 
 class Subgroup:
@@ -423,7 +435,7 @@ def build_from_permutations(
                 elems.append(new)
     mul = _mul_table_from_perms(elems)
     gen_indices = tuple(dict.fromkeys(index[g] for g in gens))
-    return FiniteGroup(mul, label=label or f"perm:{degree}", generators=gen_indices)
+    return _owning(mul, label or f"perm:{degree}", gen_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +454,7 @@ def _cyclic(n: int) -> FiniteGroup:
     idx = np.arange(n, dtype=np.int64)
     mul = (idx[:, None] + idx[None, :]) % n
     gens = (1,) if n > 1 else ()
-    return FiniteGroup(mul, label=f"cyclic:{n}", generators=gens)
+    return _owning(mul, f"cyclic:{n}", gens)
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -457,7 +469,7 @@ def _dihedral(n: int) -> FiniteGroup:
     # r^a * (s r^b) = s r^(b-a);  (s r^a) * r^b = s r^(a+b);  (s r^a)(s r^b) = r^(b-a)
     mul = np.block([[rr, n + diff], [n + rr, diff]])
     gens = (1, n) if n > 1 else (1,)
-    return FiniteGroup(mul, label=f"dihedral:{n}", generators=gens)
+    return _owning(mul, f"dihedral:{n}", gens)
 
 
 def _quaternion() -> FiniteGroup:
@@ -483,7 +495,7 @@ def _quaternion() -> FiniteGroup:
                     t3, flip = base[(t1, t2)]
                     s3 = (s1 + s2 + flip) % 2
                     mul[2 * t1 + s1, 2 * t2 + s2] = 2 * t3 + s3
-    return FiniteGroup(mul, label="quaternion", generators=(2, 4))
+    return _owning(mul, "quaternion", (2, 4))
 
 
 def _is_prime(p: int) -> bool:
@@ -521,7 +533,7 @@ def _heisenberg(p: int) -> FiniteGroup:
     top = (r[None, :, None, None] + r[None, None, None, :]
            + r[:, None, None, None] * r[None, None, :, None]) % p
     view += top[:, None, :, None, :, :]
-    return FiniteGroup(mul, label=f"heisenberg:{p}", generators=(p * p, p))
+    return _owning(mul, f"heisenberg:{p}", (p * p, p))
 
 
 def _product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -531,7 +543,7 @@ def _product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     mul = (A.mul_table[:, None, :, None] * nb + B.mul_table[None, :, None, :])
     mul = mul.reshape(A.order * nb, A.order * nb)
     gens = tuple(g * nb for g in A.generators) + tuple(B.generators)
-    return FiniteGroup(mul, label=f"product:{A.label}*{B.label}", generators=gens)
+    return _owning(mul, f"product:{A.label}*{B.label}", gens)
 
 
 def _symmetric(n: int) -> FiniteGroup:
@@ -551,7 +563,7 @@ def _symmetric(n: int) -> FiniteGroup:
         transposition = (1, 0) + tuple(range(2, n))
         ncycle = tuple(range(1, n)) + (0,)
         gens = tuple(dict.fromkeys((index[transposition], index[ncycle])))
-    return FiniteGroup(mul, label=f"symmetric:{n}", generators=gens)
+    return _owning(mul, f"symmetric:{n}", gens)
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +620,7 @@ class _SpecParser:
         if self.literal("perm:"):
             degree = self.integer()
             self.expect(":")
-            cycles = self.cycles()
-            gens = [_cycle_to_perm(c, degree) for c in cycles]
-            body = ";".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
-            return build_from_permutations(degree, gens, label=f"perm:{degree}:{body}")
+            return _perm_spec_group(degree, self.cycles())
         if self.literal("cyclic:"):
             return _cyclic(self.integer())
         if self.literal("dihedral:"):
@@ -643,16 +652,30 @@ class _SpecParser:
         return tuple(points)
 
 
-def _cycle_to_perm(points: tuple[int, ...], degree: int) -> tuple[int, ...]:
-    if len(set(points)) != len(points):
-        raise InvalidPermutation(f"cycle {points!r} repeats a point")
-    for v in points:
-        if not 0 <= v < degree:
-            raise InvalidPermutation(f"cycle point {v} outside 0..{degree - 1}")
-    perm = list(range(degree))
-    for i, v in enumerate(points):
-        perm[v] = points[(i + 1) % len(points)]
-    return tuple(perm)
+def _perm_spec_group(degree: int, cycles: list[tuple[int, ...]]) -> FiniteGroup:
+    """The closure of the cycles of a perm: spec, built on the points they name.
+
+    Every other point of 0..degree-1 is fixed by every generator, so leaving
+    it out changes neither the breadth-first discovery order nor the Cayley
+    table. The cost is bounded by the spec's text, whatever its degree.
+    """
+    if degree < 1:
+        raise UnsupportedParameter("degree must be at least 1")
+    for points in cycles:
+        if len(set(points)) != len(points):
+            raise InvalidPermutation(f"cycle {points!r} repeats a point")
+        for v in points:
+            if not 0 <= v < degree:
+                raise InvalidPermutation(f"cycle point {v} outside 0..{degree - 1}")
+    local = {v: i for i, v in enumerate(sorted({v for c in cycles for v in c}))}
+    gens = []
+    for points in cycles:
+        perm = list(range(len(local)))
+        for a, b in zip(points, points[1:] + points[:1]):
+            perm[local[a]] = local[b]
+        gens.append(perm)
+    body = ";".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
+    return build_from_permutations(len(local), gens, label=f"perm:{degree}:{body}")
 
 
 def make_named_group(spec: str) -> FiniteGroup:

@@ -221,6 +221,24 @@ def fubini_interchange_oracle(
     return (order_a, order_b)
 
 
+def structure_constants(G: FiniteGroup) -> np.ndarray:
+    """The whole r^3 class-algebra tensor, a[i, j, k] = #{x in C_i : x^-1 z_k in C_j}."""
+    r = len(G.classes)
+    a = np.zeros((r, r, r))
+    for k, z in enumerate(G.class_reps):
+        for x in range(G.order):
+            a[G.class_of[x], G.class_of[G.mul(G.inv(x), int(z))], k] += 1.0
+    return a
+
+
+def cycle_perm(points: tuple[int, ...], degree: int) -> tuple[int, ...]:
+    """The cycle as a permutation of 0..degree-1 in one-line form."""
+    perm = list(range(degree))
+    for i, v in enumerate(points):
+        perm[v] = points[(i + 1) % len(points)]
+    return tuple(perm)
+
+
 def perm_closure(degree: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Closure in breadth-first discovery order, right-multiplying by gens."""
     elems = [tuple(range(degree))]

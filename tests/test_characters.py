@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +21,16 @@ from finharm import (
     subgroup_closure,
     verify_orthogonality,
 )
-from finharm.characters import _descending_row_order
+import finharm.characters
+from finharm._rng import derive_stream_seed, unit_uniforms
+from finharm.characters import _ClassAlgebra, _descending_row_order
 from oracle_helpers import (
     brute_multiplicity,
     fmt_complex_scalar,
     perm_list,
     perm_parity,
     quantized_descending_key,
+    structure_constants,
 )
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -119,6 +124,46 @@ def test_column_orthogonality_brute(s3_table, q8_table):
                 )
                 expected = n / int(G.class_sizes[k]) if k == m else 0.0
                 assert abs(acc - expected) < 1e-9
+
+
+# r <= 30: OpenBLAS contracts these on one thread whatever its thread count.
+# Odd r takes slabs of 8 rows, so r = 11, 15 and 29 end on a short slab.
+SLAB_SPECS = (
+    "symmetric:5",
+    "symmetric:6",
+    "product:symmetric:4*symmetric:3",
+    "product:symmetric:4*symmetric:4",
+    "heisenberg:5",
+    "product:dihedral:6*quaternion",
+)
+
+
+@pytest.mark.parametrize("slab_bytes", [1, 8 * 30 * 30 * 12, finharm.characters._SLAB_BYTES])
+@pytest.mark.parametrize("spec", SLAB_SPECS)
+def test_class_algebra_slabs_equal_full_contraction(spec, slab_bytes, monkeypatch):
+    monkeypatch.setattr(finharm.characters, "_SLAB_BYTES", slab_bytes)
+    G = make_named_group(spec)
+    r = len(G.classes)
+    a = structure_constants(G)
+    algebra = _ClassAlgebra(G)
+    if slab_bytes == 1:  # one step of rows per slab
+        assert algebra.height == min(r, 8 // math.gcd(r, 8))
+    for attempt in range(6):
+        coeffs = unit_uniforms(derive_stream_seed(5, attempt), r)
+        M = algebra.combination(coeffs)
+        assert np.array_equal(M, np.tensordot(coeffs, a, axes=(0, 0)))
+    assert not algebra.buffer.any()
+
+
+def test_class_algebra_memory_is_bounded():
+    # the whole r^3 tensor of cyclic:256 alone would be 134 MB
+    tracemalloc.start()
+    try:
+        character_table(make_named_group("cyclic:256"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_element_values_expand_classes(s3_table):

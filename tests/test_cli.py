@@ -99,7 +99,7 @@ def test_partial_report_still_delivered(tmp_path, capsys):
 
 
 def test_class_algebra_over_memory_cap_exits_2(tmp_path, capsys):
-    # the r^3 tensor of cyclic:1024 would need 8 GiB; it is refused before allocation
+    # 1024 classes exceed the cap of 512; it is refused before allocation
     out = tmp_path / "partial.json"
     assert main(["chartable", "cyclic:1024", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -108,6 +108,18 @@ def test_class_algebra_over_memory_cap_exits_2(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["incomplete"] is True
     assert doc["config"]["group_spec"] == "cyclic:1024"
+
+
+def test_chartable_at_the_class_cap_passes(capsys):
+    assert main(["chartable", "cyclic:512"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+def test_chartable_of_a_perm_spec_of_huge_degree(capsys):
+    assert main(["chartable", "perm:100000000:(0 1)"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "pass"
+    assert doc["group"]["order"] == 2
 
 
 def test_deeply_nested_product_exits_2(capsys):

@@ -27,6 +27,7 @@ from finharm.groups import _heisenberg, _mul_table_from_perms
 from oracle_helpers import (
     brute_classes,
     compose,
+    cycle_perm,
     dict_mul_table,
     element_orders,
     element_subgroup_lattice,
@@ -151,6 +152,57 @@ def test_perm_spec_builds_the_closure():
     assert make_named_group("perm:5:(0 1)").order == 2
 
 
+def test_perm_spec_is_bounded_by_its_text():
+    G = make_named_group("perm:100000000:(0 1)")
+    assert G.label == "perm:100000000:(0 1)"
+    assert np.array_equal(G.mul_table, make_named_group("perm:2:(0 1)").mul_table)
+
+
+@pytest.mark.parametrize(
+    "degree, cycles",
+    [
+        (5, [(0, 1)]),
+        (4, [(0, 1, 2, 3), (1, 3)]),
+        (6, [(1, 3, 5), (0, 4)]),
+        (7, [(6, 2), (3,), (4, 5, 1)]),
+        (8, [(7, 5, 3, 1), (2, 4)]),
+        (9, [(8,)]),
+    ],
+)
+def test_perm_spec_matches_full_degree_build(degree, cycles):
+    body = ";".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
+    spec = f"perm:{degree}:{body}"
+    G = make_named_group(spec)
+    full = build_from_permutations(degree, [cycle_perm(c, degree) for c in cycles])
+    assert G.label == spec
+    assert np.array_equal(G.mul_table, full.mul_table)
+    assert G.generators == full.generators
+    assert G.classes == full.classes
+
+
+def test_builder_table_is_not_copied(monkeypatch):
+    built = []
+
+    def recording(perms):
+        built.append(_mul_table_from_perms(perms))
+        return built[-1]
+
+    monkeypatch.setattr(finharm.groups, "_mul_table_from_perms", recording)
+    for spec in ("symmetric:4", "perm:5:(0 1 2);(3 4)"):
+        G = make_named_group(spec)
+        assert np.shares_memory(G.mul_table, built[-1])
+        assert not G.mul_table.flags.writeable
+
+
+def test_caller_table_is_copied_and_left_writable():
+    table = np.array(make_named_group("symmetric:3").mul_table)
+    G = FiniteGroup(table)
+    assert not np.shares_memory(G.mul_table, table)
+    assert table.flags.writeable
+    table[:] = 0
+    assert np.array_equal(G.mul_table, make_named_group("symmetric:3").mul_table)
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -178,7 +230,8 @@ def test_parse_error_reports_position():
 
 
 @pytest.mark.parametrize(
-    "spec", ["cyclic:0", "dihedral:0", "symmetric:0", "heisenberg:4", "heisenberg:1"]
+    "spec",
+    ["cyclic:0", "dihedral:0", "symmetric:0", "heisenberg:4", "heisenberg:1", "perm:0:(0)"],
 )
 def test_unsupported_parameters(spec):
     with pytest.raises(UnsupportedParameter):

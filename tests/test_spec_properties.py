@@ -1,12 +1,19 @@
-"""Property test of the group-spec parser: every string made of the spec
-grammar's tokens either builds a group or raises a FinharmError."""
+"""Property tests of the group-spec parser: every string made of the spec
+grammar's tokens, and every perm: spec with arbitrary cycles, either builds a
+group or raises a FinharmError."""
 
 from __future__ import annotations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finharm import FinharmError, FiniteGroup, make_named_group
+from finharm import (
+    FinharmError,
+    FiniteGroup,
+    character_table,
+    make_named_group,
+    verify_orthogonality,
+)
 
 TOKENS = (
     "product:", "perm:", "cyclic:", "dihedral:", "symmetric:", "quaternion",
@@ -34,3 +41,25 @@ def test_spec_strings_build_or_raise_finharm_error(spec):
     except FinharmError:
         return
     assert isinstance(G, FiniteGroup)
+
+
+# cycles may repeat a point or leave the degree; degrees run from 0 to 17 digits
+perm_specs = st.builds(
+    lambda degree, cycles: f"perm:{degree}:"
+    + ";".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles),
+    st.one_of(st.integers(0, 8), st.integers(10**6, 10**17)),
+    st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=3),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spec=perm_specs)
+def test_perm_specs_build_or_raise_finharm_error(spec):
+    try:
+        G = make_named_group(spec)
+    except FinharmError:
+        return
+    assert isinstance(G, FiniteGroup)
+    assert G.label == spec
+    if G.order <= 120:
+        assert verify_orthogonality(character_table(G)).passed
