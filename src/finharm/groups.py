@@ -452,7 +452,8 @@ def _cyclic(n: int) -> FiniteGroup:
         raise UnsupportedParameter("cyclic:n needs n >= 1")
     _check_named_order(n, f"cyclic:{n}")
     idx = np.arange(n, dtype=np.int64)
-    mul = (idx[:, None] + idx[None, :]) % n
+    mul = idx[:, None] + idx[None, :]
+    mul %= n  # in place: the table is the only n x n allocation
     gens = (1,) if n > 1 else ()
     return _owning(mul, f"cyclic:{n}", gens)
 
@@ -464,10 +465,15 @@ def _dihedral(n: int) -> FiniteGroup:
         raise UnsupportedParameter("dihedral:n needs n >= 1")
     _check_named_order(2 * n, f"dihedral:{n}")
     a = np.arange(n, dtype=np.int64)
-    rr = (a[:, None] + a[None, :]) % n          # r^a * r^b = r^(a+b)
-    diff = (a[None, :] - a[:, None]) % n        # index [a, b] -> b - a
-    # r^a * (s r^b) = s r^(b-a);  (s r^a) * r^b = s r^(a+b);  (s r^a)(s r^b) = r^(b-a)
-    mul = np.block([[rr, n + diff], [n + rr, diff]])
+    # each quadrant is filled in place, so the table is the only large array
+    mul = np.empty((2 * n, 2 * n), dtype=np.int64)
+    rr, diff = mul[:n, :n], mul[n:, n:]
+    np.add(a[:, None], a[None, :], out=rr)
+    rr %= n                                     # r^a * r^b = r^(a+b)
+    np.subtract(a[None, :], a[:, None], out=diff)
+    diff %= n                                   # (s r^a)(s r^b) = r^(b-a)
+    np.add(diff, n, out=mul[:n, n:])            # r^a * (s r^b) = s r^(b-a)
+    np.add(rr, n, out=mul[n:, :n])              # (s r^a) * r^b = s r^(a+b)
     gens = (1, n) if n > 1 else (1,)
     return _owning(mul, f"dihedral:{n}", gens)
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _rng
 from ._rng import derive_stream_seed, row_blocks, test_functions
 from .characters import CharacterTable, LinearCharacter
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
     SubgroupMismatch,
     ToleranceViolation,
 )
-from .groups import Subgroup
+from .groups import FiniteGroup, Subgroup
 from .harmonic import GroupFunction, _dots, _modulus, convolve_over_subgroup
 
 logger = logging.getLogger(__name__)
@@ -266,85 +267,147 @@ def truncation_demo(
     return kernels
 
 
+_PLAN_BYTES = 64 << 20  # cached test functions per plan; past it, blocks are re-drawn
+
+
+def _draw(G: FiniteGroup, streams: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Test function indices[i, j] of stream streams[i], as an (a, c, |G|) array."""
+    a, c = indices.shape
+    return test_functions(G, np.repeat(streams, c), indices.ravel()).reshape(a, c, G.order)
+
+
+def _block_grid(r: int, count: int, n: int) -> list[tuple[slice, slice]]:
+    """(irreps, slots) rectangles tiling r x count, each holding about
+    _rng._BLOCK_ELEMENTS values of length-n functions."""
+    rows = max(1, _rng._BLOCK_ELEMENTS // n)
+    width = min(count, rows)
+    height = max(1, rows // width)
+    return [
+        (slice(p, min(p + height, r)), slice(s, min(s + width, count)))
+        for p in range(0, r, height)
+        for s in range(0, count, width)
+    ]
+
+
+def _resample(
+    table: CharacterTable, streams: np.ndarray, count: int, pis: np.ndarray, slots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the zero-Theta slot slots[i] of irrep pis[i]: the first of its 32
+    reserved indices, count + slot*32 onwards, whose Theta clears the
+    threshold, that Theta, and whether none did."""
+    budget = _RESAMPLE_BUDGET
+    reserved = count + slots[:, None] * budget + np.arange(budget)
+    theta = np.empty(reserved.shape, dtype=np.complex128)
+    for rows in row_blocks(len(pis), budget * table.group.order):
+        F = _draw(table.group, streams[pis[rows]], reserved[rows])
+        theta[rows] = _dots(F, table.element_values[pis[rows], None, :])
+    usable = _modulus(theta) > _THETA_ZERO_THRESHOLD
+    pick = (np.arange(len(pis)), usable.argmax(axis=1))
+    return reserved[pick], theta[pick], ~usable.any(axis=1)
+
+
 @dataclass(frozen=True, eq=False)
-class ProbeIrrepRecord:
-    """Phi/Theta samples of one irrep. ratios and flagged are read-only arrays
-    with one entry per sample; a flagged sample's ratio is NaN. spread is the
-    largest |ratio - first clean ratio|, NaN when every sample is flagged."""
+class ProbePlan:
+    """The probe's test functions for every (pi, slot), drawn and screened
+    once: they depend on (table, count, seed), never on the pair.
+
+    Slot j of irrep pi uses function indices[pi, j] of stream streams[pi]:
+    j itself, or, when |Theta_pi| of that is at most 1e-6, the first usable
+    of its 32 reserved indices. theta holds Theta_pi of the function used,
+    and flagged marks slots whose reserve ran out; all three are read-only
+    (r, count) arrays. blocks tiles (irreps, slots) into rectangles of about
+    _rng._BLOCK_ELEMENTS values, each with its (irreps, slots, |G|)
+    functions, or None past _PLAN_BYTES, when it is re-drawn on use from the
+    same streams and indices, so the budget changes no bits.
+    """
+
+    table: CharacterTable
+    streams: np.ndarray
+    indices: np.ndarray
+    theta: np.ndarray
+    flagged: np.ndarray
+    blocks: tuple[tuple[slice, slice, np.ndarray | None], ...]
+
+    def functions(self) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """(irreps, slots, functions) of every block, re-drawing uncached ones."""
+        for p, s, F in self.blocks:
+            if F is None:
+                F = _draw(self.table.group, self.streams[p], self.indices[p, s])
+            yield p, s, F
+
+
+def probe_plan(table: CharacterTable, count: int, seed: int = 0) -> ProbePlan:
+    """Draw and screen count test functions per irrep of table, in blocks,
+    each irrep on its own substream keyed by (seed, pi)."""
+    if count < 1:
+        raise ValueError("num_test_functions must be at least 1")
+    r, n = table.num_irreps, table.group.order
+    streams = derive_stream_seed(int(seed), np.arange(r))
+    indices = np.tile(np.arange(count), (r, 1))
+    theta = np.empty((r, count), dtype=np.complex128)
+    flagged = np.zeros((r, count), dtype=bool)
+    room = _PLAN_BYTES
+    blocks = []
+    for p, s in _block_grid(r, count, n):
+        F = _draw(table.group, streams[p], indices[p, s])
+        theta[p, s] = _dots(F, table.element_values[p, None, :])
+        zero_pis, zero_slots = np.nonzero(_modulus(theta[p, s]) <= _THETA_ZERO_THRESHOLD)
+        if len(zero_pis):
+            pis, slots = zero_pis + p.start, zero_slots + s.start
+            indices[pis, slots], theta[pis, slots], flagged[pis, slots] = _resample(
+                table, streams, count, pis, slots
+            )
+        if F.nbytes > room:
+            F = None
+        else:
+            room -= F.nbytes
+            if len(zero_pis):  # hold the resampled functions
+                F = _draw(table.group, streams[p], indices[p, s])
+        blocks.append((p, s, F))
+    for a in (streams, indices, theta, flagged):
+        a.setflags(write=False)
+    return ProbePlan(table, streams, indices, theta, flagged, tuple(blocks))
+
+
+@dataclass(frozen=True, eq=False)
+class ProbeRecord:
+    """Phi/Theta samples of every irrep, as read-only arrays. ratios and
+    flagged have shape (r, count); a flagged sample's ratio is NaN.
+    first_ratio is each irrep's first clean ratio, spread the largest
+    |ratio - first_ratio| over its clean ratios (both NaN when every sample
+    is flagged), and constant whether every clean ratio agrees with the
+    first to 1e-6 relative; these three have shape (r,)."""
 
     ratios: np.ndarray
     flagged: np.ndarray
-    spread: float
-
-    @property
-    def first_ratio(self) -> complex | None:
-        clean = self.ratios[~self.flagged]
-        return complex(clean[0]) if len(clean) else None
-
-    @property
-    def constant(self) -> bool:
-        """Whether every clean ratio agrees with the first to 1e-6 relative."""
-        first = self.first_ratio
-        return first is not None and self.spread <= 1e-6 * (1.0 + abs(first))
+    first_ratio: np.ndarray
+    spread: np.ndarray
+    constant: np.ndarray
 
 
-def _probe_pairings(
-    spectrum: PairSpectrum, pis: np.ndarray, streams: np.ndarray, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Theta_pi(f) and Phi_pi(f) for function indices[i] of stream streams[i]
-    against irrep pis[i], drawn and paired in row blocks."""
-    theta = np.empty(len(pis), dtype=np.complex128)
-    phis = np.empty_like(theta)
-    for rows in row_blocks(len(pis), spectrum.table.group.order):
-        F = test_functions(spectrum.table.group, streams[rows], indices[rows])
-        theta[rows] = _dots(F, spectrum.table.element_values[pis[rows]])
-        phis[rows] = _dots(F, spectrum.kernels[pis[rows]])
-    return theta, phis
-
-
-def conjecture_probe(
-    spectrum: PairSpectrum, num_test_functions: int, seed: int = 0
-) -> tuple[ProbeIrrepRecord, ...]:
-    """Sample Phi/Theta ratios over seeded random test functions.
+def conjecture_probe(spectrum: PairSpectrum, plan: ProbePlan) -> ProbeRecord:
+    """Sample Phi/Theta ratios of one pair over the plan's test functions.
 
     Returns raw ratio evidence per irrep, deliberately free of any verdict:
     the sampled ratios Phi_pi(f) / Theta_pi(f) and their spread, leaving any
-    proportionality judgement to the reader. Each irrep uses an independent
-    substream keyed by (seed, pi). A sample with |Theta_pi(f)| <= 1e-6 is
-    resampled from 32 reserved indices, taking the first usable one;
-    exhausting the budget records a flagged NaN sample, not a dropped one.
+    proportionality judgement to the reader. A flagged slot of the plan
+    records a NaN sample, not a dropped one.
     """
-    if num_test_functions < 1:
-        raise ValueError("num_test_functions must be at least 1")
-    count, budget = num_test_functions, _RESAMPLE_BUDGET
-    r = spectrum.table.num_irreps
-    # one row per (pi, slot), irreps outermost
-    pis = np.repeat(np.arange(r), count)
-    slots = np.tile(np.arange(count), r)
-    streams = derive_stream_seed(int(seed), pis)
-    theta, phis = _probe_pairings(spectrum, pis, streams, slots)
-    zero = np.flatnonzero(_modulus(theta) <= _THETA_ZERO_THRESHOLD)
-    flagged = np.zeros(len(pis), dtype=bool)
-    if len(zero):
-        # slot s resamples from indices count + s*budget onwards
-        reserved = (count + slots[zero, None] * budget + np.arange(budget)).ravel()
-        rows = np.repeat(zero, budget)
-        theta_re, phis_re = _probe_pairings(spectrum, pis[rows], streams[rows], reserved)
-        usable = (_modulus(theta_re) > _THETA_ZERO_THRESHOLD).reshape(-1, budget)
-        pick = np.arange(len(zero)) * budget + usable.argmax(axis=1)
-        theta[zero], phis[zero] = theta_re[pick], phis_re[pick]
-        flagged[zero] = ~usable.any(axis=1)
-    ratios = np.full(len(pis), complex(float("nan"), float("nan")))
-    clean = np.flatnonzero(~flagged)
+    if plan.table is not spectrum.table:
+        raise GroupMismatch("the plan must be drawn for the spectrum's table")
+    phis = np.empty(plan.theta.shape, dtype=np.complex128)
+    for p, s, F in plan.functions():
+        phis[p, s] = _dots(F, spectrum.kernels[p, None, :])
+    flagged = plan.flagged
+    ratios = np.full(phis.shape, complex(float("nan"), float("nan")))
+    clean = ~flagged
     # Python complex division: numpy's differs in the last bits
-    ratios[clean] = [p / t for p, t in zip(phis[clean].tolist(), theta[clean].tolist())]
-    ratios, flagged = ratios.reshape(r, count), flagged.reshape(r, count)
+    ratios[clean] = [p / t for p, t in zip(phis[clean].tolist(), plan.theta[clean].tolist())]
+    r = len(ratios)
     first = ratios[np.arange(r), np.argmin(flagged, axis=1)]
     distance = np.where(flagged, 0.0, _modulus(ratios - first[:, None]))
-    spreads = np.where(flagged.all(axis=1), np.nan, distance.max(axis=1))
-    ratios.setflags(write=False)
-    flagged.setflags(write=False)
-    return tuple(
-        ProbeIrrepRecord(ratios=ratios[pi], flagged=flagged[pi], spread=float(spreads[pi]))
-        for pi in range(r)
-    )
+    spread = np.where(flagged.all(axis=1), np.nan, distance.max(axis=1))
+    constant = spread <= 1e-6 * (1.0 + _modulus(first))
+    for a in (ratios, first, spread, constant):
+        a.setflags(write=False)
+    return ProbeRecord(ratios, flagged, first, spread, constant)

@@ -32,9 +32,11 @@ from .groups import FiniteGroup, Subgroup, enumerate_subgroups, make_named_group
 from .harmonic import plancherel_invert_at_identity, generalized_plancherel_check_batch
 from .induction import (
     PairSpectrum,
+    ProbePlan,
     conjecture_probe,
     kernel_multiplicity_identity_check,
     pair_spectrum,
+    probe_plan,
 )
 
 SWEEP_ORDER_CAP = 200
@@ -261,35 +263,39 @@ def _iter_pairs(
             yield U, j, psis[j]
 
 
-def _identity_block(spectrum: PairSpectrum, passed: bool) -> dict[str, Any]:
+def _identity_block(
+    spectrum: PairSpectrum, passed: bool, kernel_at_identity: list[str]
+) -> dict[str, Any]:
     return {
         "max_residual": fmt_real(max(spectrum.residuals)),
         "pass": passed,
-        "kernel_at_identity": [fmt_complex(v) for v in spectrum.kernels[:, 0]],
+        "kernel_at_identity": kernel_at_identity,
         "multiplicities": list(spectrum.multiplicities),
         "conjugate_multiplicities": list(spectrum.conjugate_multiplicities),
     }
 
 
-def _probe_per_pi(spectrum: PairSpectrum, config: RunConfig) -> list[dict[str, Any]]:
-    probe = conjecture_probe(spectrum, config.num_test_functions, config.seed)
-    per_pi = []
-    for pi, rec in enumerate(probe):
-        first = rec.first_ratio
-        per_pi.append(
-            {
-                "pi": pi,
-                "degree": spectrum.table.degrees[pi],
-                "multiplicity": spectrum.multiplicities[pi],
-                "conjugate_multiplicity": spectrum.conjugate_multiplicities[pi],
-                "kernel_at_identity": fmt_complex(spectrum.kernels[pi, 0]),
-                "ratio_constant": rec.constant,
-                "num_flagged": int(rec.flagged.sum()),
-                "first_ratio": None if first is None else fmt_complex(first),
-                "max_ratio_spread": fmt_real(rec.spread),
-            }
-        )
-    return per_pi
+def _probe_per_pi(
+    spectrum: PairSpectrum, plan: ProbePlan, kernel_at_identity: list[str]
+) -> list[dict[str, Any]]:
+    rec = conjecture_probe(spectrum, plan)
+    count = rec.flagged.shape[1]
+    num_flagged = rec.flagged.sum(axis=1).tolist()
+    constant, first, spread = rec.constant.tolist(), rec.first_ratio.tolist(), rec.spread.tolist()
+    return [
+        {
+            "pi": pi,
+            "degree": spectrum.table.degrees[pi],
+            "multiplicity": spectrum.multiplicities[pi],
+            "conjugate_multiplicity": spectrum.conjugate_multiplicities[pi],
+            "kernel_at_identity": kernel_at_identity[pi],
+            "ratio_constant": constant[pi],
+            "num_flagged": num_flagged[pi],
+            "first_ratio": None if num_flagged[pi] == count else fmt_complex(first[pi]),
+            "max_ratio_spread": fmt_real(spread[pi]),
+        }
+        for pi in range(len(num_flagged))
+    ]
 
 
 def build_report(command: str, config: RunConfig) -> SweepReport:
@@ -344,10 +350,13 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
             with_probes = command != "whittaker-check"
             if with_checks:
                 F = test_functions(G, config.seed, range(config.num_test_functions))
+            if with_probes:
+                plan = probe_plan(table, config.num_test_functions, config.seed)
             # one pass: each pair's spectrum feeds both its check and its probe
             for U, j, psi in _iter_pairs(G, config):
                 spectrum = pair_spectrum(table, U, psi)
                 identity_ok = kernel_multiplicity_identity_check(spectrum, config.tol)
+                kernel_at_identity = [fmt_complex(v) for v in spectrum.kernels[:, 0]]
                 if with_checks:
                     rec = generalized_plancherel_check_batch(spectrum, F)
                     theorem_ok = bool((rec.abs_error <= config.tol * (1.0 + rec.f_l1)).all())
@@ -360,7 +369,7 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
                             "psi_on_members": [fmt_complex(v) for v in psi.member_values],
                             "num_functions": config.num_test_functions,
                             "max_abs_error": fmt_real(max_err),
-                            "identity": _identity_block(spectrum, identity_ok),
+                            "identity": _identity_block(spectrum, identity_ok, kernel_at_identity),
                             "pass": block_pass,
                         }
                     )
@@ -372,7 +381,7 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
                             "subgroup": _subgroup_block(U),
                             "psi_index": j,
                             "identity_check": identity_ok,
-                            "per_pi": _probe_per_pi(spectrum, config),
+                            "per_pi": _probe_per_pi(spectrum, plan, kernel_at_identity),
                         }
                     )
                     all_pass = all_pass and identity_ok

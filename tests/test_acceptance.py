@@ -29,6 +29,7 @@ from finharm import (
     pair_spectrum,
     phi,
     plancherel_invert_at_identity,
+    probe_plan,
     subgroup_closure,
     theta,
     truncation_demo,
@@ -261,17 +262,17 @@ def test_c7_probe_sanity(built):
         psi = linear_characters(U)[0]
         spectrum = pair_spectrum(table, U, psi)
         assert kernel_multiplicity_identity_check(spectrum), spec
-        for rec in conjecture_probe(spectrum, 20, seed=SWEEP_SEED):
-            assert not rec.flagged.any(), spec
-            for ratio in rec.ratios:
-                assert abs(ratio - 1.0) <= 1e-9, spec
+        rec = conjecture_probe(spectrum, probe_plan(table, 20, seed=SWEEP_SEED))
+        assert not rec.flagged.any(), spec
+        for ratio in rec.ratios.ravel():
+            assert abs(ratio - 1.0) <= 1e-9, spec
 
     s3 = built.groups["symmetric:3"]
     t3 = built.tables["symmetric:3"]
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
     spectrum = pair_spectrum(t3, U, sign)
-    _, sign_rec, std_rec = conjecture_probe(spectrum, 20, seed=SWEEP_SEED)
+    constant = conjecture_probe(spectrum, probe_plan(t3, 20, seed=SWEEP_SEED)).constant
     delta = GroupFunction.delta(s3, 0)
     ratio_sign = phi(spectrum, 1, delta) / theta(t3, 1, delta)
     ratio_std = phi(spectrum, 2, delta) / theta(t3, 2, delta)
@@ -280,8 +281,8 @@ def test_c7_probe_sanity(built):
     assert abs(spectrum.kernels[1, 0] / t3.degrees[1] - 2) < 1e-10
     assert abs(spectrum.kernels[2, 0] / t3.degrees[2] - 1) < 1e-10
     # the ratios genuinely distinguish the two irreps
-    assert sign_rec.constant
-    assert not std_rec.constant
+    assert constant[1]
+    assert not constant[2]
     print(
         "[C7] probe sanity: PASS (trivial configuration gives unit ratios on "
         "every group; sign/standard ratios at the identity are 2 and 1)"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from finharm import (
     verify_group_axioms,
 )
 import finharm.groups
-from finharm.groups import _heisenberg, _mul_table_from_perms
+from finharm.groups import _cyclic, _dihedral, _heisenberg, _mul_table_from_perms
 from oracle_helpers import (
     brute_classes,
     compose,
@@ -124,6 +125,30 @@ def test_heisenberg_table_matches_broadcast_formula(p):
     table = _heisenberg(p).mul_table
     assert table.dtype == np.int64
     assert np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 15])
+def test_cyclic_and_dihedral_tables_match_broadcast_formula(n):
+    a = np.arange(n, dtype=np.int64)
+    rr = (a[:, None] + a[None, :]) % n
+    diff = (a[None, :] - a[:, None]) % n
+    assert np.array_equal(_cyclic(n).mul_table, rr)
+    expected = np.block([[rr, n + diff], [n + rr, diff]])
+    table = _dihedral(n).mul_table
+    assert table.dtype == np.int64
+    assert np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize("build, n", [(_cyclic, 1024), (_dihedral, 512)])
+def test_cyclic_and_dihedral_build_without_table_temporaries(build, n):
+    # both tables are 8 MiB; two table-sized temporaries would double the peak
+    tracemalloc.start()
+    try:
+        table = build(n).mul_table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table.nbytes
 
 
 def test_product_group_is_componentwise():

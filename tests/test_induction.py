@@ -27,6 +27,7 @@ from finharm import (
     make_named_group,
     pair_spectrum,
     phi,
+    probe_plan,
     subgroup_closure,
     theta,
     truncation_demo,
@@ -290,11 +291,11 @@ def test_probe_trivial_configuration_gives_unit_ratios(s3_table, s3):
     psi = linear_characters(U)[0]
     spectrum = pair_spectrum(s3_table, U, psi)
     assert kernel_multiplicity_identity_check(spectrum)
-    for rec in conjecture_probe(spectrum, 10, seed=1):
-        assert not rec.flagged.any()
-        assert rec.constant
-        for ratio in rec.ratios:
-            assert abs(ratio - 1) <= 1e-9
+    rec = conjecture_probe(spectrum, probe_plan(s3_table, 10, seed=1))
+    assert not rec.flagged.any()
+    assert rec.constant.all()
+    for ratio in rec.ratios.ravel():
+        assert abs(ratio - 1) <= 1e-9
 
 
 def test_probe_s3_sign_distinguishes_irreps(s3_table, s3):
@@ -302,16 +303,17 @@ def test_probe_s3_sign_distinguishes_irreps(s3_table, s3):
     sign = linear_characters(U)[1]
     spectrum = pair_spectrum(s3_table, U, sign)
     assert kernel_multiplicity_identity_check(spectrum)
-    triv, sgn, std = conjecture_probe(spectrum, 20, seed=0)
+    rec = conjecture_probe(spectrum, probe_plan(s3_table, 20, seed=0))
+    triv, sgn, std = range(3)
     # trivial irrep: kernel vanishes identically, all ratios 0
     assert spectrum.multiplicities[0] == 0
-    assert triv.constant
-    assert all(abs(r) < 1e-12 for r in triv.ratios)
+    assert rec.constant[triv]
+    assert all(abs(r) < 1e-12 for r in rec.ratios[triv])
     # sign irrep: kernel = 2 * theta, ratio exactly 2 for every sample
-    assert sgn.constant
-    assert all(abs(r - 2) < 1e-9 for r in sgn.ratios)
+    assert rec.constant[sgn]
+    assert all(abs(r - 2) < 1e-9 for r in rec.ratios[sgn])
     # standard irrep: kernel is NOT proportional to theta
-    assert not std.constant
+    assert not rec.constant[std]
     # and the identity-point ratios reproduce the frozen spot values
     assert abs(spectrum.kernels[1, 0] / s3_table.degrees[1] - 2) < 1e-10
     assert abs(spectrum.kernels[2, 0] / s3_table.degrees[2] - 1) < 1e-10
@@ -327,20 +329,17 @@ def test_probe_ratio_at_delta_equals_kernel_over_degree(s3_table, s3):
         assert abs(ratio - expected) < 1e-10
 
 
-def test_probe_rejects_bad_count(s3_table, s3):
-    U = Subgroup(s3, [0])
-    psi = linear_characters(U)[0]
+def test_probe_rejects_bad_count(s3_table):
     with pytest.raises(ValueError):
-        conjecture_probe(pair_spectrum(s3_table, U, psi), 0)
+        probe_plan(s3_table, 0)
 
 
 def test_probe_determinism(q8_table, q8):
     center = subgroup_closure(q8, [1])
     psi = linear_characters(center)[1]
-    r1 = conjecture_probe(pair_spectrum(q8_table, center, psi), 5, seed=42)
-    r2 = conjecture_probe(pair_spectrum(q8_table, center, psi), 5, seed=42)
-    assert len(r1) == len(r2)
-    for a, b in zip(r1, r2):
-        assert np.array_equal(a.ratios, b.ratios)
-        assert np.array_equal(a.flagged, b.flagged)
-        assert a.spread == b.spread
+    r1 = conjecture_probe(pair_spectrum(q8_table, center, psi), probe_plan(q8_table, 5, seed=42))
+    r2 = conjecture_probe(pair_spectrum(q8_table, center, psi), probe_plan(q8_table, 5, seed=42))
+    assert r1.ratios.shape == r2.ratios.shape == (q8_table.num_irreps, 5)
+    assert np.array_equal(r1.ratios, r2.ratios)
+    assert np.array_equal(r1.flagged, r2.flagged)
+    assert np.array_equal(r1.spread, r2.spread)
