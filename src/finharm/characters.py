@@ -20,7 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -311,16 +310,6 @@ def _descending_row_order(values: np.ndarray, leading: np.ndarray | None = None)
     return np.lexsort(keys)
 
 
-def _unit_root(turns: Fraction) -> complex:
-    """exp(2*pi*i*turns) with quarter turns evaluated exactly."""
-    turns %= 1
-    quarters = 4 * turns
-    if quarters.denominator == 1:
-        exact = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
-        return exact[int(quarters) % 4]
-    return cmath.exp(2j * cmath.pi * float(turns))
-
-
 def linear_characters(U: Subgroup) -> list[LinearCharacter]:
     """All homomorphisms U -> unit circle; the trivial character comes first.
 
@@ -328,58 +317,50 @@ def linear_characters(U: Subgroup) -> list[LinearCharacter]:
     derived subgroup D, the quotient U/D is decomposed cyclically one
     generator at a time, and each character of the partial quotient extends in
     k ways along a new generator of relative order k.  Values are tracked as
-    exact rational angles so products never accumulate rounding error.
+    integer angles modulo m = |U/D|, in units of 1/m turn, so products never
+    accumulate rounding error; quarter turns are evaluated exactly.
     """
     G = U.parent
     mul = G.mul_table
     inv = G.inv_table
-    members = U.members
 
     x, y = U.members_array[:, None], U.members_array[None, :]
     commutators = mul[mul[inv[x], inv[y]], mul[x, y]]
     derived = subgroup_closure(G, np.unique(commutators))
 
-    # cosets of the derived subgroup inside U, reps in ascending member order
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for u in members:
-        if u in coset_of:
-            continue
-        q = len(reps)
-        reps.append(u)
-        for d in derived.members:
-            coset_of[int(mul[d, u])] = q
+    # cosets of D inside U, numbered in ascending order of their smallest member
+    smallest = mul[derived.members_array[:, None], U.members_array].min(axis=0)
+    reps, coset = np.unique(smallest, return_inverse=True)
     m = len(reps)
-    q_mul = [[coset_of[int(mul[reps[i], reps[j]])] for j in range(m)] for i in range(m)]
+    lookup = np.zeros(G.order, dtype=np.int64)
+    lookup[U.members_array] = coset
+    q_mul = lookup[mul[reps[:, None], reps]]
 
-    covered = {0}
-    chars: list[dict[int, Fraction]] = [{0: Fraction(0)}]
-    while len(covered) < m:
-        g = min(q for q in range(m) if q not in covered)
-        k = 1
-        t = g
-        while t not in covered:
-            t = q_mul[t][g]
-            k += 1
-        target = t  # g^k, already covered
-        powers = [0]
-        for _ in range(k - 1):
-            powers.append(q_mul[powers[-1]][g])
-        extended: list[dict[int, Fraction]] = []
-        for chi in chars:
-            base = chi[target]
-            for j in range(k):
-                root = (base + j) / k  # k-th root of the angle at g^k
-                grown: dict[int, Fraction] = {}
-                for a in range(k):
-                    for h, angle in chi.items():
-                        grown[q_mul[powers[a]][h]] = (a * root + angle) % 1
-                extended.append(grown)
-        chars = extended
-        covered = set(chars[0].keys())
+    angles = np.zeros((1, m), dtype=np.int64)  # row per character, column per coset
+    covered = np.zeros(m, dtype=bool)
+    covered[0] = True
+    while not covered.all():
+        g = int(np.argmin(covered))
+        powers = [0, g]
+        while not covered[powers[-1]]:
+            powers.append(int(q_mul[powers[-1], g]))
+        target = powers.pop()  # g^k, already covered
+        k = len(powers)
+        h = np.flatnonzero(covered)
+        cols = q_mul[np.array(powers)[:, None], h]  # the cosets g^a h, a < k
+        # the k-th roots of each angle at g^k: k divides m, and k divides the
+        # angle because chi(g^k) = chi'(g)^k for any extension chi'
+        roots = (angles[:, target, None] + m * np.arange(k)) // k
+        steps = np.arange(k)[:, None] * roots[:, :, None, None]  # (char, root, a, 1)
+        grown = ((steps + angles[:, None, None, h]) % m).reshape(-1, cols.size)
+        angles = np.zeros((len(grown), m), dtype=np.int64)
+        angles[:, cols.ravel()] = grown
+        covered[cols] = True
 
-    lifted = [
-        LinearCharacter(U, [_unit_root(chi[coset_of[u]]) for u in members]) for chi in chars
+    exact = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+    unit_roots = [
+        exact[4 * a // m] if 4 * a % m == 0 else cmath.exp(2j * cmath.pi * (a / m))
+        for a in range(m)
     ]
-    order = _descending_row_order(np.array([psi.member_values for psi in lifted]))
-    return [lifted[i] for i in order]
+    values = np.array(unit_roots)[angles[:, coset]]
+    return [LinearCharacter(U, values[i]) for i in _descending_row_order(values)]

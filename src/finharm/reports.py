@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
@@ -59,22 +60,32 @@ class RunConfig:
         if not self.group_spec:
             raise ValueError("group_spec must be nonempty")
         if self.subgroup_selector != "all":
-            object.__setattr__(
-                self, "subgroup_selector", tuple(int(g) for g in self.subgroup_selector)
-            )
+            gens = tuple(_index("subgroup_selector", g) for g in self.subgroup_selector)
+            object.__setattr__(self, "subgroup_selector", gens)
         if self.character_selector != "all":
-            k = int(self.character_selector)
+            k = _index("character_selector", self.character_selector)
             if k < 0:
                 raise ValueError("character_selector index must be nonnegative")
             object.__setattr__(self, "character_selector", k)
-        if not 1 <= int(self.num_test_functions) <= 10**4:
+        for name in ("num_test_functions", "seed"):
+            object.__setattr__(self, name, _index(name, getattr(self, name)))
+        object.__setattr__(self, "tol", float(self.tol))
+        if not 1 <= self.num_test_functions <= 10**4:
             raise ValueError("num_test_functions must lie in [1, 10^4]")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if not 1e-12 <= float(self.tol) <= 1e-6:
+        if not 1e-12 <= self.tol <= 1e-6:
             raise ValueError("tol must lie in [1e-12, 1e-6]")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be json or csv")
+
+
+def _index(name: str, value: Any) -> int:
+    """value as a Python int; ValueError unless its type is integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -328,7 +339,9 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
         if command == "plancherel-check":
             F = test_functions(G, config.seed, range(config.num_test_functions))
             errors = np.abs(F[:, 0] - plancherel_invert_at_identity(table, F))
-            ok = all(err <= config.tol * (1.0 + np.abs(f).sum()) for err, f in zip(errors, F))
+            # a row within tol passes whatever its L1 norm; only the rest need one
+            over = errors > config.tol
+            ok = bool((errors[over] <= config.tol * (1.0 + np.abs(F[over]).sum(axis=1))).all())
             max_err = float(errors.max())
             checks.append(
                 {

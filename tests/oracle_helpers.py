@@ -8,7 +8,9 @@ meaningful evidence. The summation-order oracle shuffles its loops by seed.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,10 +23,12 @@ from finharm import (
     PairSpectrum,
     Subgroup,
     ToleranceViolation,
+    subgroup_closure,
     test_functions,
     whittaker_transform,
 )
 from finharm._rng import derive_stream_seed, unit_uniforms
+from finharm.characters import _descending_row_order
 
 
 def perm_list(n: int) -> list[tuple[int, ...]]:
@@ -390,3 +394,84 @@ def scalar_probe(
             spread, constant = float("nan"), False
         out.append((ratios, flags, spread, constant))
     return out
+
+
+# --- linear characters on exact rational angles -----------------------------
+# The dict-of-Fraction construction the package used before its integer
+# angles: the package's characters must equal these bit for bit. It shares
+# subgroup_closure and _descending_row_order with the package; tests check
+# those against set_closure and quantized_descending_key.
+
+
+def _unit_root(turns: Fraction) -> complex:
+    """exp(2*pi*i*turns) with quarter turns evaluated exactly."""
+    turns %= 1
+    quarters = 4 * turns
+    if quarters.denominator == 1:
+        exact = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+        return exact[int(quarters) % 4]
+    return cmath.exp(2j * cmath.pi * float(turns))
+
+
+def fraction_linear_characters(U: Subgroup) -> list[LinearCharacter]:
+    """All homomorphisms U -> unit circle; the trivial character comes first.
+
+    Computed through the abelianization: commutators are closed up to the
+    derived subgroup D, the quotient U/D is decomposed cyclically one
+    generator at a time, and each character of the partial quotient extends in
+    k ways along a new generator of relative order k.  Values are tracked as
+    exact rational angles so products never accumulate rounding error.
+    """
+    G = U.parent
+    mul = G.mul_table
+    inv = G.inv_table
+    members = U.members
+
+    x, y = U.members_array[:, None], U.members_array[None, :]
+    commutators = mul[mul[inv[x], inv[y]], mul[x, y]]
+    derived = subgroup_closure(G, np.unique(commutators))
+
+    # cosets of the derived subgroup inside U, reps in ascending member order
+    coset_of: dict[int, int] = {}
+    reps: list[int] = []
+    for u in members:
+        if u in coset_of:
+            continue
+        q = len(reps)
+        reps.append(u)
+        for d in derived.members:
+            coset_of[int(mul[d, u])] = q
+    m = len(reps)
+    q_mul = [[coset_of[int(mul[reps[i], reps[j]])] for j in range(m)] for i in range(m)]
+
+    covered = {0}
+    chars: list[dict[int, Fraction]] = [{0: Fraction(0)}]
+    while len(covered) < m:
+        g = min(q for q in range(m) if q not in covered)
+        k = 1
+        t = g
+        while t not in covered:
+            t = q_mul[t][g]
+            k += 1
+        target = t  # g^k, already covered
+        powers = [0]
+        for _ in range(k - 1):
+            powers.append(q_mul[powers[-1]][g])
+        extended: list[dict[int, Fraction]] = []
+        for chi in chars:
+            base = chi[target]
+            for j in range(k):
+                root = (base + j) / k  # k-th root of the angle at g^k
+                grown: dict[int, Fraction] = {}
+                for a in range(k):
+                    for h, angle in chi.items():
+                        grown[q_mul[powers[a]][h]] = (a * root + angle) % 1
+                extended.append(grown)
+        chars = extended
+        covered = set(chars[0].keys())
+
+    lifted = [
+        LinearCharacter(U, [_unit_root(chi[coset_of[u]]) for u in members]) for chi in chars
+    ]
+    order = _descending_row_order(np.array([psi.member_values for psi in lifted]))
+    return [lifted[i] for i in order]

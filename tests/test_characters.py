@@ -27,6 +27,7 @@ from finharm.characters import _ClassAlgebra, _descending_row_order
 from oracle_helpers import (
     brute_multiplicity,
     fmt_complex_scalar,
+    fraction_linear_characters,
     perm_list,
     perm_parity,
     quantized_descending_key,
@@ -320,6 +321,46 @@ def test_characters_are_distinct(q8):
     for U in enumerate_subgroups(q8):
         rows = [tuple(psi(u) for u in U.members) for psi in linear_characters(U)]
         assert len(set(rows)) == len(rows)
+
+
+LATTICE_SPECS = (
+    "symmetric:4",
+    "dihedral:12",
+    "heisenberg:3",
+    "product:quaternion*cyclic:3",
+    "product:dihedral:4*cyclic:2",
+)
+
+
+def _character_bytes(psis) -> list[bytes]:
+    return [psi.member_values.tobytes() for psi in psis]
+
+
+def test_characters_equal_fraction_oracle_on_every_subgroup(corpus_groups):
+    groups = list(corpus_groups.values()) + [make_named_group(s) for s in LATTICE_SPECS]
+    for G in groups:
+        for U in enumerate_subgroups(G):
+            assert _character_bytes(linear_characters(U)) == _character_bytes(
+                fraction_linear_characters(U)
+            )
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        ("cyclic:200", 200),
+        ("product:cyclic:10*cyclic:20", 200),
+        ("product:cyclic:2*" * 5 + "cyclic:2", 64),
+        ("product:quaternion*product:cyclic:5*cyclic:5", 100),
+        ("symmetric:5", 2),
+    ],
+)
+def test_whole_group_characters_equal_fraction_oracle(spec, count):
+    G = make_named_group(spec)
+    U = Subgroup(G, range(G.order))
+    psis = linear_characters(U)
+    assert len(psis) == count
+    assert _character_bytes(psis) == _character_bytes(fraction_linear_characters(U))
 
 
 def test_conjugated_character(s3):

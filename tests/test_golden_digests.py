@@ -33,6 +33,9 @@ CASES = [
      "b38cdeb470ecce10b95691c132ec7a2a4d4b6a2355ebe7802423da00b24c8fdf"),
     (["sweep", "product:cyclic:2*cyclic:4"], 0,
      "fc670332bfd523910559bd1a4581771305107db95ff861899d030ce54524d171"),
+    # 72 pairs whose 5th, 15th and 30th roots of unity are not quarter turns
+    (["sweep", "product:cyclic:5*cyclic:6", "--count", "2"], 0,
+     "8461c78f8b9fad5cf4e759f8b74f7fd5f71c1862afa3c039bd6189b37141c587"),
     # aborted after the table: order above the sweep cap
     (["sweep", "cyclic:201"], 2,
      "0988db46eebd3e6307d547c9df98ea9534c44022e43485b355ef25a83437005f"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +11,10 @@ from finharm import (
     SUBGROUP_ENUMERATION_CAP,
     build_from_permutations,
     enumerate_subgroups,
+    linear_characters,
     subgroup_closure,
 )
-from oracle_helpers import element_subgroup_lattice, set_closure
+from oracle_helpers import element_subgroup_lattice, fraction_linear_characters, set_closure
 
 
 @st.composite
@@ -30,8 +32,22 @@ def small_perm_groups(draw):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(G=small_perm_groups(), data=st.data())
 def test_lattice_of_random_perm_group(G, data):
-    subs = [U.members for U in enumerate_subgroups(G)]
+    subgroups = enumerate_subgroups(G)
+    subs = [U.members for U in subgroups]
     assert subs == element_subgroup_lattice(G)
+
+    for U in subgroups:
+        psis = linear_characters(U)
+        oracle = fraction_linear_characters(U)
+        assert [p.member_values.tobytes() for p in psis] == [
+            p.member_values.tobytes() for p in oracle
+        ]
+        position = np.zeros(G.order, dtype=np.int64)
+        position[U.members_array] = np.arange(U.order)
+        products = position[G.mul_table[np.ix_(U.members_array, U.members_array)]]
+        for psi in psis:
+            v = psi.member_values
+            assert np.abs(np.outer(v, v) - v[products]).max() < 1e-12
 
     member_sets = set(subs)
     for members in member_sets:

@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+import finharm.reports
 from finharm import IndexOutOfRange, SweepAborted, build_report
+from finharm import test_functions as draw_test_functions
 from finharm.formatting import fmt_complex, fmt_complex_rows, fmt_real
 from finharm.reports import RunConfig
 from oracle_helpers import fmt_complex_scalar
@@ -63,6 +65,36 @@ def test_runconfig_validation():
     assert cfg.subgroup_selector == (1,)
 
 
+@pytest.mark.parametrize(
+    "field, value, stored",
+    [
+        ("num_test_functions", np.int64(3), 3),
+        ("seed", np.int64(3), 3),
+        ("seed", np.uint64(2**64 - 1), 2**64 - 1),
+        ("tol", "1e-9", 1e-9),
+        ("tol", np.float32(1e-7), float(np.float32(1e-7))),
+        ("character_selector", np.int64(1), 1),
+        ("num_test_functions", 2.5, ValueError),
+        ("num_test_functions", 3.0, ValueError),
+        ("seed", 1.5, ValueError),
+        ("seed", "3", ValueError),
+        ("tol", "tight", ValueError),
+        ("character_selector", 1.7, ValueError),
+        ("subgroup_selector", [1.9], ValueError),
+    ],
+)
+def test_runconfig_stores_what_it_validated(field, value, stored):
+    if stored is ValueError:
+        with pytest.raises(ValueError):
+            RunConfig(group_spec="cyclic:2", **{field: value})
+        return
+    cfg = RunConfig(group_spec="cyclic:2", **{field: value})
+    assert getattr(cfg, field) == stored
+    assert type(getattr(cfg, field)) is type(stored)
+    config = build_report("plancherel-check", cfg).payload["config"]
+    assert config[field] == (fmt_real(stored) if field == "tol" else stored)
+
+
 def test_chartable_report_payload(s3):
     report = build_report("chartable", RunConfig(group_spec="symmetric:3"))
     p = report.payload
@@ -94,6 +126,21 @@ def test_plancherel_report(s3):
     assert blk["num_functions"] == 50
     assert blk["pass"] is True
     assert float(blk["max_abs_error"]) < 1e-9
+
+
+@pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
+def test_plancherel_verdict_bounds_each_row_by_its_l1_norm(monkeypatch, s3, factor, passed):
+    # every error lies above tol; the last row's is `factor` times its bound
+    cfg = RunConfig(group_spec="symmetric:3", num_test_functions=5)
+    bound = cfg.tol * (1.0 + np.abs(draw_test_functions(s3, cfg.seed, range(5))).sum(axis=1))
+    shift = np.where(np.arange(5) == 4, factor, 0.5) * bound
+    assert (shift > 2 * cfg.tol).all()
+    monkeypatch.setattr(
+        finharm.reports, "plancherel_invert_at_identity", lambda table, F: F[:, 0] - shift
+    )
+    report = build_report("plancherel-check", cfg)
+    assert report.payload["checks"][0]["pass"] is passed
+    assert report.passed is passed
 
 
 def test_whittaker_report_single_pair(s3):
