@@ -34,7 +34,7 @@ from .errors import (
     ToleranceViolation,
 )
 from .formatting import fmt_complex_rows
-from .groups import FiniteGroup, Subgroup, subgroup_closure
+from .groups import FiniteGroup, Subgroup, _close_mask
 
 _RETRY_BUDGET = 16
 
@@ -53,6 +53,7 @@ class CharacterTable:
     Rows are sorted by (degree, then descending lexicographic value order,
     comparing (real, imag) quantized at 1e-9), which places the trivial
     character first. plancherel_weights[pi] = degrees[pi] / |G|.
+    orthogonality is the check character_table accepted the table on.
     """
 
     group: FiniteGroup
@@ -61,6 +62,7 @@ class CharacterTable:
     degrees: tuple[int, ...]
     plancherel_weights: np.ndarray
     element_values: np.ndarray = field(init=False, repr=False)
+    orthogonality: OrthogonalityReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.complex128).copy()
@@ -186,13 +188,15 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
     n = G.order
     r = len(G.classes)
     if r == 1:
-        return CharacterTable(
+        table = CharacterTable(
             group=G,
             num_irreps=1,
             values=np.ones((1, 1), dtype=np.complex128),
             degrees=(1,),
             plancherel_weights=np.array([1.0 / n]),
         )
+        table.orthogonality = verify_orthogonality(table, tol)
+        return table
 
     if r > _MAX_CLASSES:
         raise OrderTooLarge(
@@ -243,6 +247,7 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
         )
         orth_report = verify_orthogonality(table, tol)
         if orth_report.passed:
+            table.orthogonality = orth_report
             return table
     if split_ok and orth_report is not None:
         raise ToleranceViolation(
@@ -325,11 +330,12 @@ def linear_characters(U: Subgroup) -> list[LinearCharacter]:
     inv = G.inv_table
 
     x, y = U.members_array[:, None], U.members_array[None, :]
-    commutators = mul[mul[inv[x], inv[y]], mul[x, y]]
-    derived = subgroup_closure(G, np.unique(commutators))
+    commutators = np.zeros(G.order, dtype=bool)
+    commutators[mul[mul[inv[x], inv[y]], mul[x, y]]] = True
+    derived = np.flatnonzero(_close_mask(mul, commutators))
 
     # cosets of D inside U, numbered in ascending order of their smallest member
-    smallest = mul[derived.members_array[:, None], U.members_array].min(axis=0)
+    smallest = mul[derived[:, None], U.members_array].min(axis=0)
     reps, coset = np.unique(smallest, return_inverse=True)
     m = len(reps)
     lookup = np.zeros(G.order, dtype=np.int64)

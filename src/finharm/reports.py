@@ -15,6 +15,7 @@ import json
 import operator
 import time
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ from .characters import (
     LinearCharacter,
     character_table,
     linear_characters,
-    verify_orthogonality,
 )
 from .errors import FinharmError, IndexOutOfRange, OrderTooLarge, SweepAborted
 from .formatting import fmt_complex, fmt_real
@@ -41,6 +41,8 @@ from .induction import (
 )
 
 SWEEP_ORDER_CAP = 200
+
+_CONTAINERS = (dict, list, tuple)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class SweepReport:
         doc = dict(self.payload)
         doc["digest"] = self.digest
         doc["wall_time"] = self.wall_time
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _indented_json(doc) + "\n"
 
     def to_csv(self) -> str:
         p = self.payload
@@ -190,6 +192,58 @@ class SweepReport:
         return self.to_csv() if self.config.output_format == "csv" else self.to_json()
 
 
+def _indented_json(doc: dict[str, Any]) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2), byte for byte, for str keys.
+
+    Before Python 3.13, json writes indented text in pure Python. Here every
+    flat dict or list, one holding no dict, list or tuple, is written by one
+    call of the C encoder, whose item separator carries the newline and the
+    indent of its depth; only the containers above them are walked in Python.
+    """
+    if c_make_encoder is None:
+        return json.dumps(doc, sort_keys=True, indent=2)
+    default = json.JSONEncoder().default
+    encoders: list[Any] = []
+    chunks: list[str] = []
+
+    def write(obj: dict | list | tuple, depth: int) -> None:
+        inner = "\n" + "  " * (depth + 1)
+        outer = "\n" + "  " * depth
+        if depth == len(encoders):
+            # markers, default, encoder, indent, key_separator, item_separator,
+            # sort_keys, skipkeys, allow_nan: json.dumps's settings, less the
+            # indent and the circular-reference markers a flat container needs not
+            encoders.append(
+                c_make_encoder(
+                    None, default, encode_basestring_ascii, None,
+                    ": ", "," + inner, True, False, True,
+                )
+            )
+        encode = encoders[depth]
+        is_dict = isinstance(obj, dict)
+        values = obj.values() if is_dict else obj
+        if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+            text = "".join(encode(obj, 0))
+            if len(text) > 2:  # not empty: open up its brackets
+                text = text[0] + inner + text[1:-1] + outer + text[-1]
+            chunks.append(text)
+            return
+        items = sorted(obj.items()) if is_dict else enumerate(obj)
+        chunks.append("{" if is_dict else "[")
+        for i, (key, value) in enumerate(items):
+            chunks.append("," + inner if i else inner)
+            if is_dict:
+                chunks.append(encode_basestring_ascii(key) + ": ")
+            if isinstance(value, _CONTAINERS):
+                write(value, depth + 1)
+            else:
+                chunks.append("".join(encode(value, 0)))
+        chunks.append(outer + ("}" if is_dict else "]"))
+
+    write(doc, 0)
+    return "".join(chunks)
+
+
 def _csv_scalar(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -228,7 +282,8 @@ def _group_block(config: RunConfig, G: FiniteGroup, table: CharacterTable) -> di
     }
 
 
-def _table_block(table: CharacterTable, orth) -> dict[str, Any]:
+def _table_block(table: CharacterTable) -> dict[str, Any]:
+    orth = table.orthogonality
     return {
         "num_irreps": table.num_irreps,
         "degrees": list(table.degrees),
@@ -330,11 +385,10 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
     try:
         G = make_named_group(config.group_spec)
         table = character_table(G, seed=config.seed, tol=config.tol)
-        orth = verify_orthogonality(table, config.tol)
         payload["group"] = _group_block(config, G, table)
-        payload["table"] = _table_block(table, orth)
-        worst = max(worst, orth.max_deviation)
-        all_pass = all_pass and orth.passed
+        payload["table"] = _table_block(table)
+        worst = max(worst, table.orthogonality.max_deviation)
+        all_pass = all_pass and table.orthogonality.passed
 
         if command == "plancherel-check":
             F = test_functions(G, config.seed, range(config.num_test_functions))

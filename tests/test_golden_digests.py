@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import pytest
 
+import finharm.cli
 from finharm.cli import main
 
 CASES = [
@@ -61,6 +63,29 @@ def test_report_digest_is_frozen(tmp_path, capsys, argv, exit_code, digest):
     del doc["digest"], doc["wall_time"]
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+JSON_CASES = [c for c in CASES if "csv" not in c[0]]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code", [c[:2] for c in JSON_CASES], ids=[" ".join(c[0]) for c in JSON_CASES]
+)
+def test_rendered_json_is_json_dumps(monkeypatch, argv, exit_code):
+    # the goldens hash the payload; this pins the rendered text around it
+    delivered = []
+    monkeypatch.setattr(
+        finharm.cli, "_deliver", lambda report, path: delivered.append(report) or True
+    )
+    assert main(argv) == exit_code
+    (report,) = delivered
+    doc = dict(report.payload, digest=report.digest, wall_time=report.wall_time)
+    rendered = report.to_json()
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # equal exactly when the text after the common prefix is; a diff of the
+    # whole documents would take pytest minutes
+    at = len(os.path.commonprefix([rendered, expected]))
+    assert rendered[at:at + 80] == expected[at:at + 80]
 
 
 # The resample branch of conjecture_probe (|Theta_pi(f)| at or below the

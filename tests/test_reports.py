@@ -6,12 +6,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finharm.reports
 from finharm import IndexOutOfRange, SweepAborted, build_report
 from finharm import test_functions as draw_test_functions
 from finharm.formatting import fmt_complex, fmt_complex_rows, fmt_real
-from finharm.reports import RunConfig
+from finharm.reports import RunConfig, SweepReport
 from oracle_helpers import fmt_complex_scalar
 
 TOP_LEVEL_KEYS = {"config", "group", "table", "checks", "probes", "verdict", "max_abs_error"}
@@ -38,6 +40,85 @@ def test_fmt_complex_rows_match_scalar_oracle():
     expected = [[fmt_complex_scalar(v) for v in row] for row in values]
     assert [list(row) for row in fmt_complex_rows(values)] == expected
     assert [[fmt_complex(v) for v in row] for row in values] == expected
+
+
+def _nextafter_run(x: float, count: int) -> list[float]:
+    """x and its count nearest floats on either side, ascending."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[:0:-1] + above
+
+
+# Half-way points between 12-digit decimals, where %.12g switches strings
+# within a few ulps (1.000000000005, 99999999999.95, 100000000000.5, which is
+# exact and ties to even, 9.999999999995e-5, 0.9999999999995), nearby points
+# one digit further out, and values near the ends of the float range.
+_RUN_CENTRES = (
+    1.0000000000005,
+    1.000000000005,
+    99999999999.95,
+    100000000000.5,
+    9.99999999999995e-5,
+    9.999999999995e-5,
+    0.9999999999995,
+    1e300,
+    1e-300,
+    1e308,
+    2.2250738585072014e-308,
+    1e-320,
+)
+_RUNS = [_nextafter_run(sign * x, 40) for x in _RUN_CENTRES for sign in (1.0, -1.0)]
+_SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_fmt_complex_rows_runs_match_scalar_oracle(data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    pool = list(data.draw(st.lists(st.sampled_from(_SPECIALS), max_size=4)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        run = data.draw(st.sampled_from(_RUNS))
+        start = data.draw(st.integers(0, len(run) - 1))
+        pool += run[start:start + data.draw(st.integers(1, len(run)))]
+    size = 2 * rows * cols
+    parts = np.array(data.draw(st.permutations((pool * size)[:size]))).reshape(2, rows, cols)
+    values = np.empty((rows, cols), dtype=np.complex128)
+    values.real, values.imag = parts
+    expected = tuple(tuple(fmt_complex_scalar(v) for v in row) for row in values.tolist())
+    assert fmt_complex_rows(values) == expected
+
+
+# json.dumps(indent=2) edge cases: empty containers at several depths, tuples,
+# every scalar kind, non-finite floats, and strings that need escaping
+_AWKWARD_DOC = {
+    "empty": [[], {}, [[]], {"inner": {}}],
+    "scalars": [None, True, False, 0, -7, 10**30, -0.0, 0.1, 1e-300],
+    "non_finite": {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")},
+    "strings": [
+        "caf\u00e9 \u2603 \u65e5\u672c", 'quote " and \\ backslash', "\x00\x1f\n\t\r\x7f", ""
+    ],
+    "nested": {"tuple": (1, "two", (3.5,)), "deep": [1, [2, {"k\u00e9y": [None, {"z": []}]}]]},
+    "\u00fcn\u00efcode key": {"a": None, "b": [True]},
+}
+
+
+@pytest.mark.parametrize("with_c_encoder", [True, False])
+def test_to_json_matches_json_dumps_byte_for_byte(monkeypatch, with_c_encoder):
+    if not with_c_encoder:
+        monkeypatch.setattr(finharm.reports, "c_make_encoder", None)
+    report = SweepReport(
+        command="chartable",
+        config=RunConfig(group_spec="cyclic:1"),
+        payload=_AWKWARD_DOC,
+        digest="0" * 64,
+        passed=True,
+        max_abs_error=0.0,
+        wall_time=0.25,
+    )
+    doc = dict(_AWKWARD_DOC, digest=report.digest, wall_time=report.wall_time)
+    assert report.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_parse_group_spec_roundtrip():
