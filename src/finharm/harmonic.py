@@ -23,7 +23,7 @@ from .errors import GroupMismatch, IndexOutOfRange, SubgroupMismatch
 from .groups import FiniteGroup, Subgroup
 
 if TYPE_CHECKING:
-    from .induction import PairSpectrum
+    from .induction import SubgroupSpectrum
 
 
 class GroupFunction:
@@ -107,25 +107,39 @@ def character_as_function(table: CharacterTable, pi: int) -> GroupFunction:
     return GroupFunction(table.group, table.character_on_elements(pi))
 
 
+def _coefficient_shape(stack: tuple[int, ...], ndim: int) -> tuple[int, ...]:
+    """The shape that broadcasts a stack of coefficients over ndim trailing
+    axes; () for a single coefficient. A single one stays a 0-d scalar,
+    because numpy rounds a complex product whose operands all hold one
+    element differently from a scalar times an array."""
+    return () if np.prod(stack, dtype=int) == 1 else stack + (1,) * ndim
+
+
 def convolve_over_subgroup(coeffs: np.ndarray, U: Subgroup, values: np.ndarray) -> np.ndarray:
     """x -> sum_{u in U} coeffs(u) * values(u^-1 x), counting measure on U.
 
-    coeffs is aligned with U.members; values indexes the parent group along
-    its last axis, so a stack of functions is convolved in one pass. Members
-    are consumed in ascending index order so the accumulation order is
-    reproducible.
+    coeffs is aligned with U.members along its last axis; a leading axis of
+    it stacks coefficient vectors, and out[i] convolves coeffs[i]. values
+    indexes the parent group along its last axis, so a stack of functions is
+    convolved in one pass. Members are consumed in ascending index order so
+    the accumulation order is reproducible, and every coefficient vector of a
+    stack sees the same products and sums as it would alone. A member whose
+    coefficients are all zero is skipped.
     """
-    if np.shape(coeffs) != (U.order,):
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != U.order:
         raise SubgroupMismatch("coefficients must be aligned with the members of U")
     if values.shape[-1:] != (U.parent.order,):
         raise GroupMismatch("values must live on the parent group of U")
     mul = U.parent.mul_table
     inv = U.parent.inv_table
-    out = np.zeros(values.shape, dtype=np.complex128)
-    for u, c in zip(U.members, np.asarray(coeffs).tolist()):
-        if c == 0:
-            continue
-        out += c * values[..., mul[int(inv[u])]]
+    out = np.zeros(coeffs.shape[:-1] + values.shape, dtype=np.complex128)
+    term = np.empty_like(out)  # one product buffer, not a fresh array per member
+    spread = _coefficient_shape(coeffs.shape[:-1], values.ndim)
+    live = coeffs.reshape(-1, U.order).any(axis=0).tolist()
+    for u, c, nonzero in zip(U.members, np.moveaxis(coeffs, -1, 0), live):
+        if nonzero:
+            out += np.multiply(c.reshape(spread), values[..., mul[int(inv[u])]], out=term)
     return out
 
 
@@ -153,44 +167,48 @@ def whittaker_transform(U: Subgroup, psi: LinearCharacter, f: GroupFunction) -> 
     return GroupFunction(U.parent, convolve_over_subgroup(psi.member_values, U, f.values))
 
 
-def phi(spectrum: PairSpectrum, pi: int, f: GroupFunction) -> complex:
-    """Generalized character: sum_g f(g) * (conj(psi) *_U theta_pi)(g)."""
+def phi(spectrum: SubgroupSpectrum, pi: int, f: GroupFunction) -> np.ndarray:
+    """Generalized character of every psi of the spectrum:
+    sum_g f(g) * (conj(psi) *_U theta_pi)(g), one value per psi."""
     if f.group is not spectrum.table.group:
         raise GroupMismatch("f must live on the table's group")
     if not 0 <= pi < spectrum.table.num_irreps:
         raise IndexOutOfRange(f"irrep index {pi} out of range")
-    return complex(np.dot(f.values, spectrum.kernels[pi]))
+    return _dots(spectrum.kernels[:, pi], f.values)
 
 
 @dataclass(frozen=True, eq=False)
 class WhittakerCheckRecord:
-    """Both sides of the transform identity for k test functions, as
-    read-only arrays: lhs, rhs, abs_error and f_l1 of shape (k,), and phi of
-    shape (k, num_irreps) with phi[i, pi] = Phi_pi(f_i)."""
+    """Both sides of the transform identity for every psi of a spectrum and
+    k test functions, as read-only arrays: lhs, rhs and abs_error of shape
+    (num_psis, k), and phi of shape (num_psis, k, num_irreps) with
+    phi[j, i, pi] = Phi_pi(f_i) for the j-th psi."""
 
     lhs: np.ndarray
     phi: np.ndarray
     rhs: np.ndarray
     abs_error: np.ndarray
-    f_l1: np.ndarray
 
 
 def generalized_plancherel_check_batch(
-    spectrum: PairSpectrum, F: np.ndarray
+    spectrum: SubgroupSpectrum, F: np.ndarray
 ) -> WhittakerCheckRecord:
-    """Compare (psi *_U f)(1) against sum_pi mu_pi * Phi_pi(f) for each row f
-    of F, a (k, |G|) array, reading the kernels of the pair from its spectrum."""
+    """Compare (psi *_U f)(1) against sum_pi mu_pi * Phi_pi(f) for every psi
+    of the spectrum and each row f of F, a (k, |G|) array, reading the
+    kernels from the spectrum."""
     G = spectrum.table.group
     if F.ndim != 2 or F.shape[1] != G.order:
         raise GroupMismatch("F must hold functions on the table's group, one per row")
     # (psi *_U f)(1) = sum_u psi(u) f(u^-1), over U in ascending order as in
     # convolve_over_subgroup
-    lhs = np.zeros(len(F), dtype=np.complex128)
-    for u, c in zip(spectrum.U.members, spectrum.psi.member_values.tolist()):
-        lhs += c * F[:, G.inv_table[u]]
-    phis = _dots(F[:, None, :], spectrum.kernels)
+    psi_values = spectrum.psi_values
+    lhs = np.zeros((len(psi_values), len(F)), dtype=np.complex128)
+    spread = _coefficient_shape(psi_values.shape[:1], 1)
+    for u, c in zip(spectrum.U.members, psi_values.T):
+        lhs += c.reshape(spread) * F[:, G.inv_table[u]]
+    phis = _dots(F[:, None, :], spectrum.kernels[:, None])
     rhs = _kahan_rows(phis * spectrum.table.plancherel_weights)
-    arrays = (lhs, phis, rhs, _modulus(lhs - rhs), np.abs(F).sum(axis=1))
+    arrays = (lhs, phis, rhs, _modulus(lhs - rhs))
     for a in arrays:
         a.setflags(write=False)
     return WhittakerCheckRecord(*arrays)

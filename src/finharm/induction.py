@@ -6,7 +6,7 @@ restriction inner product (Frobenius reciprocity), the induced-character
 formula, and the trace of explicit monomial matrices. They must agree
 exactly; the test suite relies on that triple agreement.
 
-The kernel identity, whose residuals pair_spectrum records once per
+The kernel identity, whose residuals subgroup_spectrum records once per
 (U, psi) and kernel_multiplicity_identity_check compares with a tolerance, is
 
     (conj(psi) *_U theta_pi)(1) = sum_{u in U} psi(u) chi_pi(u)
@@ -15,6 +15,12 @@ The kernel identity, whose residuals pair_spectrum records once per
 note the conjugate: inducing from psi itself gives the same number only when
 psi is real-valued. Reports carry both multiplicity vectors so the twist
 stays visible.
+
+A spectrum stacks the characters psi of one subgroup U along a leading axis:
+their kernels come from one accumulation over U, their multiplicities from
+one stacked product, and the check and the probe pair them all at once.
+Every psi keeps the bits it would have alone. subgroup_spectra cuts the
+characters of U into blocks of about _SPECTRUM_BYTES.
 """
 
 from __future__ import annotations
@@ -56,11 +62,21 @@ def _check_wiring(table: CharacterTable, U: Subgroup, psi: LinearCharacter) -> N
         raise SubgroupMismatch("psi must be a character of U")
 
 
-def _snap_to_int(value: complex, tol: float, what: str) -> int:
-    rounded = int(round(value.real))
-    if rounded < 0 or abs(value - rounded) > tol:
-        raise NonIntegralMultiplicity(f"{what} = {value} does not round to a nonnegative integer")
-    return rounded
+def _snap(inner: np.ndarray, order: int, tol: float, what: str) -> np.ndarray:
+    """Each inner / order as a nonnegative integer, entry by entry as
+    Python's complex(v) / order, round and abs would take it. Raises
+    NonIntegralMultiplicity at the first entry not within tol of one, naming
+    what, with {pi} standing for the entry's index along the last axis."""
+    real, imag = inner.real / order, inner.imag / order
+    rounded = np.rint(real)
+    bad = ~((rounded >= 0) & (np.hypot(real - rounded, imag) <= tol))
+    if bad.any():
+        at = np.unravel_index(bad.argmax(), bad.shape)
+        value = complex(inner[at]) / order
+        raise NonIntegralMultiplicity(
+            f"{what.format(pi=at[-1])} = {value} does not round to a nonnegative integer"
+        )
+    return rounded.astype(np.int64)
 
 
 def frobenius_multiplicities(
@@ -70,8 +86,8 @@ def frobenius_multiplicities(
     (1/|U|) sum_{u in U} chi_pi(u) * conj(psi(u))."""
     _check_wiring(table, U, psi)
     restricted = table.element_values[:, U.members_array]
-    inner = _dots(restricted, np.conj(psi.member_values)).tolist()
-    return tuple(_snap_to_int(v / U.order, tol, "Frobenius inner product") for v in inner)
+    inner = _dots(restricted, np.conj(psi.member_values))
+    return tuple(_snap(inner, U.order, tol, "Frobenius inner product").tolist())
 
 
 @dataclass(frozen=True)
@@ -105,16 +121,14 @@ def induced_character(
         conjugated = mul[mul[inv, rep], ar]  # x^-1 * rep * x, per x
         values[k] = complex(psi_on_G[conjugated].sum()) / U.order
     sizes = G.class_sizes.astype(np.float64)
-    mults = []
-    for pi in range(r):
-        inner = complex(np.sum(sizes * values * np.conj(table.values[pi]))) / n
-        mults.append(_snap_to_int(inner, tol, f"coefficient of irrep {pi}"))
-    if tuple(mults) != frobenius_multiplicities(table, U, psi, tol):
+    inner = np.array([complex(np.sum(sizes * values * np.conj(row))) for row in table.values])
+    mults = tuple(_snap(inner, n, tol, "coefficient of irrep {pi}").tolist())
+    if mults != frobenius_multiplicities(table, U, psi, tol):
         raise ToleranceViolation(
             "induced-character coefficients disagree with the restriction inner product"
         )
     values.setflags(write=False)
-    return InducedCharacter(values=values, multiplicities=tuple(mults))
+    return InducedCharacter(values=values, multiplicities=mults)
 
 
 @dataclass(frozen=True)
@@ -164,56 +178,88 @@ def induced_rep_matrices(U: Subgroup, psi: LinearCharacter) -> InducedRep:
 
 
 @dataclass(frozen=True, eq=False)
-class PairSpectrum:
-    """Everything the pair checks read about one (U, psi), computed once.
+class SubgroupSpectrum:
+    """Everything the checks read about the pairs (U, psi) of a stack of
+    characters psi of U, computed once, as read-only arrays with one row per
+    psi.
 
-    kernels[pi] is the kernel conj(psi) *_U theta_pi on the whole group, a
-    read-only (num_irreps, |G|) array. multiplicities and
-    conjugate_multiplicities count each pi in the representations induced
-    from psi and from conj(psi), and residuals[pi] is
-    |kernels[pi, identity] - |U| * conjugate_multiplicities[pi]|.
+    psi_values[j] holds psis[j] on U.members. kernels[j, pi] is the kernel
+    conj(psis[j]) *_U theta_pi on the whole group, an array of shape
+    (num_psis, num_irreps, |G|). multiplicities and conjugate_multiplicities,
+    of shape (num_psis, num_irreps), count each pi in the representations
+    induced from psi and from conj(psi), and residuals[j, pi] is
+    |kernels[j, pi, identity] - |U| * conjugate_multiplicities[j, pi]|.
     """
 
     table: CharacterTable
     U: Subgroup
-    psi: LinearCharacter
+    psis: tuple[LinearCharacter, ...]
+    psi_values: np.ndarray
     kernels: np.ndarray
-    multiplicities: tuple[int, ...]
-    conjugate_multiplicities: tuple[int, ...]
-    residuals: tuple[float, ...]
+    multiplicities: np.ndarray
+    conjugate_multiplicities: np.ndarray
+    residuals: np.ndarray
 
 
-def pair_spectrum(table: CharacterTable, U: Subgroup, psi: LinearCharacter) -> PairSpectrum:
-    """Build the kernels of (U, psi) for every irrep in one pass over U,
-    together with both multiplicity vectors and the kernel-identity residuals."""
-    _check_wiring(table, U, psi)
-    kernels = convolve_over_subgroup(np.conj(psi.member_values), U, table.element_values)
-    kernels.setflags(write=False)
-    mults = frobenius_multiplicities(table, U, psi)
-    conj_mults = frobenius_multiplicities(table, U, psi.conjugated())
-    residuals = tuple(
-        abs(complex(kernels[pi, 0]) - U.order * m_bar) for pi, m_bar in enumerate(conj_mults)
+def subgroup_spectrum(
+    table: CharacterTable, U: Subgroup, psis: Sequence[LinearCharacter]
+) -> SubgroupSpectrum:
+    """Build the kernels of every (U, psi), psi in psis, for every irrep in
+    one pass over U, together with both multiplicity matrices and the
+    kernel-identity residuals. Raises NonIntegralMultiplicity when a
+    multiplicity does not snap to a nonnegative integer."""
+    if not psis:
+        raise ValueError("a spectrum needs at least one character")
+    for psi in psis:
+        _check_wiring(table, U, psi)
+    psi_values = np.array([psi.member_values for psi in psis])
+    restricted = table.element_values[:, U.members_array]
+    what = "Frobenius inner product"
+    mults = _snap(_dots(restricted, np.conj(psi_values)[:, None, :]), U.order, 1e-6, what)
+    conj_mults = _snap(_dots(restricted, psi_values[:, None, :]), U.order, 1e-6, what)
+    kernels = convolve_over_subgroup(np.conj(psi_values), U, table.element_values)
+    residuals = _modulus(kernels[:, :, 0] - U.order * conj_mults)
+    for a in (psi_values, kernels, mults, conj_mults, residuals):
+        a.setflags(write=False)
+    return SubgroupSpectrum(
+        table, U, tuple(psis), psi_values, kernels, mults, conj_mults, residuals
     )
-    return PairSpectrum(
-        table=table,
-        U=U,
-        psi=psi,
-        kernels=kernels,
-        multiplicities=mults,
-        conjugate_multiplicities=conj_mults,
-        residuals=residuals,
-    )
 
 
-def kernel_multiplicity_identity_check(spectrum: PairSpectrum, tol: float = 1e-9) -> bool:
-    """Whether every kernel value at the identity matches |U| times the
-    multiplicity of pi in the representation induced from conj(psi).
+_SPECTRUM_BYTES = 4 << 20  # kernels and samples of one block of characters
+
+
+def subgroup_spectra(
+    table: CharacterTable, U: Subgroup, psis: Sequence[LinearCharacter], samples: int = 0
+) -> Iterator[SubgroupSpectrum]:
+    """subgroup_spectrum of consecutive blocks of psis, in order. A block
+    holds about _SPECTRUM_BYTES of kernels and of `samples` complex pairings
+    per (psi, irrep), such as the probe's ratios; the blocking changes no
+    bits. A block that raises is redone one psi at a time, so the spectra of
+    the characters before the failing one are yielded before it raises, with
+    the message of that psi alone."""
+    per_psi = 16 * table.num_irreps * (table.group.order + samples)
+    step = max(1, _SPECTRUM_BYTES // per_psi)
+    for start in range(0, len(psis), step):
+        block = psis[start : start + step]
+        try:  # yielded unbound, so no block outlives the caller's use of it
+            yield subgroup_spectrum(table, U, block)
+        except NonIntegralMultiplicity:
+            yield from (subgroup_spectrum(table, U, [psi]) for psi in block)
+
+
+def kernel_multiplicity_identity_check(
+    spectrum: SubgroupSpectrum, tol: float = 1e-9
+) -> np.ndarray:
+    """Whether, for each psi of the spectrum, every kernel value at the
+    identity matches |U| times the multiplicity of pi in the representation
+    induced from conj(psi); a (num_psis,) boolean array.
 
     This is a theorem-level identity: a failure signals an implementation
     bug, not a mathematical finding. The multiplicities for psi itself sit
-    alongside in the spectrum; the two vectors coincide whenever psi is real.
+    alongside in the spectrum; the two coincide whenever psi is real.
     """
-    return max(spectrum.residuals) <= tol
+    return spectrum.residuals.max(axis=1) <= tol
 
 
 def truncation_demo(
@@ -268,6 +314,7 @@ def truncation_demo(
 
 
 _PLAN_BYTES = 64 << 20  # cached test functions per plan; past it, blocks are re-drawn
+_RATIO_CHUNK = 1 << 12  # probe ratios divided per list of Python complex numbers
 
 
 def _draw(G: FiniteGroup, streams: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -371,12 +418,13 @@ def probe_plan(table: CharacterTable, count: int, seed: int = 0) -> ProbePlan:
 
 @dataclass(frozen=True, eq=False)
 class ProbeRecord:
-    """Phi/Theta samples of every irrep, as read-only arrays. ratios and
-    flagged have shape (r, count); a flagged sample's ratio is NaN.
-    first_ratio is each irrep's first clean ratio, spread the largest
-    |ratio - first_ratio| over its clean ratios (both NaN when every sample
-    is flagged), and constant whether every clean ratio agrees with the
-    first to 1e-6 relative; these three have shape (r,)."""
+    """Phi/Theta samples of every psi of a spectrum and every irrep, as
+    read-only arrays. ratios has shape (num_psis, r, count) and flagged, the
+    plan's, (r, count); a flagged sample's ratio is NaN. first_ratio is each
+    (psi, irrep)'s first clean ratio, spread the largest |ratio - first_ratio|
+    over its clean ratios (both NaN when every sample is flagged), and
+    constant whether every clean ratio agrees with the first to 1e-6
+    relative; these three have shape (num_psis, r)."""
 
     ratios: np.ndarray
     flagged: np.ndarray
@@ -385,8 +433,9 @@ class ProbeRecord:
     constant: np.ndarray
 
 
-def conjecture_probe(spectrum: PairSpectrum, plan: ProbePlan) -> ProbeRecord:
-    """Sample Phi/Theta ratios of one pair over the plan's test functions.
+def conjecture_probe(spectrum: SubgroupSpectrum, plan: ProbePlan) -> ProbeRecord:
+    """Sample Phi/Theta ratios of every pair of the spectrum over the plan's
+    test functions, pairing each block of the plan once with all kernels.
 
     Returns raw ratio evidence per irrep, deliberately free of any verdict:
     the sampled ratios Phi_pi(f) / Theta_pi(f) and their spread, leaving any
@@ -395,18 +444,30 @@ def conjecture_probe(spectrum: PairSpectrum, plan: ProbePlan) -> ProbeRecord:
     """
     if plan.table is not spectrum.table:
         raise GroupMismatch("the plan must be drawn for the spectrum's table")
-    phis = np.empty(plan.theta.shape, dtype=np.complex128)
+    kernels = spectrum.kernels
+    ratios = np.empty((len(kernels),) + plan.theta.shape, dtype=np.complex128)
     for p, s, F in plan.functions():
-        phis[p, s] = _dots(F, spectrum.kernels[p, None, :])
+        ratios[:, p, s] = _dots(F, kernels[:, p, None, :])
     flagged = plan.flagged
-    ratios = np.full(phis.shape, complex(float("nan"), float("nan")))
     clean = ~flagged
-    # Python complex division: numpy's differs in the last bits
-    ratios[clean] = [p / t for p, t in zip(phis[clean].tolist(), plan.theta[clean].tolist())]
-    r = len(ratios)
-    first = ratios[np.arange(r), np.argmin(flagged, axis=1)]
-    distance = np.where(flagged, 0.0, _modulus(ratios - first[:, None]))
-    spread = np.where(flagged.all(axis=1), np.nan, distance.max(axis=1))
+    thetas = plan.theta[clean]
+    r = flagged.shape[0]
+    pick = (np.arange(r), np.argmin(flagged, axis=1))
+    first = np.empty(ratios.shape[:2], dtype=np.complex128)
+    spread = np.empty(first.shape)
+    for row, row_first, row_spread in zip(ratios, first, spread):
+        # Python complex division, numpy's differs in the last bits; in
+        # chunks, so the lists of Python complex numbers stay small
+        phis = row[clean]
+        for a in range(0, len(thetas), _RATIO_CHUNK):
+            b = a + _RATIO_CHUNK
+            phis[a:b] = [p / t for p, t in zip(phis[a:b].tolist(), thetas[a:b].tolist())]
+        row[clean] = phis
+        row[flagged] = complex(float("nan"), float("nan"))
+        row_first[:] = row[pick]
+        distance = np.where(flagged, 0.0, _modulus(row - row_first[:, None]))
+        row_spread[:] = distance.max(axis=1)
+    spread[:, flagged.all(axis=1)] = np.nan
     constant = spread <= 1e-6 * (1.0 + _modulus(first))
     for a in (ratios, first, spread, constant):
         a.setflags(write=False)

@@ -28,16 +28,17 @@ from .characters import (
     linear_characters,
 )
 from .errors import FinharmError, IndexOutOfRange, OrderTooLarge, SweepAborted
-from .formatting import fmt_complex, fmt_real
+from .formatting import fmt_complex_rows, fmt_real
 from .groups import FiniteGroup, Subgroup, enumerate_subgroups, make_named_group, subgroup_closure
 from .harmonic import plancherel_invert_at_identity, generalized_plancherel_check_batch
 from .induction import (
-    PairSpectrum,
     ProbePlan,
+    ProbeRecord,
+    SubgroupSpectrum,
     conjecture_probe,
     kernel_multiplicity_identity_check,
-    pair_spectrum,
     probe_plan,
+    subgroup_spectra,
 )
 
 SWEEP_ORDER_CAP = 200
@@ -306,9 +307,11 @@ def _subgroup_block(U: Subgroup) -> dict[str, Any]:
     }
 
 
-def _iter_pairs(
+def _iter_subgroups(
     G: FiniteGroup, config: RunConfig
-) -> Iterator[tuple[Subgroup, int, LinearCharacter]]:
+) -> Iterator[tuple[Subgroup, Sequence[int], list[LinearCharacter]]]:
+    """Each subgroup of the run with the indices of its selected linear
+    characters and the characters themselves."""
     if config.subgroup_selector == "all":
         subgroups = enumerate_subgroups(G)
     else:
@@ -316,52 +319,127 @@ def _iter_pairs(
     for U in subgroups:
         psis = linear_characters(U)
         if config.character_selector == "all":
-            indices: Sequence[int] = range(len(psis))
-        else:
-            k = int(config.character_selector)
-            if k >= len(psis):
-                raise IndexOutOfRange(
-                    f"psi index {k} out of range: subgroup of order {U.order} "
-                    f"has {len(psis)} linear characters"
-                )
-            indices = [k]
-        for j in indices:
-            yield U, j, psis[j]
+            yield U, range(len(psis)), psis
+            continue
+        k = int(config.character_selector)
+        if k >= len(psis):
+            raise IndexOutOfRange(
+                f"psi index {k} out of range: subgroup of order {U.order} "
+                f"has {len(psis)} linear characters"
+            )
+        yield U, [k], [psis[k]]
 
 
 def _identity_block(
-    spectrum: PairSpectrum, passed: bool, kernel_at_identity: list[str]
+    spectrum: SubgroupSpectrum, j: int, passed: bool, kernel_at_identity: list[str]
 ) -> dict[str, Any]:
     return {
-        "max_residual": fmt_real(max(spectrum.residuals)),
+        "max_residual": fmt_real(spectrum.residuals[j].max()),
         "pass": passed,
         "kernel_at_identity": kernel_at_identity,
-        "multiplicities": list(spectrum.multiplicities),
-        "conjugate_multiplicities": list(spectrum.conjugate_multiplicities),
+        "multiplicities": spectrum.multiplicities[j].tolist(),
+        "conjugate_multiplicities": spectrum.conjugate_multiplicities[j].tolist(),
     }
 
 
 def _probe_per_pi(
-    spectrum: PairSpectrum, plan: ProbePlan, kernel_at_identity: list[str]
+    spectrum: SubgroupSpectrum,
+    probe: ProbeRecord,
+    i: int,
+    num_flagged: list[int],
+    kernel_at_identity: list[str],
+    first_ratio: Sequence[str],
 ) -> list[dict[str, Any]]:
-    rec = conjecture_probe(spectrum, plan)
-    count = rec.flagged.shape[1]
-    num_flagged = rec.flagged.sum(axis=1).tolist()
-    constant, first, spread = rec.constant.tolist(), rec.first_ratio.tolist(), rec.spread.tolist()
+    count = probe.flagged.shape[1]
     return [
         {
             "pi": pi,
-            "degree": spectrum.table.degrees[pi],
-            "multiplicity": spectrum.multiplicities[pi],
-            "conjugate_multiplicity": spectrum.conjugate_multiplicities[pi],
+            "degree": degree,
+            "multiplicity": m,
+            "conjugate_multiplicity": m_bar,
             "kernel_at_identity": kernel_at_identity[pi],
-            "ratio_constant": constant[pi],
+            "ratio_constant": constant,
             "num_flagged": num_flagged[pi],
-            "first_ratio": None if num_flagged[pi] == count else fmt_complex(first[pi]),
-            "max_ratio_spread": fmt_real(spread[pi]),
+            "first_ratio": None if num_flagged[pi] == count else first_ratio[pi],
+            "max_ratio_spread": fmt_real(spread),
         }
-        for pi in range(len(num_flagged))
+        for pi, (degree, m, m_bar, constant, spread) in enumerate(
+            zip(
+                spectrum.table.degrees,
+                spectrum.multiplicities[i].tolist(),
+                spectrum.conjugate_multiplicities[i].tolist(),
+                probe.constant[i].tolist(),
+                probe.spread[i].tolist(),
+            )
+        )
     ]
+
+
+def _pair_blocks(
+    table: CharacterTable,
+    U: Subgroup,
+    indices: Sequence[int],
+    psis: list[LinearCharacter],
+    config: RunConfig,
+    checked: tuple[np.ndarray, np.ndarray] | None,
+    probed: tuple[ProbePlan, list[int]] | None,
+) -> Iterator[tuple[dict[str, Any] | None, dict[str, Any] | None, tuple[float, float] | None]]:
+    """The check block, the probe block and the check's (max_abs_error,
+    max_residual) of each selected (U, psi) in order, one spectrum per block
+    of characters.
+
+    checked holds the test functions and their L1 norms, probed the probe
+    plan and its flag count per irrep; either is None when the command skips
+    that part. A pair whose spectrum fails raises after the pairs before it.
+    """
+    subgroup = _subgroup_block(U)
+    r, count = table.num_irreps, config.num_test_functions
+    done = 0
+    for spectrum in subgroup_spectra(table, U, psis, count):
+        js = indices[done : done + len(spectrum.psis)]
+        done += len(js)
+        identity_ok = kernel_multiplicity_identity_check(spectrum, config.tol).tolist()
+        residuals = spectrum.residuals.max(axis=1).tolist()
+        if checked is not None:
+            F, f_l1 = checked
+            rec = generalized_plancherel_check_batch(spectrum, F)
+            theorem_ok = (rec.abs_error <= config.tol * (1.0 + f_l1)).all(axis=1).tolist()
+            max_errs = rec.abs_error.max(axis=1).tolist()
+        probe = None if probed is None else conjecture_probe(spectrum, probed[0])
+        # the block's complex strings in one pass: kernels at the identity,
+        # psi on U, then the probe's first ratios
+        strings = fmt_complex_rows(
+            np.hstack(
+                [spectrum.kernels[:, :, 0], spectrum.psi_values]
+                + ([] if probe is None else [probe.first_ratio])
+            )
+        )
+        for i, j in enumerate(js):
+            kernel_at_identity = list(strings[i][:r])
+            check = probe_block = errors = None
+            if checked is not None:
+                check = {
+                    "subgroup": subgroup,
+                    "psi_index": j,
+                    "psi_on_members": list(strings[i][r : r + U.order]),
+                    "num_functions": count,
+                    "max_abs_error": fmt_real(max_errs[i]),
+                    "identity": _identity_block(spectrum, i, identity_ok[i], kernel_at_identity),
+                    "pass": theorem_ok[i] and identity_ok[i],
+                }
+                errors = max_errs[i], residuals[i]
+            if probe is not None:
+                probe_block = {
+                    "subgroup": subgroup,
+                    "psi_index": j,
+                    "identity_check": identity_ok[i],
+                    "per_pi": _probe_per_pi(
+                        spectrum, probe, i, probed[1], kernel_at_identity,
+                        strings[i][r + U.order :],
+                    ),
+                }
+            yield check, probe_block, errors
+        spectrum = probe = rec = None  # let this block go before the next is built
 
 
 def build_report(command: str, config: RunConfig) -> SweepReport:
@@ -413,45 +491,27 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
                 raise OrderTooLarge(
                     f"sweeps are capped at group order {SWEEP_ORDER_CAP}, got {G.order}"
                 )
-            with_checks = command != "conjecture-probe"
-            with_probes = command != "whittaker-check"
-            if with_checks:
-                F = test_functions(G, config.seed, range(config.num_test_functions))
-            if with_probes:
-                plan = probe_plan(table, config.num_test_functions, config.seed)
-            # one pass: each pair's spectrum feeds both its check and its probe
-            for U, j, psi in _iter_pairs(G, config):
-                spectrum = pair_spectrum(table, U, psi)
-                identity_ok = kernel_multiplicity_identity_check(spectrum, config.tol)
-                kernel_at_identity = [fmt_complex(v) for v in spectrum.kernels[:, 0]]
-                if with_checks:
-                    rec = generalized_plancherel_check_batch(spectrum, F)
-                    theorem_ok = bool((rec.abs_error <= config.tol * (1.0 + rec.f_l1)).all())
-                    max_err = float(rec.abs_error.max())
-                    block_pass = bool(theorem_ok and identity_ok)
-                    checks.append(
-                        {
-                            "subgroup": _subgroup_block(U),
-                            "psi_index": j,
-                            "psi_on_members": [fmt_complex(v) for v in psi.member_values],
-                            "num_functions": config.num_test_functions,
-                            "max_abs_error": fmt_real(max_err),
-                            "identity": _identity_block(spectrum, identity_ok, kernel_at_identity),
-                            "pass": block_pass,
-                        }
-                    )
-                    worst = max(worst, max_err, max(spectrum.residuals))
-                    all_pass = all_pass and block_pass
-                if with_probes:
-                    probes.append(
-                        {
-                            "subgroup": _subgroup_block(U),
-                            "psi_index": j,
-                            "identity_check": identity_ok,
-                            "per_pi": _probe_per_pi(spectrum, plan, kernel_at_identity),
-                        }
-                    )
-                    all_pass = all_pass and identity_ok
+            # the test functions and their L1 norms, and the probe plan and
+            # its flag counts, once per report; then one pass per subgroup
+            count = config.num_test_functions
+            checked = probed = None
+            if command != "conjecture-probe":
+                F = test_functions(G, config.seed, range(count))
+                checked = F, np.abs(F).sum(axis=1)
+            if command != "whittaker-check":
+                plan = probe_plan(table, count, config.seed)
+                probed = plan, plan.flagged.sum(axis=1).tolist()
+            for U, indices, psis in _iter_subgroups(G, config):
+                for check, probe, errors in _pair_blocks(
+                    table, U, indices, psis, config, checked, probed
+                ):
+                    if check is not None:
+                        checks.append(check)
+                        worst = max(worst, *errors)
+                        all_pass = all_pass and check["pass"]
+                    if probe is not None:
+                        probes.append(probe)
+                        all_pass = all_pass and probe["identity_check"]
     except (FinharmError, MemoryError, RecursionError) as exc:
         message = str(exc) or type(exc).__name__
         payload["incomplete"] = True

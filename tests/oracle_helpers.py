@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,12 +21,10 @@ from finharm import (
     GroupFunction,
     GroupMismatch,
     LinearCharacter,
-    PairSpectrum,
     Subgroup,
     ToleranceViolation,
     subgroup_closure,
     test_functions,
-    whittaker_transform,
 )
 from finharm._rng import derive_stream_seed, unit_uniforms
 from finharm.characters import _descending_row_order
@@ -338,19 +337,6 @@ def scalar_inversion(table: CharacterTable, F: np.ndarray) -> list[complex]:
     return [kahan_sum(float(w) * complex(np.dot(f, chi)) for w, chi in terms) for f in F]
 
 
-def scalar_check(spectrum: PairSpectrum, F: np.ndarray) -> list[tuple]:
-    """(lhs, phi, rhs, abs_error, f_l1) per row of F; lhs is the transform
-    of the row alone, at the identity."""
-    G = spectrum.table.group
-    out = []
-    for f in F:
-        lhs = complex(whittaker_transform(spectrum.U, spectrum.psi, GroupFunction(G, f)).values[0])
-        phis = tuple(complex(np.dot(f, kernel)) for kernel in spectrum.kernels)
-        rhs = kahan_sum(float(w) * p for w, p in zip(spectrum.table.plancherel_weights, phis))
-        out.append((lhs, phis, rhs, abs(lhs - rhs), float(np.abs(f).sum())))
-    return out
-
-
 def scalar_frobenius(
     table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter, tol: float = 1e-6
 ) -> int:
@@ -361,31 +347,88 @@ def scalar_frobenius(
     return rounded
 
 
-def scalar_probe(
-    spectrum: PairSpectrum, count: int, seed: int, threshold: float, budget: int = 32
+# --- per-pair forms of the stacked spectrum ---------------------------------
+# One (U, psi) at a time, member by member with Python complex coefficients,
+# as the package computed each pair before it stacked the characters of a
+# subgroup: the stacked kernels, multiplicities, checks and probes must match
+# these bit for bit.
+
+
+def scalar_convolve(coeffs, U: Subgroup, values: np.ndarray) -> np.ndarray:
+    """sum_{u in U} coeffs(u) * values(u^-1 x) for one coefficient vector,
+    over the members in ascending order."""
+    mul, inv = U.parent.mul_table, U.parent.inv_table
+    out = np.zeros(values.shape, dtype=np.complex128)
+    for u, c in zip(U.members, np.asarray(coeffs).tolist()):
+        if c == 0:
+            continue
+        out += c * values[..., mul[int(inv[u])]]
+    return out
+
+
+def scalar_pair(table: CharacterTable, U: Subgroup, psi: LinearCharacter) -> SimpleNamespace:
+    """kernels (r, |G|), multiplicities, conjugate_multiplicities and
+    residuals of one pair."""
+    kernels = scalar_convolve(np.conj(psi.member_values), U, table.element_values)
+    irreps = range(table.num_irreps)
+    conj = tuple(scalar_frobenius(table, pi, U, psi.conjugated()) for pi in irreps)
+    return SimpleNamespace(
+        kernels=kernels,
+        multiplicities=tuple(scalar_frobenius(table, pi, U, psi) for pi in irreps),
+        conjugate_multiplicities=conj,
+        residuals=tuple(abs(complex(kernels[pi, 0]) - U.order * m) for pi, m in enumerate(conj)),
+    )
+
+
+def scalar_check(
+    table: CharacterTable, U: Subgroup, psi: LinearCharacter, kernels: np.ndarray, F: np.ndarray
 ) -> list[tuple]:
-    """(ratios, flags, spread, constant) per irrep, one slot at a time: a slot
-    with |Theta| <= threshold tries its reserved indices count + slot*budget
-    onwards in order, and is flagged NaN when none clears the threshold."""
-    table = spectrum.table
+    """(lhs, phi, rhs, abs_error, f_l1) per row of F; lhs is the transform
+    of the row alone, at the identity."""
+    out = []
+    for f in F:
+        lhs = complex(scalar_convolve(psi.member_values, U, f)[0])
+        phis = tuple(complex(np.dot(f, kernel)) for kernel in kernels)
+        rhs = kahan_sum(float(w) * p for w, p in zip(table.plancherel_weights, phis))
+        out.append((lhs, phis, rhs, abs(lhs - rhs), float(np.abs(f).sum())))
+    return out
+
+
+def scalar_probe_slots(
+    table: CharacterTable, count: int, seed: int, threshold: float, budget: int = 32
+) -> list[list]:
+    """(f, Theta_pi(f)) of every slot of every irrep, or None for a flagged
+    slot, one slot at a time: a slot with |Theta| <= threshold tries its
+    reserved indices count + slot*budget onwards in order, and is flagged
+    when none clears the threshold."""
     out = []
     for pi in range(table.num_irreps):
         stream = derive_stream_seed(seed, pi)
         chi = table.character_on_elements(pi)
-        ratios, flags = [], []
+        slots = []
         for slot in range(count):
             first = count + slot * budget
-            candidates = [slot] + list(range(first, first + budget))
-            for index in candidates:
+            for index in [slot] + list(range(first, first + budget)):
                 f = test_functions(table.group, stream, [index])[0]
                 th = complex(np.dot(f, chi))
                 if abs(th) > threshold:
-                    ratios.append(complex(np.dot(f, spectrum.kernels[pi])) / th)
-                    flags.append(False)
+                    slots.append((f, th))
                     break
             else:
-                ratios.append(complex(float("nan"), float("nan")))
-                flags.append(True)
+                slots.append(None)
+        out.append(slots)
+    return out
+
+
+def scalar_probe(slots: list[list], kernels: np.ndarray) -> list[tuple]:
+    """(ratios, flags, spread, constant) per irrep of one pair, whose
+    kernels are (r, |G|), over the slots of scalar_probe_slots; a flagged
+    slot's ratio is NaN."""
+    out = []
+    for kernel, row in zip(kernels, slots):
+        nan = complex(float("nan"), float("nan"))
+        ratios = [nan if s is None else complex(np.dot(s[0], kernel)) / s[1] for s in row]
+        flags = [s is None for s in row]
         clean = [rv for rv, flagged in zip(ratios, flags) if not flagged]
         if clean:
             spread = max(abs(rv - clean[0]) for rv in clean)

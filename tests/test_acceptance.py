@@ -26,11 +26,11 @@ from finharm import (
     kernel_multiplicity_identity_check,
     linear_characters,
     make_named_group,
-    pair_spectrum,
     phi,
     plancherel_invert_at_identity,
     probe_plan,
     subgroup_closure,
+    subgroup_spectrum,
     theta,
     truncation_demo,
     verify_orthogonality,
@@ -71,10 +71,12 @@ def theorem_sweep(built):
         G = built.groups[spec]
         table = built.tables[spec]
         F = draw_test_functions(G, SWEEP_SEED, range(NUM_F))
-        for U, psi in _pairs(G):
-            pairs += 1
-            rec = generalized_plancherel_check_batch(pair_spectrum(table, U, psi), F)
-            worst = max(worst, float((rec.abs_error / (1.0 + rec.f_l1)).max()))
+        f_l1 = np.abs(F).sum(axis=1)
+        for U in enumerate_subgroups(G):
+            spectrum = subgroup_spectrum(table, U, linear_characters(U))
+            pairs += len(spectrum.psis)
+            rec = generalized_plancherel_check_batch(spectrum, F)
+            worst = max(worst, float((rec.abs_error / (1.0 + f_l1)).max()))
     elapsed = time.perf_counter() - start
     return SimpleNamespace(worst=worst, pairs=pairs, elapsed=elapsed)
 
@@ -129,25 +131,25 @@ def test_c4_kernel_multiplicity_identity(built):
     for spec in built.sweep:
         G = built.groups[spec]
         table = built.tables[spec]
-        for U, psi in _pairs(G):
-            spectrum = pair_spectrum(table, U, psi)
-            assert kernel_multiplicity_identity_check(spectrum, tol=1e-8), spec
-            worst = max(worst, max(spectrum.residuals))
+        for U in enumerate_subgroups(G):
+            spectrum = subgroup_spectrum(table, U, linear_characters(U))
+            assert kernel_multiplicity_identity_check(spectrum, tol=1e-8).all(), spec
+            worst = max(worst, float(spectrum.residuals.max()))
 
     # frozen spot values, re-derived through the explicit matrix route
     s3 = built.groups["symmetric:3"]
     t3 = built.tables["symmetric:3"]
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    spot = pair_spectrum(t3, U, sign)
-    assert [round(v.real) for v in spot.kernels[:, 0]] == [0, 2, 2]
+    spot = subgroup_spectrum(t3, U, [sign])
+    assert [round(v.real) for v in spot.kernels[0, :, 0]] == [0, 2, 2]
 
     q8 = built.groups["quaternion"]
     t8 = built.tables["quaternion"]
     center = subgroup_closure(q8, [1])
     psi_c = next(p for p in linear_characters(center) if abs(p(1) + 1) < 1e-9)
-    spot8 = pair_spectrum(t8, center, psi_c)
-    assert round(spot8.kernels[4, 0].real) == 4
+    spot8 = subgroup_spectrum(t8, center, [psi_c])
+    assert round(spot8.kernels[0, 4, 0].real) == 4
 
     for table, U_, psi_, kernels in (
         (t3, U, sign, [0, 2, 2]),
@@ -240,12 +242,13 @@ def test_c6_summation_order_oracles(built):
     for spec in FUBINI_SPECS:
         G = built.groups[spec]
         table = built.tables[spec]
-        for U, psi in _pairs(G):
+        for U in enumerate_subgroups(G):
             chain = _canonical_chain(U)
-            kernels = pair_spectrum(table, U, psi).kernels
-            for pi in range(table.num_irreps):
-                stages = truncation_demo(U, psi, table, pi, chain)
-                assert np.array_equal(stages[-1].values, kernels[pi])
+            psis = linear_characters(U)
+            for psi, kernels in zip(psis, subgroup_spectrum(table, U, psis).kernels):
+                for pi in range(table.num_irreps):
+                    stages = truncation_demo(U, psi, table, pi, chain)
+                    assert np.array_equal(stages[-1].values, kernels[pi])
     elapsed = time.perf_counter() - start
     print(
         f"[C6] summation-order oracles: PASS "
@@ -260,8 +263,8 @@ def test_c7_probe_sanity(built):
         table = built.tables[spec]
         U = Subgroup(G, [0])
         psi = linear_characters(U)[0]
-        spectrum = pair_spectrum(table, U, psi)
-        assert kernel_multiplicity_identity_check(spectrum), spec
+        spectrum = subgroup_spectrum(table, U, [psi])
+        assert kernel_multiplicity_identity_check(spectrum).all(), spec
         rec = conjecture_probe(spectrum, probe_plan(table, 20, seed=SWEEP_SEED))
         assert not rec.flagged.any(), spec
         for ratio in rec.ratios.ravel():
@@ -271,15 +274,15 @@ def test_c7_probe_sanity(built):
     t3 = built.tables["symmetric:3"]
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    spectrum = pair_spectrum(t3, U, sign)
-    constant = conjecture_probe(spectrum, probe_plan(t3, 20, seed=SWEEP_SEED)).constant
+    spectrum = subgroup_spectrum(t3, U, [sign])
+    (constant,) = conjecture_probe(spectrum, probe_plan(t3, 20, seed=SWEEP_SEED)).constant
     delta = GroupFunction.delta(s3, 0)
-    ratio_sign = phi(spectrum, 1, delta) / theta(t3, 1, delta)
-    ratio_std = phi(spectrum, 2, delta) / theta(t3, 2, delta)
+    (ratio_sign,) = phi(spectrum, 1, delta) / theta(t3, 1, delta)
+    (ratio_std,) = phi(spectrum, 2, delta) / theta(t3, 2, delta)
     assert abs(ratio_sign - 2) < 1e-10
     assert abs(ratio_std - 1) < 1e-10
-    assert abs(spectrum.kernels[1, 0] / t3.degrees[1] - 2) < 1e-10
-    assert abs(spectrum.kernels[2, 0] / t3.degrees[2] - 1) < 1e-10
+    assert abs(spectrum.kernels[0, 1, 0] / t3.degrees[1] - 2) < 1e-10
+    assert abs(spectrum.kernels[0, 2, 0] / t3.degrees[2] - 1) < 1e-10
     # the ratios genuinely distinguish the two irreps
     assert constant[1]
     assert not constant[2]

@@ -17,9 +17,9 @@ from finharm import (
     generalized_plancherel_check_batch,
     linear_characters,
     make_named_group,
-    pair_spectrum,
     plancherel_invert_at_identity,
     subgroup_closure,
+    subgroup_spectrum,
     theta,
     whittaker_transform,
 )
@@ -145,8 +145,8 @@ def test_kernel_total_mass(s3_table, q8_table):
     for table in (s3_table, q8_table):
         G = table.group
         for U in enumerate_subgroups(G):
-            for psi in linear_characters(U):
-                kernels = pair_spectrum(table, U, psi).kernels
+            psis = linear_characters(U)
+            for psi, kernels in zip(psis, subgroup_spectrum(table, U, psis).kernels):
                 for pi in range(table.num_irreps):
                     lhs = complex(kernels[pi].sum())
                     psi_mass = sum(psi(u) for u in U.members)
@@ -170,16 +170,19 @@ def test_transform_surjectivity_rank(corpus_groups):
 def test_check_frozen_s3_spot(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    spectrum = pair_spectrum(s3_table, U, sign)
+    spectrum = subgroup_spectrum(s3_table, U, [sign])
     delta = GroupFunction.delta(s3, 0)
     record = generalized_plancherel_check_batch(spectrum, delta.values[None])
-    assert record.lhs[0] == 1
-    assert abs(record.rhs[0] - 1) < 1e-12
-    assert [round(p.real, 9) for p in record.phi[0]] == [0, 2, 2]
-    assert list(spectrum.multiplicities) == [0, 1, 1]
-    assert record.abs_error[0] < 1e-12
-    assert record.f_l1[0] == 1.0
-    for arr in (record.lhs, record.phi, record.rhs, record.abs_error, record.f_l1):
+    assert record.lhs.shape == record.rhs.shape == record.abs_error.shape == (1, 1)
+    assert record.phi.shape == (1, 1, 3)
+    assert record.lhs[0, 0] == 1
+    assert abs(record.rhs[0, 0] - 1) < 1e-12
+    assert [round(p.real, 9) for p in record.phi[0, 0]] == [0, 2, 2]
+    assert spectrum.multiplicities[0].tolist() == [0, 1, 1]
+    assert record.abs_error[0, 0] < 1e-12
+    # the verdict's norm, np.abs(F).sum(axis=1) once per report
+    assert np.abs(delta.values[None]).sum(axis=1)[0] == 1.0
+    for arr in (record.lhs, record.phi, record.rhs, record.abs_error):
         assert not arr.flags.writeable
 
 
@@ -187,29 +190,31 @@ def test_check_matches_brute_sides(s3_table, q8_table):
     for table in (s3_table, q8_table):
         G = table.group
         F = draw_test_functions(G, 77, range(2))
+        f_l1 = np.abs(F).sum(axis=1)
         for U in enumerate_subgroups(G):
-            for psi in linear_characters(U):
-                rec = generalized_plancherel_check_batch(pair_spectrum(table, U, psi), F)
+            psis = linear_characters(U)
+            rec = generalized_plancherel_check_batch(subgroup_spectrum(table, U, psis), F)
+            for j, psi in enumerate(psis):
                 for i, f in enumerate(F):
                     lhs_ref, rhs_ref = brute_whittaker_sides(table, U, psi, GroupFunction(G, f))
-                    assert abs(rec.lhs[i] - lhs_ref) < 1e-10
-                    assert abs(rec.rhs[i] - rhs_ref) < 1e-10
-                    assert rec.abs_error[i] <= 1e-10 * (1 + rec.f_l1[i])
+                    assert abs(rec.lhs[j, i] - lhs_ref) < 1e-10
+                    assert abs(rec.rhs[j, i] - rhs_ref) < 1e-10
+                    assert rec.abs_error[j, i] <= 1e-10 * (1 + f_l1[i])
 
 
 def test_batch_matches_single(s3_table, s3):
     U = subgroup_closure(s3, [3])
     psi = linear_characters(U)[2]
     F = draw_test_functions(s3, 13, range(4))
-    spectrum = pair_spectrum(s3_table, U, psi)
+    spectrum = subgroup_spectrum(s3_table, U, [psi])
     batch = generalized_plancherel_check_batch(spectrum, F)
     for i in range(len(F)):
         single = generalized_plancherel_check_batch(spectrum, F[i : i + 1])
-        assert batch.lhs[i] == single.lhs[0]
-        assert batch.rhs[i] == single.rhs[0]
-        assert np.array_equal(batch.phi[i], single.phi[0])
+        assert batch.lhs[0, i] == single.lhs[0, 0]
+        assert batch.rhs[0, i] == single.rhs[0, 0]
+        assert np.array_equal(batch.phi[0, i], single.phi[0, 0])
         # the left-hand side is the transform at the identity, bit for bit
-        assert batch.lhs[i] == whittaker_transform(U, psi, GroupFunction(s3, F[i])).values[0]
+        assert batch.lhs[0, i] == whittaker_transform(U, psi, GroupFunction(s3, F[i])).values[0]
     with pytest.raises(GroupMismatch):
         generalized_plancherel_check_batch(spectrum, F[0])
 
@@ -225,11 +230,11 @@ def test_trivial_subgroup_degenerates_to_inversion(corpus_groups, corpus_tables)
         f = GroupFunction(G, draw_test_functions(G, 3, [0])[0])
         W = whittaker_transform(U, psi, f)
         assert np.array_equal(W.values, f.values)
-        spectrum = pair_spectrum(table, U, psi)
+        spectrum = subgroup_spectrum(table, U, [psi])
         rec = generalized_plancherel_check_batch(spectrum, f.values[None])
-        assert rec.rhs[0] == plancherel_invert_at_identity(table, f.values[None])[0]
+        assert rec.rhs[0, 0] == plancherel_invert_at_identity(table, f.values[None])[0]
         for pi in range(table.num_irreps):
-            kernel = spectrum.kernels[pi]
+            kernel = spectrum.kernels[0, pi]
             assert np.array_equal(kernel, character_as_function(table, pi).values)
 
 

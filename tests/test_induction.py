@@ -25,10 +25,11 @@ from finharm import (
     kernel_multiplicity_identity_check,
     linear_characters,
     make_named_group,
-    pair_spectrum,
     phi,
     probe_plan,
     subgroup_closure,
+    subgroup_spectra,
+    subgroup_spectrum,
     theta,
     truncation_demo,
 )
@@ -142,8 +143,28 @@ def test_nonintegral_multiplicity_detected(s3_table, s3):
     )
     U = subgroup_closure(s3, [1])
     psi = linear_characters(U)[1]
-    with pytest.raises(NonIntegralMultiplicity):
+    with pytest.raises(NonIntegralMultiplicity) as alone:
         frobenius_multiplicities(broken, U, psi)
+    # the stacked snap fails on the first failing psi, with the same message
+    with pytest.raises(NonIntegralMultiplicity) as stacked:
+        subgroup_spectrum(broken, U, [psi, linear_characters(U)[0]])
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_failing_block_yields_the_characters_before_it(s3_table, s3):
+    U = Subgroup(s3, range(6))
+    trivial, sign = linear_characters(U)
+    values = sign.member_values.copy()
+    values[1] = -values[1]  # unit modulus and 1 at the identity, not multiplicative
+    bad = type(sign)(U, values)
+    spectra = subgroup_spectra(s3_table, U, [trivial, sign, bad, trivial], 0)
+    assert next(spectra).psis == (trivial,)
+    assert next(spectra).psis == (sign,)
+    with pytest.raises(NonIntegralMultiplicity) as err:
+        next(spectra)
+    with pytest.raises(NonIntegralMultiplicity) as alone:
+        frobenius_multiplicities(s3_table, U, bad)
+    assert str(err.value) == str(alone.value)
 
 
 # --- kernel identity --------------------------------------------------------
@@ -152,12 +173,12 @@ def test_nonintegral_multiplicity_detected(s3_table, s3):
 def test_kernel_identity_spot_s3(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    spectrum = pair_spectrum(s3_table, U, sign)
-    assert kernel_multiplicity_identity_check(spectrum)
-    assert max(spectrum.residuals) < 1e-10
-    assert [round(v.real) for v in spectrum.kernels[:, 0]] == [0, 2, 2]
-    assert spectrum.multiplicities == (0, 1, 1)
-    assert spectrum.conjugate_multiplicities == (0, 1, 1)
+    spectrum = subgroup_spectrum(s3_table, U, [sign])
+    assert kernel_multiplicity_identity_check(spectrum).tolist() == [True]
+    assert spectrum.residuals.max() < 1e-10
+    assert [round(v.real) for v in spectrum.kernels[0, :, 0]] == [0, 2, 2]
+    assert spectrum.multiplicities.tolist() == [[0, 1, 1]]
+    assert spectrum.conjugate_multiplicities.tolist() == [[0, 1, 1]]
 
 
 def test_kernel_identity_spot_q8_center(q8_table, q8):
@@ -165,11 +186,11 @@ def test_kernel_identity_spot_q8_center(q8_table, q8):
     assert center.members == (0, 1)
     # the character with psi(-1) = -1
     psi = next(p for p in linear_characters(center) if abs(p(1) + 1) < 1e-9)
-    spectrum = pair_spectrum(q8_table, center, psi)
-    assert kernel_multiplicity_identity_check(spectrum)
-    assert abs(spectrum.kernels[4, 0] - 4) < 1e-10
-    assert spectrum.multiplicities[4] == 2
-    assert [round(v.real) for v in spectrum.kernels[:4, 0]] == [0, 0, 0, 0]
+    spectrum = subgroup_spectrum(q8_table, center, [psi])
+    assert kernel_multiplicity_identity_check(spectrum).all()
+    assert abs(spectrum.kernels[0, 4, 0] - 4) < 1e-10
+    assert spectrum.multiplicities[0, 4] == 2
+    assert [round(v.real) for v in spectrum.kernels[0, :4, 0]] == [0, 0, 0, 0]
 
 
 def test_kernel_identity_needs_conjugate_for_complex_psi():
@@ -179,46 +200,60 @@ def test_kernel_identity_needs_conjugate_for_complex_psi():
     table = character_table(G)
     U = Subgroup(G, range(3))
     psi = linear_characters(U)[1]
-    spectrum = pair_spectrum(table, U, psi)
-    assert kernel_multiplicity_identity_check(spectrum)
-    assert spectrum.multiplicities != spectrum.conjugate_multiplicities
-    assert sorted(spectrum.multiplicities) == [0, 0, 1]
-    kernels = [round(v.real) for v in spectrum.kernels[:, 0]]
+    spectrum = subgroup_spectrum(table, U, [psi])
+    assert kernel_multiplicity_identity_check(spectrum).all()
+    mults, conj_mults = spectrum.multiplicities[0], spectrum.conjugate_multiplicities[0]
+    assert mults.tolist() != conj_mults.tolist()
+    assert sorted(mults.tolist()) == [0, 0, 1]
+    kernels = [round(v.real) for v in spectrum.kernels[0, :, 0]]
     assert sorted(kernels) == [0, 0, 3]
     # the naive pairing fails where the two multiplicity vectors differ
-    naive = [abs(k - 3 * m) for k, m in zip(spectrum.kernels[:, 0], spectrum.multiplicities)]
+    naive = [abs(k - 3 * m) for k, m in zip(spectrum.kernels[0, :, 0], mults)]
     assert abs(max(naive) - 3) < 1e-9
 
 
 def test_kernel_identity_across_sweep_spot(corpus_tables):
     table = corpus_tables["dihedral:4"]
     for U in enumerate_subgroups(table.group):
-        for psi in linear_characters(U):
-            spectrum = pair_spectrum(table, U, psi)
-            assert kernel_multiplicity_identity_check(spectrum)
-            assert max(spectrum.residuals) < 1e-10
+        spectrum = subgroup_spectrum(table, U, linear_characters(U))
+        assert kernel_multiplicity_identity_check(spectrum).all()
+        assert spectrum.residuals.max() < 1e-10
 
 
-def test_pair_spectrum_wiring_and_read_only(s3_table, s3, q8):
+def test_subgroup_spectrum_wiring_and_read_only(s3_table, s3, q8):
     U = subgroup_closure(s3, [3])
-    psi = linear_characters(U)[1]
-    spectrum = pair_spectrum(s3_table, U, psi)
-    assert spectrum.kernels.shape == (3, 6)
+    psis = linear_characters(U)
+    spectrum = subgroup_spectrum(s3_table, U, psis)
+    assert spectrum.kernels.shape == (3, 3, 6)
+    assert spectrum.psis == tuple(psis)
+    for a in (
+        spectrum.psi_values,
+        spectrum.kernels,
+        spectrum.multiplicities,
+        spectrum.conjugate_multiplicities,
+        spectrum.residuals,
+    ):
+        assert not a.flags.writeable
     with pytest.raises(ValueError):
-        spectrum.kernels[0, 0] = 0
+        spectrum.kernels[0, 0, 0] = 0
     other = subgroup_closure(q8, [1])
     with pytest.raises(GroupMismatch):
-        pair_spectrum(s3_table, other, linear_characters(other)[0])
+        subgroup_spectrum(s3_table, other, linear_characters(other)[:1])
     with pytest.raises(SubgroupMismatch):
-        pair_spectrum(s3_table, U, linear_characters(subgroup_closure(s3, [1]))[0])
+        subgroup_spectrum(s3_table, U, [psis[0], linear_characters(subgroup_closure(s3, [1]))[0]])
+    with pytest.raises(ValueError):
+        subgroup_spectrum(s3_table, U, [])
 
 
 def test_kernel_values_match_brute(s3_table, s3):
     U = subgroup_closure(s3, [3])
-    for psi in linear_characters(U):
-        kernels = pair_spectrum(s3_table, U, psi).kernels
+    psis = linear_characters(U)
+    kernels = subgroup_spectrum(s3_table, U, psis).kernels
+    for j, psi in enumerate(psis):
         for pi in range(3):
-            assert np.allclose(kernels[pi], brute_kernel_values(s3_table, pi, U, psi), atol=1e-10)
+            assert np.allclose(
+                kernels[j, pi], brute_kernel_values(s3_table, pi, U, psi), atol=1e-10
+            )
 
 
 # --- fubini oracle ----------------------------------------------------------
@@ -257,12 +292,13 @@ def test_truncation_final_stage_is_bit_identical(s3_table, s3, q8_table, q8):
         (q8_table, subgroup_closure(q8, [2]), [{0}, {0, 1}, {0, 1, 2, 3}]),
     ]
     for table, U, chain in cases:
-        for psi in linear_characters(U):
-            kernels = pair_spectrum(table, U, psi).kernels
+        psis = linear_characters(U)
+        kernels = subgroup_spectrum(table, U, psis).kernels
+        for psi, psi_kernels in zip(psis, kernels):
             for pi in range(table.num_irreps):
                 stages = truncation_demo(U, psi, table, pi, chain)
                 assert len(stages) == len(chain)
-                assert np.array_equal(stages[-1].values, kernels[pi])
+                assert np.array_equal(stages[-1].values, psi_kernels[pi])
 
 
 def test_truncation_chain_validation(s3_table, s3):
@@ -289,8 +325,8 @@ def test_truncation_chain_validation(s3_table, s3):
 def test_probe_trivial_configuration_gives_unit_ratios(s3_table, s3):
     U = Subgroup(s3, [0])
     psi = linear_characters(U)[0]
-    spectrum = pair_spectrum(s3_table, U, psi)
-    assert kernel_multiplicity_identity_check(spectrum)
+    spectrum = subgroup_spectrum(s3_table, U, [psi])
+    assert kernel_multiplicity_identity_check(spectrum).all()
     rec = conjecture_probe(spectrum, probe_plan(s3_table, 10, seed=1))
     assert not rec.flagged.any()
     assert rec.constant.all()
@@ -301,31 +337,32 @@ def test_probe_trivial_configuration_gives_unit_ratios(s3_table, s3):
 def test_probe_s3_sign_distinguishes_irreps(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    spectrum = pair_spectrum(s3_table, U, sign)
-    assert kernel_multiplicity_identity_check(spectrum)
+    spectrum = subgroup_spectrum(s3_table, U, [sign])
+    assert kernel_multiplicity_identity_check(spectrum).all()
     rec = conjecture_probe(spectrum, probe_plan(s3_table, 20, seed=0))
     triv, sgn, std = range(3)
+    constant, ratios = rec.constant[0], rec.ratios[0]
     # trivial irrep: kernel vanishes identically, all ratios 0
-    assert spectrum.multiplicities[0] == 0
-    assert rec.constant[triv]
-    assert all(abs(r) < 1e-12 for r in rec.ratios[triv])
+    assert spectrum.multiplicities[0, 0] == 0
+    assert constant[triv]
+    assert all(abs(r) < 1e-12 for r in ratios[triv])
     # sign irrep: kernel = 2 * theta, ratio exactly 2 for every sample
-    assert rec.constant[sgn]
-    assert all(abs(r - 2) < 1e-9 for r in rec.ratios[sgn])
+    assert constant[sgn]
+    assert all(abs(r - 2) < 1e-9 for r in ratios[sgn])
     # standard irrep: kernel is NOT proportional to theta
-    assert not rec.constant[std]
+    assert not constant[std]
     # and the identity-point ratios reproduce the frozen spot values
-    assert abs(spectrum.kernels[1, 0] / s3_table.degrees[1] - 2) < 1e-10
-    assert abs(spectrum.kernels[2, 0] / s3_table.degrees[2] - 1) < 1e-10
+    assert abs(spectrum.kernels[0, 1, 0] / s3_table.degrees[1] - 2) < 1e-10
+    assert abs(spectrum.kernels[0, 2, 0] / s3_table.degrees[2] - 1) < 1e-10
 
 
 def test_probe_ratio_at_delta_equals_kernel_over_degree(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
     delta = GroupFunction.delta(s3, 0)
-    spectrum = pair_spectrum(s3_table, U, sign)
+    spectrum = subgroup_spectrum(s3_table, U, [sign])
     for pi, expected in ((1, 2), (2, 1)):
-        ratio = phi(spectrum, pi, delta) / theta(s3_table, pi, delta)
+        (ratio,) = phi(spectrum, pi, delta) / theta(s3_table, pi, delta)
         assert abs(ratio - expected) < 1e-10
 
 
@@ -337,9 +374,13 @@ def test_probe_rejects_bad_count(s3_table):
 def test_probe_determinism(q8_table, q8):
     center = subgroup_closure(q8, [1])
     psi = linear_characters(center)[1]
-    r1 = conjecture_probe(pair_spectrum(q8_table, center, psi), probe_plan(q8_table, 5, seed=42))
-    r2 = conjecture_probe(pair_spectrum(q8_table, center, psi), probe_plan(q8_table, 5, seed=42))
-    assert r1.ratios.shape == r2.ratios.shape == (q8_table.num_irreps, 5)
+    r1 = conjecture_probe(
+        subgroup_spectrum(q8_table, center, [psi]), probe_plan(q8_table, 5, seed=42)
+    )
+    r2 = conjecture_probe(
+        subgroup_spectrum(q8_table, center, [psi]), probe_plan(q8_table, 5, seed=42)
+    )
+    assert r1.ratios.shape == r2.ratios.shape == (1, q8_table.num_irreps, 5)
     assert np.array_equal(r1.ratios, r2.ratios)
     assert np.array_equal(r1.flagged, r2.flagged)
     assert np.array_equal(r1.spread, r2.spread)

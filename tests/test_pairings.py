@@ -1,6 +1,15 @@
-"""The batched pairings against their per-row scalar forms, bit for bit."""
+"""The batched pairings against their per-row scalar forms, bit for bit.
+
+The stacked spectrum of each subgroup, its check and its probe are compared
+with the per-pair oracles of oracle_helpers on every (U, psi) of several
+groups, at the default block of characters, at blocks of one character, and
+with no probe function cached.
+"""
 
 from __future__ import annotations
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -17,11 +26,12 @@ from finharm import (
     enumerate_subgroups,
     frobenius_multiplicities,
     generalized_plancherel_check_batch,
+    kernel_multiplicity_identity_check,
     linear_characters,
     make_named_group,
-    pair_spectrum,
     plancherel_invert_at_identity,
     probe_plan,
+    subgroup_spectra,
 )
 from finharm import test_functions as draw_test_functions
 from finharm.harmonic import _dots, _kahan_rows
@@ -30,22 +40,48 @@ from oracle_helpers import (
     scalar_check,
     scalar_frobenius,
     scalar_inversion,
+    scalar_pair,
     scalar_probe,
+    scalar_probe_slots,
 )
 
 SPECS = ("symmetric:3", "quaternion", "dihedral:4", "product:cyclic:2*cyclic:4")
+# the five groups of the lattice benchmark, and a product whose 5th, 15th and
+# 30th roots of unity are not quarter turns
+STACKED_SPECS = SPECS + (
+    "symmetric:4",
+    "dihedral:12",
+    "heisenberg:3",
+    "product:quaternion*cyclic:3",
+    "product:dihedral:4*cyclic:2",
+    "product:cyclic:5*cyclic:6",
+)
+# (spec, test functions per check and probe slots per irrep): with one
+# function, or on the trivial group, a block of one psi multiplies operands
+# of one element each, and only values off the quarter turns round
+STACKED_CASES = [(spec, 3) for spec in STACKED_SPECS] + [
+    ("cyclic:1", 1),
+    ("cyclic:1", 3),
+    ("dihedral:5", 1),
+    ("product:cyclic:5*cyclic:6", 1),
+]
 
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.complex128).tobytes()
 
 
-def _pairs(spec):
+def _spectra(spec, samples=0):
+    """(U, psis, spectrum) of every block of every subgroup of spec."""
     G = make_named_group(spec)
     table = character_table(G)
     for U in enumerate_subgroups(G):
-        for psi in linear_characters(U):
-            yield pair_spectrum(table, U, psi)
+        psis = linear_characters(U)
+        done = 0
+        for spectrum in subgroup_spectra(table, U, psis, samples):
+            yield U, psis[done : done + len(spectrum.psis)], spectrum
+            done += len(spectrum.psis)
+        assert done == len(psis)
 
 
 def _random(rng, shape):
@@ -87,19 +123,104 @@ def test_inversion_matches_scalar_oracle(spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_check_and_multiplicities_match_scalar_oracles(spec):
-    for spectrum in _pairs(spec):
-        F = draw_test_functions(spectrum.table.group, 5, range(6))
+    for U, psis, spectrum in _spectra(spec):
+        table = spectrum.table
+        F = draw_test_functions(table.group, 5, range(6))
         rec = generalized_plancherel_check_batch(spectrum, F)
-        expected = scalar_check(spectrum, F)
-        assert _bits(rec.lhs) == _bits([e[0] for e in expected])
-        assert _bits(rec.phi) == _bits([e[1] for e in expected])
-        assert _bits(rec.rhs) == _bits([e[2] for e in expected])
-        assert rec.abs_error.tobytes() == np.array([e[3] for e in expected]).tobytes()
-        assert rec.f_l1.tobytes() == np.array([e[4] for e in expected]).tobytes()
-        table, U, psi = spectrum.table, spectrum.U, spectrum.psi
-        assert frobenius_multiplicities(table, U, psi) == tuple(
-            scalar_frobenius(table, pi, U, psi) for pi in range(table.num_irreps)
-        )
+        for j, psi in enumerate(psis):
+            expected = scalar_check(table, U, psi, scalar_pair(table, U, psi).kernels, F)
+            assert _bits(rec.lhs[j]) == _bits([e[0] for e in expected])
+            assert _bits(rec.phi[j]) == _bits([e[1] for e in expected])
+            assert _bits(rec.rhs[j]) == _bits([e[2] for e in expected])
+            assert rec.abs_error[j].tobytes() == np.array([e[3] for e in expected]).tobytes()
+            # the reports' verdict norm, one per function for the whole report
+            f_l1 = np.abs(F).sum(axis=1)
+            assert f_l1.tobytes() == np.array([e[4] for e in expected]).tobytes()
+            assert frobenius_multiplicities(table, U, psi) == tuple(
+                scalar_frobenius(table, pi, U, psi) for pi in range(table.num_irreps)
+            )
+
+
+_ORACLE_SEED = 5
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(spec, count):
+    """Per pair, in sweep order: the scalar spectrum, check and probe."""
+    G = make_named_group(spec)
+    table = character_table(G)
+    F = draw_test_functions(G, _ORACLE_SEED, range(count))
+    slots = scalar_probe_slots(table, count, _ORACLE_SEED, 1e-6)
+    out = []
+    for U in enumerate_subgroups(G):
+        for psi in linear_characters(U):
+            pair = scalar_pair(table, U, psi)
+            check = scalar_check(table, U, psi, pair.kernels, F)
+            out.append((pair, check, scalar_probe(slots, pair.kernels)))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["default block", "one psi per block", "no plan cache"])
+@pytest.mark.parametrize("spec, count", STACKED_CASES)
+def test_stacked_spectra_match_scalar_oracles(monkeypatch, spec, count, mode):
+    G = make_named_group(spec)
+    table = character_table(G)
+    if mode == "one psi per block":
+        one_psi = 16 * table.num_irreps * (G.order + count)
+        monkeypatch.setattr(finharm.induction, "_SPECTRUM_BYTES", one_psi)
+    if mode == "no plan cache":
+        monkeypatch.setattr(finharm.induction, "_PLAN_BYTES", 0)
+    F = draw_test_functions(G, _ORACLE_SEED, range(count))
+    plan = probe_plan(table, count, _ORACLE_SEED)
+    expected = iter(_oracle(spec, count))
+    sizes = []
+    for U in enumerate_subgroups(G):
+        for spectrum in subgroup_spectra(table, U, linear_characters(U), count):
+            sizes.append(len(spectrum.psis))
+            rec = generalized_plancherel_check_batch(spectrum, F)
+            probe = conjecture_probe(spectrum, plan)
+            identity_ok = kernel_multiplicity_identity_check(spectrum)
+            assert spectrum.kernels.shape == (sizes[-1], table.num_irreps, G.order)
+            for j in range(sizes[-1]):
+                pair, check, probe_rows = next(expected)
+                assert _bits(spectrum.kernels[j]) == _bits(pair.kernels)
+                assert spectrum.multiplicities[j].tolist() == list(pair.multiplicities)
+                assert spectrum.conjugate_multiplicities[j].tolist() == list(
+                    pair.conjugate_multiplicities
+                )
+                assert spectrum.residuals[j].tobytes() == np.array(pair.residuals).tobytes()
+                assert identity_ok[j] == (max(pair.residuals) <= 1e-9)
+                assert _bits(rec.lhs[j]) == _bits([e[0] for e in check])
+                assert _bits(rec.phi[j]) == _bits([e[1] for e in check])
+                assert _bits(rec.rhs[j]) == _bits([e[2] for e in check])
+                assert rec.abs_error[j].tobytes() == np.array([e[3] for e in check]).tobytes()
+                for pi, (ratios, flags, spread, constant) in enumerate(probe_rows):
+                    assert _bits(probe.ratios[j, pi]) == _bits(ratios)
+                    assert probe.flagged[pi].tolist() == flags
+                    assert probe.spread[j, pi].tobytes() == np.float64(spread).tobytes()
+                    assert probe.constant[j, pi] == constant
+                    clean = [r for r, f in zip(ratios, flags) if not f]
+                    assert _bits(probe.first_ratio[j, pi]) == _bits(clean[0])
+    assert next(expected, None) is None
+    if mode == "one psi per block":
+        assert set(sizes) == {1}
+    elif G.order > 1:
+        assert max(sizes) > 1
+
+
+def test_spectrum_block_bytes(monkeypatch):
+    table = character_table(make_named_group("symmetric:3"))
+    U = enumerate_subgroups(table.group)[-1]  # the whole group: two characters
+    one_psi = 16 * table.num_irreps * (table.group.order + 7)
+    for budget, sizes in (
+        (0, [1, 1]),
+        (one_psi, [1, 1]),
+        (2 * one_psi - 1, [1, 1]),
+        (2 * one_psi, [2]),
+    ):
+        monkeypatch.setattr(finharm.induction, "_SPECTRUM_BYTES", budget)
+        spectra = subgroup_spectra(table, U, linear_characters(U), 7)
+        assert [len(s.psis) for s in spectra] == sizes
 
 
 def _cached(plan):
@@ -109,21 +230,24 @@ def _cached(plan):
 def _probe_matches_oracle(threshold, count=5, seed=3):
     all_flagged = 0
     for spec in ("symmetric:3", "quaternion"):
-        plan = None
-        for spectrum in _pairs(spec):
+        plan = slots = None
+        for U, psis, spectrum in _spectra(spec):
             plan = plan or probe_plan(spectrum.table, count, seed)
+            slots = slots or scalar_probe_slots(spectrum.table, count, seed, threshold)
             rec = conjecture_probe(spectrum, plan)
-            expected = scalar_probe(spectrum, count, seed, threshold)
-            assert rec.ratios.shape == rec.flagged.shape == (len(expected), count)
-            for pi, (ratios, flags, spread, constant) in enumerate(expected):
-                assert _bits(rec.ratios[pi]) == _bits(ratios)
-                assert rec.flagged[pi].tolist() == flags
-                assert rec.spread[pi].tobytes() == np.float64(spread).tobytes()
-                assert rec.constant[pi] == constant
-                clean = [r for r, f in zip(ratios, flags) if not f]
-                first = clean[0] if clean else complex("nan+nanj")
-                assert _bits(rec.first_ratio[pi]) == _bits(first)
-                all_flagged += all(flags)
+            assert rec.ratios.shape == (len(psis),) + rec.flagged.shape
+            assert rec.flagged.shape == (spectrum.table.num_irreps, count)
+            for j, psi in enumerate(psis):
+                expected = scalar_probe(slots, scalar_pair(spectrum.table, U, psi).kernels)
+                for pi, (ratios, flags, spread, constant) in enumerate(expected):
+                    assert _bits(rec.ratios[j, pi]) == _bits(ratios)
+                    assert rec.flagged[pi].tolist() == flags
+                    assert rec.spread[j, pi].tobytes() == np.float64(spread).tobytes()
+                    assert rec.constant[j, pi] == constant
+                    clean = [r for r, f in zip(ratios, flags) if not f]
+                    first = clean[0] if clean else complex("nan+nanj")
+                    assert _bits(rec.first_ratio[j, pi]) == _bits(first)
+                    all_flagged += all(flags)
             for a in (rec.ratios, rec.flagged, rec.first_ratio, rec.spread, rec.constant):
                 assert not a.flags.writeable
     return all_flagged
@@ -177,8 +301,9 @@ def test_probe_plan_cache_stays_in_budget(monkeypatch, block_elements):
 
 def test_probe_rejects_plan_of_another_table():
     table = character_table(make_named_group("symmetric:3"))
+    _, _, spectrum = next(_spectra("quaternion"))
     with pytest.raises(GroupMismatch):
-        conjecture_probe(next(_pairs("quaternion")), probe_plan(table, 2))
+        conjecture_probe(spectrum, probe_plan(table, 2))
 
 
 def test_sweep_draws_one_plan(monkeypatch):
@@ -192,3 +317,39 @@ def test_sweep_draws_one_plan(monkeypatch):
     report = build_report("sweep", RunConfig(group_spec="symmetric:4", num_test_functions=2))
     assert len(report.payload["probes"]) > 1
     assert len(calls) == 1
+
+
+def _rendered(command, config):
+    report = dataclasses.replace(build_report(command, config), wall_time=0.0)
+    return report.to_json(), report.to_csv()
+
+
+@pytest.mark.parametrize("command", ["sweep", "conjecture-probe"])
+def test_uncached_plan_blocks_are_redrawn_once_per_psi_block(monkeypatch, command):
+    # blocks of three functions of Q8, so the plan has several blocks
+    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 24)
+    config = RunConfig(group_spec="quaternion", num_test_functions=5, seed=2)
+    cached = _rendered(command, config)
+    draw = finharm.induction._draw
+    make_plan = finharm.reports.probe_plan
+    probe = finharm.reports.conjecture_probe
+    draws, plans, psi_blocks = [], [], []
+
+    def planning(*args):
+        plans.append(make_plan(*args))
+        draws.clear()  # count only the re-draws once the plan exists
+        return plans[-1]
+
+    def probing(spectrum, plan):
+        psi_blocks.append(len(spectrum.psis))
+        return probe(spectrum, plan)
+
+    monkeypatch.setattr(finharm.induction, "_draw", lambda *a: draws.append(a) or draw(*a))
+    monkeypatch.setattr(finharm.reports, "probe_plan", planning)
+    monkeypatch.setattr(finharm.reports, "conjecture_probe", probing)
+    monkeypatch.setattr(finharm.induction, "_PLAN_BYTES", 0)
+    assert _rendered(command, config) == cached
+    (plan,) = plans
+    assert len(plan.blocks) > 1 and all(F is None for _, _, F in plan.blocks)
+    assert len(psi_blocks) < sum(psi_blocks)  # fewer psi-blocks than pairs
+    assert len(draws) == len(plan.blocks) * len(psi_blocks)

@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finharm.induction
 import finharm.reports
-from finharm import IndexOutOfRange, SweepAborted, build_report
+from finharm import (
+    IndexOutOfRange,
+    LinearCharacter,
+    NonIntegralMultiplicity,
+    SweepAborted,
+    build_report,
+)
+from finharm.cli import main
 from finharm import test_functions as draw_test_functions
 from finharm.formatting import fmt_complex, fmt_complex_rows, fmt_real
 from finharm.reports import RunConfig, SweepReport
@@ -354,3 +362,59 @@ def test_parse_failure_aborts_with_config_only_payload():
     payload = err.value.report.payload
     assert payload["incomplete"] is True
     assert "group" not in payload
+
+
+def _third_psi_not_multiplicative(monkeypatch):
+    """Hand every subgroup with three or more linear characters a third one
+    of unit modulus, 1 at the identity, that is not a homomorphism."""
+    real = finharm.reports.linear_characters
+
+    def patched(U):
+        psis = real(U)
+        if len(psis) >= 3:
+            values = psis[0].member_values.copy()
+            values[1] = -values[1]
+            psis[2] = LinearCharacter(U, values)
+        return psis
+
+    monkeypatch.setattr(finharm.reports, "linear_characters", patched)
+
+
+# Recorded before the characters of a subgroup shared one spectrum, when each
+# pair ran alone: the partial report holds every pair before the failing one,
+# including the first two characters of its own subgroup.
+MID_SUBGROUP_ABORTS = [
+    ("dihedral:4", 3, 1, 13, "6.83897383169e-14",
+     "Frobenius inner product = (0.500000000000001+0j) does not round to a nonnegative integer",
+     "b3a159a6c4226700f5d71362c0de5007ae9e516206a029dff1d834adc62dea25"),
+    ("cyclic:6", 2, 0, 5, "6.2172489379e-15",
+     "Frobenius inner product = (0.33333333333333387-1.252541866889838e-16j) "
+     "does not round to a nonnegative integer",
+     "b1ce6bf5834bf7c05e581ee62e97c37713dc918c8eb7f1f15bc508c722fdbb5e"),
+]
+
+
+@pytest.mark.parametrize("block", ["default", "one psi"])
+@pytest.mark.parametrize(
+    "spec, count, seed, pairs, max_abs_error, error, digest", MID_SUBGROUP_ABORTS
+)
+def test_mid_subgroup_abort_keeps_the_pairs_before_it(
+    monkeypatch, capsys, tmp_path, block, spec, count, seed, pairs, max_abs_error, error, digest
+):
+    _third_psi_not_multiplicative(monkeypatch)
+    if block == "one psi":
+        monkeypatch.setattr(finharm.induction, "_SPECTRUM_BYTES", 0)
+    with pytest.raises(SweepAborted) as err:
+        build_report("sweep", RunConfig(group_spec=spec, num_test_functions=count, seed=seed))
+    report = err.value.report
+    assert isinstance(err.value.__cause__, NonIntegralMultiplicity)
+    assert report.payload["error"] == error
+    assert report.payload["max_abs_error"] == max_abs_error
+    assert len(report.payload["checks"]) == len(report.payload["probes"]) == pairs
+    assert report.payload["checks"][-1]["psi_index"] == 1
+    assert report.digest == digest
+    out = tmp_path / "report"
+    argv = ["sweep", spec, "--count", str(count), "--seed", str(seed)]
+    assert main(argv + ["--out", str(out)]) == 2
+    capsys.readouterr()
+    assert json.loads(out.read_text())["digest"] == digest
