@@ -16,15 +16,11 @@ from .characters import (
     verify_orthogonality,
 )
 from .errors import (
-    ChainNotExhaustive,
-    ChainNotNested,
-    ChainNotSymmetric,
     ClosureExceedsCap,
     EigensplitFailure,
     FinharmError,
     GroupMismatch,
     IndexOutOfRange,
-    IndexTooLarge,
     InvalidPermutation,
     NonIntegralMultiplicity,
     OrderTooLarge,
@@ -44,18 +40,12 @@ from .groups import (
     enumerate_subgroups,
     make_named_group,
     subgroup_closure,
-    verify_group_axioms,
 )
 from .harmonic import (
-    GroupFunction,
     WhittakerCheckRecord,
-    character_as_function,
     convolve_over_subgroup,
     generalized_plancherel_check_batch,
-    phi,
     plancherel_invert_at_identity,
-    theta,
-    whittaker_transform,
 )
 from .induction import (
     InducedCharacter,
@@ -64,14 +54,12 @@ from .induction import (
     ProbeRecord,
     SubgroupSpectrum,
     conjecture_probe,
-    frobenius_multiplicities,
     induced_character,
-    induced_rep_matrices,
+    induced_rep,
     kernel_multiplicity_identity_check,
     probe_plan,
     subgroup_spectra,
     subgroup_spectrum,
-    truncation_demo,
 )
 from .reports import RunConfig, SweepReport, build_report
 
@@ -84,15 +72,11 @@ __all__ = [
     "character_table",
     "linear_characters",
     "verify_orthogonality",
-    "ChainNotExhaustive",
-    "ChainNotNested",
-    "ChainNotSymmetric",
     "ClosureExceedsCap",
     "EigensplitFailure",
     "FinharmError",
     "GroupMismatch",
     "IndexOutOfRange",
-    "IndexTooLarge",
     "InvalidPermutation",
     "NonIntegralMultiplicity",
     "OrderTooLarge",
@@ -110,30 +94,22 @@ __all__ = [
     "enumerate_subgroups",
     "make_named_group",
     "subgroup_closure",
-    "verify_group_axioms",
-    "GroupFunction",
     "WhittakerCheckRecord",
-    "character_as_function",
     "convolve_over_subgroup",
     "generalized_plancherel_check_batch",
-    "phi",
     "plancherel_invert_at_identity",
-    "theta",
-    "whittaker_transform",
     "InducedCharacter",
     "InducedRep",
     "ProbePlan",
     "ProbeRecord",
     "SubgroupSpectrum",
     "conjecture_probe",
-    "frobenius_multiplicities",
     "induced_character",
-    "induced_rep_matrices",
+    "induced_rep",
     "kernel_multiplicity_identity_check",
     "probe_plan",
     "subgroup_spectra",
     "subgroup_spectrum",
-    "truncation_demo",
     "RunConfig",
     "SweepReport",
     "build_report",

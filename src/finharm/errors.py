@@ -61,22 +61,6 @@ class NonIntegralMultiplicity(FinharmError):
     """Frobenius inner product failed to round to a nonnegative integer."""
 
 
-class IndexTooLarge(FinharmError):
-    """Subgroup index exceeds the cap for explicit induced matrices."""
-
-
-class ChainNotNested(FinharmError):
-    """Truncation chain is not an increasing chain of subsets."""
-
-
-class ChainNotSymmetric(FinharmError):
-    """Truncation chain member is not closed under inversion."""
-
-
-class ChainNotExhaustive(FinharmError):
-    """Truncation chain does not terminate at the full subgroup."""
-
-
 class SweepAborted(FinharmError):
     """A sweep died partway; carries the partial report for delivery."""
 

@@ -7,6 +7,11 @@ where Phi_pi(f) = sum_g f(g) * (conj(psi) *_U theta_pi)(g), mu_pi is the
 Plancherel weight deg(pi)/|G|, and all sums run over the finite group with
 counting measure.
 
+A function on G is a row of a (k, |G|) complex array indexed by element:
+Theta_pi(f) is f @ table.element_values[pi], Phi_pi(f) for the j-th psi of a
+spectrum is spectrum.kernels[j, pi] @ f, and psi *_U f is
+convolve_over_subgroup(psi.member_values, U, f).
+
 Accumulation over irreps uses compensated (Kahan) summation in ascending
 index order so reports are reproducible to the last bit.
 """
@@ -14,67 +19,16 @@ index order so reports are reproducible to the last bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .characters import CharacterTable, LinearCharacter
-from .errors import GroupMismatch, IndexOutOfRange, SubgroupMismatch
-from .groups import FiniteGroup, Subgroup
+from .characters import CharacterTable
+from .errors import GroupMismatch, SubgroupMismatch
+from .groups import Subgroup
 
 if TYPE_CHECKING:
     from .induction import SubgroupSpectrum
-
-
-class GroupFunction:
-    """A complex-valued function on a group, stored per element index."""
-
-    __slots__ = ("group", "values")
-
-    def __init__(self, group: FiniteGroup, values: Sequence[complex] | np.ndarray) -> None:
-        vals = np.array(values, dtype=np.complex128)
-        if vals.shape != (group.order,):
-            raise ValueError(
-                f"expected {group.order} values, got shape {vals.shape}"
-            )
-        vals.setflags(write=False)
-        self.group = group
-        self.values = vals
-
-    @classmethod
-    def delta(cls, group: FiniteGroup, g: int) -> "GroupFunction":
-        if not 0 <= g < group.order:
-            raise IndexOutOfRange(f"element index {g} out of range")
-        vals = np.zeros(group.order, dtype=np.complex128)
-        vals[g] = 1.0
-        return cls(group, vals)
-
-    @classmethod
-    def indicator(cls, group: FiniteGroup, elements: Iterable[int]) -> "GroupFunction":
-        vals = np.zeros(group.order, dtype=np.complex128)
-        for g in elements:
-            if not 0 <= int(g) < group.order:
-                raise IndexOutOfRange(f"element index {g} out of range")
-            vals[int(g)] = 1.0
-        return cls(group, vals)
-
-    @property
-    def at_identity(self) -> complex:
-        return complex(self.values[0])
-
-    @property
-    def l1_norm(self) -> float:
-        return float(np.abs(self.values).sum())
-
-    def right_translate(self, g: int) -> "GroupFunction":
-        """The function x -> f(x * g); the supported idiom for evaluating
-        identity-pinned checks at an arbitrary point."""
-        if not 0 <= g < self.group.order:
-            raise IndexOutOfRange(f"element index {g} out of range")
-        return GroupFunction(self.group, self.values[self.group.mul_table[:, g]])
-
-    def __repr__(self) -> str:
-        return f"<GroupFunction on {self.group!r}>"
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,11 +54,6 @@ def _kahan_rows(terms: np.ndarray) -> np.ndarray:
 def _modulus(z: np.ndarray) -> np.ndarray:
     """|z| with the bits of Python abs(complex), which np.abs does not give."""
     return np.hypot(z.real, z.imag)
-
-
-def character_as_function(table: CharacterTable, pi: int) -> GroupFunction:
-    """theta_pi expanded from conjugacy classes to the whole group."""
-    return GroupFunction(table.group, table.character_on_elements(pi))
 
 
 def _coefficient_shape(stack: tuple[int, ...], ndim: int) -> tuple[int, ...]:
@@ -143,38 +92,12 @@ def convolve_over_subgroup(coeffs: np.ndarray, U: Subgroup, values: np.ndarray) 
     return out
 
 
-def theta(table: CharacterTable, pi: int, f: GroupFunction) -> complex:
-    """Distribution character: sum_x f(x) * chi_pi(class of x)."""
-    if f.group is not table.group:
-        raise GroupMismatch("f must live on the table's group")
-    return complex(np.dot(f.values, table.character_on_elements(pi)))
-
-
 def plancherel_invert_at_identity(table: CharacterTable, F: np.ndarray) -> np.ndarray:
     """sum_pi mu_pi * Theta_pi(f) for each row f of F, a (k, |G|) array;
     equals f(identity) for a correct table."""
     if F.ndim != 2 or F.shape[1] != table.group.order:
         raise GroupMismatch("F must hold functions on the table's group, one per row")
     return _kahan_rows(_dots(F[:, None, :], table.element_values) * table.plancherel_weights)
-
-
-def whittaker_transform(U: Subgroup, psi: LinearCharacter, f: GroupFunction) -> GroupFunction:
-    """psi *_U f. The output W satisfies W(u*g) = psi(u) * W(g) for u in U."""
-    if psi.subgroup is not U:
-        raise SubgroupMismatch("psi must be a character of U")
-    if f.group is not U.parent:
-        raise GroupMismatch("f must live on the parent group of U")
-    return GroupFunction(U.parent, convolve_over_subgroup(psi.member_values, U, f.values))
-
-
-def phi(spectrum: SubgroupSpectrum, pi: int, f: GroupFunction) -> np.ndarray:
-    """Generalized character of every psi of the spectrum:
-    sum_g f(g) * (conj(psi) *_U theta_pi)(g), one value per psi."""
-    if f.group is not spectrum.table.group:
-        raise GroupMismatch("f must live on the table's group")
-    if not 0 <= pi < spectrum.table.num_irreps:
-        raise IndexOutOfRange(f"irrep index {pi} out of range")
-    return _dots(spectrum.kernels[:, pi], f.values)
 
 
 @dataclass(frozen=True, eq=False)

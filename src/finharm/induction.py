@@ -1,10 +1,15 @@
-"""Induced representations, multiplicity bookkeeping, and derivation oracles.
+"""Induced representations, multiplicity bookkeeping, and the subgroup
+spectra that the checks and the probe read.
 
 Three independent routes to the multiplicity of an irreducible pi in the
-representation induced from a subgroup character psi live here: the
-restriction inner product (Frobenius reciprocity), the induced-character
-formula, and the trace of explicit monomial matrices. They must agree
-exactly; the test suite relies on that triple agreement.
+representation induced from a subgroup character psi live here, and they
+must agree exactly; the test suite relies on that triple agreement: the
+restriction inner product (Frobenius reciprocity, _frobenius, the route of
+subgroup_spectrum), the induced-character formula (induced_character, which
+reads neither kernels nor spectra), and the trace of the monomial action on
+the cosets U\\G (induced_rep). That action is computed when needed, never
+held as a matrix per element, so the index [G:U] has no cap: r_i * g lies in
+the coset U * r_j with phase psi(r_i g r_j^-1).
 
 The kernel identity, whose residuals subgroup_spectrum records once per
 (U, psi) and kernel_multiplicity_identity_check compares with a tolerance, is
@@ -25,9 +30,8 @@ characters of U into blocks of about _SPECTRUM_BYTES.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,21 +39,14 @@ from . import _rng
 from ._rng import derive_stream_seed, row_blocks, test_functions
 from .characters import CharacterTable, LinearCharacter
 from .errors import (
-    ChainNotExhaustive,
-    ChainNotNested,
-    ChainNotSymmetric,
     GroupMismatch,
-    IndexTooLarge,
+    IndexOutOfRange,
     NonIntegralMultiplicity,
     SubgroupMismatch,
     ToleranceViolation,
 )
 from .groups import FiniteGroup, Subgroup
-from .harmonic import GroupFunction, _dots, _modulus, convolve_over_subgroup
-
-logger = logging.getLogger(__name__)
-
-INDUCED_MATRIX_INDEX_CAP = 64
+from .harmonic import _dots, _modulus, convolve_over_subgroup
 
 _THETA_ZERO_THRESHOLD = 1e-6
 _RESAMPLE_BUDGET = 32
@@ -79,18 +76,16 @@ def _snap(inner: np.ndarray, order: int, tol: float, what: str) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def frobenius_multiplicities(
-    table: CharacterTable, U: Subgroup, psi: LinearCharacter, tol: float = 1e-6
-) -> tuple[int, ...]:
-    """Multiplicity of every irrep pi in the induction of psi, via restriction:
-    (1/|U|) sum_{u in U} chi_pi(u) * conj(psi(u))."""
-    _check_wiring(table, U, psi)
+def _frobenius(table: CharacterTable, U: Subgroup, coeffs: np.ndarray, tol: float) -> np.ndarray:
+    """Multiplicity of every irrep pi in the representation induced from
+    conj(c), for each member-aligned row c of coeffs: the snapped
+    (1/|U|) sum_{u in U} chi_pi(u) * c(u)."""
     restricted = table.element_values[:, U.members_array]
-    inner = _dots(restricted, np.conj(psi.member_values))
-    return tuple(_snap(inner, U.order, tol, "Frobenius inner product").tolist())
+    inner = _dots(restricted, coeffs[..., None, :])
+    return _snap(inner, U.order, tol, "Frobenius inner product")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedCharacter:
     """Character of the induced representation, on conjugacy classes."""
 
@@ -106,24 +101,16 @@ def induced_character(
     U: Subgroup, psi: LinearCharacter, table: CharacterTable, tol: float = 1e-6
 ) -> InducedCharacter:
     """chi(g) = (1/|U|) * sum over x in G with x^-1 g x in U of psi(x^-1 g x),
-    together with its expansion coefficients in the irreducible rows."""
+    together with its expansion coefficients in the irreducible rows, which
+    must equal the restriction inner product's."""
     _check_wiring(table, U, psi)
     G = U.parent
     mul = G.mul_table
-    inv = G.inv_table
-    n = G.order
-    ar = np.arange(n)
-    psi_on_G = psi.on_parent()
-    r = len(G.classes)
-    values = np.empty(r, dtype=np.complex128)
-    for k in range(r):
-        rep = int(G.class_reps[k])
-        conjugated = mul[mul[inv, rep], ar]  # x^-1 * rep * x, per x
-        values[k] = complex(psi_on_G[conjugated].sum()) / U.order
-    sizes = G.class_sizes.astype(np.float64)
-    inner = np.array([complex(np.sum(sizes * values * np.conj(row))) for row in table.values])
-    mults = tuple(_snap(inner, n, tol, "coefficient of irrep {pi}").tolist())
-    if mults != frobenius_multiplicities(table, U, psi, tol):
+    conjugated = mul[mul[G.inv_table, G.class_reps[:, None]], np.arange(G.order)]  # x^-1 c x
+    values = psi.on_parent()[conjugated].sum(axis=1) / U.order
+    inner = (G.class_sizes * values * np.conj(table.values)).sum(axis=1)
+    mults = tuple(_snap(inner, G.order, tol, "coefficient of irrep {pi}").tolist())
+    if mults != tuple(_frobenius(table, U, np.conj(psi.member_values), tol).tolist()):
         raise ToleranceViolation(
             "induced-character coefficients disagree with the restriction inner product"
         )
@@ -131,50 +118,49 @@ def induced_character(
     return InducedCharacter(values=values, multiplicities=mults)
 
 
-@dataclass(frozen=True)
-class InducedRep:
-    """Monomial matrices of the representation induced from a subgroup
-    character, acting on coset functions. dimension = [G:U]."""
+def _monomial_action(U: Subgroup, psi_on_G: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each element g[k] and coset representative r_i: the coset j of
+    r_i * g[k] = u * r_j, and the phase psi(u) = psi(r_i g[k] r_j^-1); two
+    (len(g), [G:U]) arrays."""
+    G = U.parent
+    reps = np.array(U.left_coset_reps, dtype=np.int64)
+    moved = G.mul_table[reps, g[:, None]]  # r_i * g
+    target = U.coset_of[moved]
+    return target, psi_on_G[G.mul_table[moved, G.inv_table[reps[target]]]]
 
+
+@dataclass(frozen=True, eq=False)
+class InducedRep:
+    """The representation induced from a subgroup character, as its monomial
+    action on the cosets U\\G: dimension = [G:U], and character is its trace
+    at each class representative."""
+
+    U: Subgroup
+    psi: LinearCharacter
     dimension: int
-    matrices: dict[int, np.ndarray]
     character: np.ndarray
 
+    def matrix(self, g: int) -> np.ndarray:
+        """M(g)[i, j] = psi(u) where r_i * g = u * r_j, zero elsewhere: one
+        unit-modulus entry per row and column, and g -> M(g) is a
+        homomorphism."""
+        if not 0 <= g < self.U.parent.order:
+            raise IndexOutOfRange(f"element index {g} out of range")
+        target, phase = _monomial_action(self.U, self.psi.on_parent(), np.array([g]))
+        M = np.zeros((self.dimension, self.dimension), dtype=np.complex128)
+        M[np.arange(self.dimension), target[0]] = phase[0]
+        return M
 
-def induced_rep_matrices(U: Subgroup, psi: LinearCharacter) -> InducedRep:
-    """Explicit matrices: M(g)[i, j] = psi(u) where r_i * g = u * r_j.
 
-    Each row and column carries exactly one unit-modulus entry, and
-    g -> M(g) is a homomorphism with trace equal to the induced character.
-    """
+def induced_rep(U: Subgroup, psi: LinearCharacter) -> InducedRep:
+    """The monomial representation induced from psi, with its trace at every
+    class representative: the phases of the cosets that g fixes."""
     if psi.subgroup is not U:
         raise SubgroupMismatch("psi must be a character of U")
-    d = U.num_cosets
-    if d > INDUCED_MATRIX_INDEX_CAP:
-        raise IndexTooLarge(
-            f"subgroup index {d} exceeds the explicit-matrix cap {INDUCED_MATRIX_INDEX_CAP}"
-        )
-    G = U.parent
-    mul = G.mul_table
-    inv = G.inv_table
-    reps = np.array(U.left_coset_reps, dtype=np.int64)
-    psi_on_G = psi.on_parent()
-    rows = np.arange(d)
-    matrices: dict[int, np.ndarray] = {}
-    for g in range(G.order):
-        moved = mul[reps, g]                   # r_i * g
-        target = U.coset_of[moved]             # coset index j per row i
-        unit = mul[moved, inv[reps[target]]]   # u = r_i * g * r_j^-1, a member of U
-        M = np.zeros((d, d), dtype=np.complex128)
-        M[rows, target] = psi_on_G[unit]
-        M.setflags(write=False)
-        matrices[g] = M
-    character = np.array(
-        [complex(np.trace(matrices[int(rep)])) for rep in G.class_reps],
-        dtype=np.complex128,
-    )
+    target, phase = _monomial_action(U, psi.on_parent(), U.parent.class_reps)
+    character = np.where(target == np.arange(U.num_cosets), phase, 0).sum(axis=1)
     character.setflags(write=False)
-    return InducedRep(dimension=d, matrices=matrices, character=character)
+    return InducedRep(U, psi, U.num_cosets, character)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,10 +199,8 @@ def subgroup_spectrum(
     for psi in psis:
         _check_wiring(table, U, psi)
     psi_values = np.array([psi.member_values for psi in psis])
-    restricted = table.element_values[:, U.members_array]
-    what = "Frobenius inner product"
-    mults = _snap(_dots(restricted, np.conj(psi_values)[:, None, :]), U.order, 1e-6, what)
-    conj_mults = _snap(_dots(restricted, psi_values[:, None, :]), U.order, 1e-6, what)
+    mults = _frobenius(table, U, np.conj(psi_values), 1e-6)
+    conj_mults = _frobenius(table, U, psi_values, 1e-6)
     kernels = convolve_over_subgroup(np.conj(psi_values), U, table.element_values)
     residuals = _modulus(kernels[:, :, 0] - U.order * conj_mults)
     for a in (psi_values, kernels, mults, conj_mults, residuals):
@@ -260,57 +244,6 @@ def kernel_multiplicity_identity_check(
     alongside in the spectrum; the two coincide whenever psi is real.
     """
     return spectrum.residuals.max(axis=1) <= tol
-
-
-def truncation_demo(
-    U: Subgroup,
-    psi: LinearCharacter,
-    table: CharacterTable,
-    pi: int,
-    chain: Sequence[Iterable[int]],
-) -> list[GroupFunction]:
-    """Kernels of psi restricted to a growing chain of supports.
-
-    chain is a nested sequence K_1 <= ... <= K_m of member subsets, each
-    containing the identity and closed under inversion, ending at the full
-    subgroup. Element n of the result is conj(psi * 1_{K_n}) *_U theta_pi;
-    the last one reproduces the untruncated kernel bit for bit because it
-    runs through the identical summation.
-    """
-    _check_wiring(table, U, psi)
-    member_set = set(U.members)
-    inv = U.parent.inv_table
-    stages: list[list[int]] = []
-    previous: set[int] | None = None
-    for K in chain:
-        current = {int(x) for x in K}
-        if not current <= member_set:
-            raise ChainNotNested("chain member leaves the subgroup")
-        if previous is not None and not previous <= current:
-            raise ChainNotNested("chain sets must be increasing")
-        if 0 not in current:
-            raise ChainNotSymmetric("each chain set must contain the identity")
-        if any(int(inv[x]) not in current for x in current):
-            raise ChainNotSymmetric("each chain set must be closed under inversion")
-        previous = current
-        stages.append(sorted(current))
-    if not stages or set(stages[-1]) != member_set:
-        raise ChainNotExhaustive("chain must terminate at the full subgroup")
-
-    theta_values = table.character_on_elements(pi)
-    psi_bar = np.conj(psi.member_values)
-    kernels = []
-    for support in stages:
-        coeffs = np.where(np.isin(U.members_array, support), psi_bar, 0)
-        kernels.append(GroupFunction(table.group, convolve_over_subgroup(coeffs, U, theta_values)))
-    final = kernels[-1].values
-    for i, k in enumerate(kernels[:-1]):
-        logger.debug(
-            "truncation stage %d sup-norm deviation %g",
-            i,
-            float(np.max(np.abs(k.values - final))),
-        )
-    return kernels
 
 
 _PLAN_BYTES = 64 << 20  # cached test functions per plan; past it, blocks are re-drawn

@@ -1,9 +1,15 @@
 """Loop-only reference computations used to cross-check the package.
 
-Nothing here shares a code path with the vectorized internals: sums run as
-plain Python loops over scalar table lookups, or over one 1-D np.dot per
-function and irrep, so agreement between these values and the package's is
-meaningful evidence. The summation-order oracle shuffles its loops by seed.
+Functions on a group are (|G|,) complex arrays indexed by element, as in the
+package. Apart from truncation_demo, nothing here shares a code path with the
+vectorized internals: sums run as plain Python loops over scalar table
+lookups, or over one 1-D np.dot per function and irrep, so agreement between
+these values and the package's is meaningful evidence. The summation-order
+oracle shuffles its loops by seed. truncation_demo convolves its truncated
+kernels through the package's convolve_over_subgroup on purpose: its final
+stage must reproduce the package's kernel bit for bit, which only the same
+summation can. verify_group_axioms is the exhaustive O(n^3) check that the
+package's group constructor leaves out.
 """
 
 from __future__ import annotations
@@ -18,11 +24,13 @@ import numpy as np
 from finharm import (
     CharacterTable,
     FiniteGroup,
-    GroupFunction,
+    FinharmError,
     GroupMismatch,
     LinearCharacter,
     Subgroup,
+    SubgroupMismatch,
     ToleranceViolation,
+    convolve_over_subgroup,
     subgroup_closure,
     test_functions,
 )
@@ -71,45 +79,45 @@ def brute_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def brute_convolve(
-    coeffs: dict[int, complex], U: Subgroup, f: GroupFunction
+    coeffs: dict[int, complex], U: Subgroup, f: np.ndarray
 ) -> list[complex]:
     G = U.parent
     out = []
     for x in range(G.order):
         acc = 0j
         for u, c in coeffs.items():
-            acc += complex(c) * complex(f.values[G.mul(G.inv(u), x)])
+            acc += complex(c) * complex(f[G.mul(G.inv(u), x)])
         out.append(acc)
     return out
 
 
-def brute_inversion(table: CharacterTable, f: GroupFunction) -> complex:
+def brute_inversion(table: CharacterTable, f: np.ndarray) -> complex:
     G = table.group
     total = 0j
     for pi in range(table.num_irreps):
         th = 0j
         for x in range(G.order):
-            th += complex(f.values[x]) * complex(table.values[pi, G.class_of[x]])
+            th += complex(f[x]) * complex(table.values[pi, G.class_of[x]])
         total += (table.degrees[pi] / G.order) * th
     return total
 
 
 def brute_whittaker_sides(
-    table: CharacterTable, U: Subgroup, psi: LinearCharacter, f: GroupFunction
+    table: CharacterTable, U: Subgroup, psi: LinearCharacter, f: np.ndarray
 ) -> tuple[complex, complex]:
     """Both sides of the transform identity: lhs (psi *_U f)(identity), rhs
     the weighted sum over irreps of the kernel pairing, by raw triple loops."""
     G = table.group
     lhs = 0j
     for u in U.members:
-        lhs += psi(u) * complex(f.values[G.inv(u)])
+        lhs += psi(u) * complex(f[G.inv(u)])
     rhs = 0j
     for pi in range(table.num_irreps):
         pairing = 0j
         for x in range(G.order):
             for u in U.members:
                 chi = complex(table.values[pi, G.class_of[G.mul(G.inv(u), x)]])
-                pairing += psi(u).conjugate() * chi * complex(f.values[x])
+                pairing += psi(u).conjugate() * chi * complex(f[x])
         rhs += (table.degrees[pi] / G.order) * pairing
     return lhs, rhs
 
@@ -144,13 +152,13 @@ def brute_induced_character_value(U: Subgroup, psi: LinearCharacter, g: int) -> 
     total = 0j
     for x in range(G.order):
         c = G.mul(G.mul(G.inv(x), g), x)
-        if U.contains(c):
+        if U.member_mask[c]:
             total += psi(c)
     return total / U.order
 
 
 def brute_fubini_value(
-    table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter, f: GroupFunction
+    table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter, f: np.ndarray
 ) -> complex:
     """The double sum over (g, u) of theta(g) f(u^-1 g) psi(u), one fixed order."""
     G = table.group
@@ -158,7 +166,7 @@ def brute_fubini_value(
     for g in range(G.order):
         chi = complex(table.values[pi, G.class_of[g]])
         for u in U.members:
-            total += chi * complex(f.values[G.mul(G.inv(u), g)]) * psi(u)
+            total += chi * complex(f[G.mul(G.inv(u), g)]) * psi(u)
     return total
 
 
@@ -167,7 +175,7 @@ def fubini_interchange_oracle(
     pi: int,
     U: Subgroup,
     psi: LinearCharacter,
-    f: GroupFunction,
+    f: np.ndarray,
     seed: int = 0,
 ) -> tuple[complex, complex]:
     """Evaluate sum_g sum_u theta_pi(g) f(u^-1 g) psi(u) three ways.
@@ -178,7 +186,7 @@ def fubini_interchange_oracle(
     genuine order-independence rather than one fixed loop nesting. The three
     values are required to agree; (orderA, orderB) is returned.
     """
-    if not (U.parent is table.group is f.group and psi.subgroup is U):
+    if not (U.parent is table.group and psi.subgroup is U and f.shape == (table.group.order,)):
         raise GroupMismatch("table, U, psi and f must share one group")
     G = table.group
     n = G.order
@@ -189,7 +197,7 @@ def fubini_interchange_oracle(
     psiv = psi.member_values
 
     # f(u^-1 g) laid out as a |U| x |G| matrix
-    translates = f.values[mul[np.ix_(inv[members], np.arange(n))]]
+    translates = f[mul[np.ix_(inv[members], np.arange(n))]]
     inner_over_u = psiv @ translates
 
     g_order = np.argsort(unit_uniforms(derive_stream_seed(int(seed), 0), n), kind="stable")
@@ -203,7 +211,7 @@ def fubini_interchange_oracle(
     order_b = 0.0 + 0.0j
     for ui in u_order:
         u = int(members[ui])
-        order_b += complex(psiv[ui]) * complex(np.dot(theta_el, f.values[mul[inv[u]]]))
+        order_b += complex(psiv[ui]) * complex(np.dot(theta_el, f[mul[inv[u]]]))
 
     substituted = 0.0 + 0.0j
     u_order_s = np.argsort(
@@ -211,7 +219,7 @@ def fubini_interchange_oracle(
     )
     for ui in u_order_s:
         u = int(members[ui])
-        substituted += complex(psiv[ui]) * complex(np.dot(theta_el[mul[u]], f.values))
+        substituted += complex(psiv[ui]) * complex(np.dot(theta_el[mul[u]], f))
 
     scale = 1.0 + max(abs(order_a), abs(order_b), abs(substituted))
     worst = max(
@@ -222,6 +230,45 @@ def fubini_interchange_oracle(
             f"summation orders disagree by {worst:g} (scale {scale:g})"
         )
     return (order_a, order_b)
+
+
+def verify_group_axioms(G: FiniteGroup) -> bool:
+    """Exhaustive associativity/identity/inverse/class-consistency check.
+
+    O(n^3) but chunked; meant for corpus groups (order <= a few hundred).
+    Raises ValueError on the first violated axiom, returns True otherwise.
+    """
+    mul = G.mul_table
+    inv = G.inv_table
+    n = G.order
+    ar = np.arange(n)
+    if not (np.array_equal(mul[0], ar) and np.array_equal(mul[:, 0], ar)):
+        raise ValueError("identity axiom fails")
+    zero = np.zeros(n, dtype=np.int64)
+    if not (np.array_equal(mul[ar, inv], zero) and np.array_equal(mul[inv, ar], zero)):
+        raise ValueError("inverse axiom fails")
+    chunk = max(1, (1 << 22) // max(n * n, 1))
+    for start in range(0, n, chunk):
+        rows = mul[start:start + chunk]
+        left = mul[rows]          # (a*b)*c
+        right = rows[:, mul]      # a*(b*c)
+        if not np.array_equal(left, right):
+            raise ValueError("associativity fails")
+    # classes: partition plus conjugation invariance
+    covered = np.zeros(n, dtype=bool)
+    for k, cls in enumerate(G.classes):
+        idx = np.array(cls, dtype=np.int64)
+        if covered[idx].any():
+            raise ValueError("classes are not disjoint")
+        covered[idx] = True
+        if not np.array_equal(G.class_of[idx], np.full(len(cls), k, dtype=np.int64)):
+            raise ValueError("class_of disagrees with the class partition")
+    if not covered.all():
+        raise ValueError("classes do not cover the group")
+    for g in range(n):
+        if not np.array_equal(G.class_of[mul[mul[g, :], inv[g]]], G.class_of):
+            raise ValueError("conjugation does not preserve classes")
+    return True
 
 
 def structure_constants(G: FiniteGroup) -> np.ndarray:
@@ -518,3 +565,65 @@ def fraction_linear_characters(U: Subgroup) -> list[LinearCharacter]:
     ]
     order = _descending_row_order(np.array([psi.member_values for psi in lifted]))
     return [lifted[i] for i in order]
+
+
+# --- truncated kernels -------------------------------------------------------
+
+
+class ChainNotNested(FinharmError):
+    """Truncation chain is not an increasing chain of subsets."""
+
+
+class ChainNotSymmetric(FinharmError):
+    """Truncation chain member is not closed under inversion."""
+
+
+class ChainNotExhaustive(FinharmError):
+    """Truncation chain does not terminate at the full subgroup."""
+
+
+def truncation_demo(
+    U: Subgroup,
+    psi: LinearCharacter,
+    table: CharacterTable,
+    pi: int,
+    chain,
+) -> list[np.ndarray]:
+    """Kernels of psi restricted to a growing chain of supports.
+
+    chain is a nested sequence K_1 <= ... <= K_m of member subsets, each
+    containing the identity and closed under inversion, ending at the full
+    subgroup. Element n of the result is conj(psi * 1_{K_n}) *_U theta_pi, a
+    (|G|,) array; the last one reproduces the untruncated kernel bit for bit
+    because it runs through the identical summation.
+    """
+    if U.parent is not table.group:
+        raise GroupMismatch("U must be a subgroup of the table's group")
+    if psi.subgroup is not U:
+        raise SubgroupMismatch("psi must be a character of U")
+    member_set = set(U.members)
+    inv = U.parent.inv_table
+    stages: list[list[int]] = []
+    previous: set[int] | None = None
+    for K in chain:
+        current = {int(x) for x in K}
+        if not current <= member_set:
+            raise ChainNotNested("chain member leaves the subgroup")
+        if previous is not None and not previous <= current:
+            raise ChainNotNested("chain sets must be increasing")
+        if 0 not in current:
+            raise ChainNotSymmetric("each chain set must contain the identity")
+        if any(int(inv[x]) not in current for x in current):
+            raise ChainNotSymmetric("each chain set must be closed under inversion")
+        previous = current
+        stages.append(sorted(current))
+    if not stages or set(stages[-1]) != member_set:
+        raise ChainNotExhaustive("chain must terminate at the full subgroup")
+
+    theta_values = table.character_on_elements(pi)
+    psi_bar = np.conj(psi.member_values)
+    kernels = []
+    for support in stages:
+        coeffs = np.where(np.isin(U.members_array, support), psi_bar, 0)
+        kernels.append(convolve_over_subgroup(coeffs, U, theta_values))
+    return kernels

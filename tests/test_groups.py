@@ -21,7 +21,6 @@ from finharm import (
     enumerate_subgroups,
     make_named_group,
     subgroup_closure,
-    verify_group_axioms,
 )
 import finharm.groups
 from finharm.groups import _cyclic, _dihedral, _heisenberg, _mul_table_from_perms
@@ -36,6 +35,7 @@ from oracle_helpers import (
     perm_list,
     perm_parity,
     set_closure,
+    verify_group_axioms,
 )
 from conftest import CORPUS_SPECS
 

@@ -1,4 +1,4 @@
-"""Group functions, convolution, inversion, and the transform identity."""
+"""Functions as arrays, convolution, inversion, and the transform identity."""
 
 from __future__ import annotations
 
@@ -6,95 +6,124 @@ import numpy as np
 import pytest
 
 from finharm import (
-    GroupFunction,
     GroupMismatch,
     IndexOutOfRange,
     Subgroup,
     SubgroupMismatch,
-    character_as_function,
     convolve_over_subgroup,
     enumerate_subgroups,
     generalized_plancherel_check_batch,
     linear_characters,
-    make_named_group,
     plancherel_invert_at_identity,
     subgroup_closure,
     subgroup_spectrum,
-    theta,
-    whittaker_transform,
 )
 from finharm import test_functions as draw_test_functions
 from oracle_helpers import brute_convolve, brute_inversion, brute_whittaker_sides
 
 
+def _delta(G, g):
+    """The function 1 at element g and 0 elsewhere."""
+    return np.eye(G.order, dtype=np.complex128)[g]
+
+
+def _indicator(G, elements):
+    return np.isin(np.arange(G.order), elements).astype(np.complex128)
+
+
 def test_delta_and_indicator(s3):
-    d = GroupFunction.delta(s3, 2)
-    assert d.values.tolist() == [0, 0, 1, 0, 0, 0]
-    assert d.at_identity == 0
-    assert d.l1_norm == 1.0
-    ind = GroupFunction.indicator(s3, [1, 2, 5])
-    assert ind.l1_norm == 3.0
+    d = _delta(s3, 2)
+    assert d.tolist() == [0, 0, 1, 0, 0, 0]
+    for U in (subgroup_closure(s3, [1]), subgroup_closure(s3, [3])):
+        _check_delta_and_indicator(s3, U)
+    # element indices reach the library through subgroups, which check them
     with pytest.raises(IndexOutOfRange):
-        GroupFunction.delta(s3, 6)
+        Subgroup(s3, [0, 6])
     with pytest.raises(IndexOutOfRange):
-        GroupFunction.indicator(s3, [-1])
-    with pytest.raises(ValueError):
-        GroupFunction(s3, [1.0, 2.0])
+        subgroup_closure(s3, [-1])
+
+
+def _check_delta_and_indicator(s3, U):
+    for psi in linear_characters(U):
+        on_G = psi.on_parent()
+        # psi *_U delta_g is psi(x g^-1) on the coset U g and zero off it
+        for g in range(s3.order):
+            expected = [on_G[s3.mul(x, s3.inv(g))] for x in range(s3.order)]
+            out = convolve_over_subgroup(psi.member_values, U, _delta(s3, g))
+            assert out.tolist() == expected
+        # psi *_U 1_U is |U| * 1_U for the trivial psi and zero otherwise
+        total = psi.member_values.sum()
+        out = convolve_over_subgroup(psi.member_values, U, _indicator(s3, U.members))
+        assert np.allclose(out, total * _indicator(s3, U.members), atol=1e-12)
 
 
 def test_right_translate(s3):
-    f = GroupFunction(s3, np.arange(6, dtype=float))
-    g = 3
-    shifted = f.right_translate(g)
-    for x in range(6):
-        assert shifted.values[x] == f.values[s3.mul(x, g)]
+    f = draw_test_functions(s3, 17, [0])[0]
+    U = subgroup_closure(s3, [3])
+    for g in range(s3.order):
+        shifted = f[s3.mul_table[:, g]]  # (R_g f)(x) = f(x g)
+        for x in range(s3.order):
+            assert shifted[x] == f[s3.mul(x, g)]
+        # convolution over U acts on the left, so it commutes with R_g
+        for psi in linear_characters(U):
+            W = convolve_over_subgroup(psi.member_values, U, f)
+            assert np.allclose(
+                convolve_over_subgroup(psi.member_values, U, shifted),
+                W[s3.mul_table[:, g]],
+                atol=1e-12,
+            )
     with pytest.raises(IndexOutOfRange):
-        f.right_translate(7)
+        s3.mul(0, 7)
 
 
-def test_values_read_only(s3):
-    f = GroupFunction.delta(s3, 0)
-    with pytest.raises(ValueError):
-        f.values[0] = 5.0
+def test_values_read_only(s3_table, s3):
+    F = draw_test_functions(s3, 5, range(2))
+    U = subgroup_closure(s3, [1])
+    spectrum = subgroup_spectrum(s3_table, U, linear_characters(U))
+    record = generalized_plancherel_check_batch(spectrum, F)
+    arrays = [F, s3_table.character_on_elements(0), s3.mul_table, U.member_mask]
+    arrays += [spectrum.psi_values, spectrum.kernels, spectrum.multiplicities]
+    arrays += [record.lhs, record.phi, record.rhs, record.abs_error]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = 5
 
 
 def test_convolution_matches_brute_loops(s3, q8):
     for G, seeds in ((s3, [1]), (q8, [1])):
         U = subgroup_closure(G, seeds)
-        f = GroupFunction(G, draw_test_functions(G, 41, [0])[0])
+        f = draw_test_functions(G, 41, [0])[0]
         for psi in linear_characters(U):
-            out = convolve_over_subgroup(psi.member_values, U, f.values)
+            out = convolve_over_subgroup(psi.member_values, U, f)
             expected = brute_convolve(dict(zip(U.members, psi.member_values)), U, f)
             assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_convolution_rejects_bad_wiring(s3, q8):
     U = subgroup_closure(s3, [1])
-    f_wrong = GroupFunction.delta(q8, 0)
+    f_wrong = _delta(q8, 0)
     with pytest.raises(GroupMismatch):
-        convolve_over_subgroup(np.ones(2), U, f_wrong.values)
+        convolve_over_subgroup(np.ones(2), U, f_wrong)
     with pytest.raises(GroupMismatch):
-        whittaker_transform(U, linear_characters(U)[0], f_wrong)
-    f = GroupFunction.delta(s3, 0)
+        convolve_over_subgroup(linear_characters(U)[0].member_values, U, f_wrong)
+    f = _delta(s3, 0)
     with pytest.raises(SubgroupMismatch):
-        convolve_over_subgroup(np.ones(3), U, f.values)  # U has 2 members, not 3
+        convolve_over_subgroup(np.ones(3), U, f)  # U has 2 members, not 3
 
 
 def test_theta_frozen_values(s3_table, s3):
     # sign character paired with the transposition-class indicator
-    transpositions = GroupFunction.indicator(s3, [1, 2, 5])
-    assert abs(theta(s3_table, 1, transpositions) - (-3)) < 1e-12
-    assert abs(theta(s3_table, 2, GroupFunction.delta(s3, 0)) - 2) < 1e-12
-    with pytest.raises(GroupMismatch):
-        theta(s3_table, 0, GroupFunction.delta(make_named_group("cyclic:2"), 0))
+    transpositions = _indicator(s3, [1, 2, 5])
+    assert abs(transpositions @ s3_table.character_on_elements(1) - (-3)) < 1e-12
+    assert abs(_delta(s3, 0) @ s3_table.character_on_elements(2) - 2) < 1e-12
 
 
 def test_inversion_frozen_values(s3_table, s3):
-    delta = GroupFunction.delta(s3, 0)
-    assert abs(plancherel_invert_at_identity(s3_table, delta.values[None])[0] - 1) < 1e-12
+    delta = _delta(s3, 0)
+    assert abs(plancherel_invert_at_identity(s3_table, delta[None])[0] - 1) < 1e-12
     # functions vanishing at the identity invert to zero
-    three_cycles = GroupFunction.indicator(s3, [3, 4])
-    assert abs(plancherel_invert_at_identity(s3_table, three_cycles.values[None])[0]) < 1e-12
+    three_cycles = _indicator(s3, [3, 4])
+    assert abs(plancherel_invert_at_identity(s3_table, three_cycles[None])[0]) < 1e-12
     with pytest.raises(GroupMismatch):
         plancherel_invert_at_identity(s3_table, np.zeros((1, 8)))
 
@@ -105,26 +134,25 @@ def test_inversion_matches_brute(corpus_groups, corpus_tables):
         G = corpus_groups[spec]
         F = draw_test_functions(G, 9, range(3))
         stacked = plancherel_invert_at_identity(table, F)
-        for row, mine in zip(F, stacked):
-            f = GroupFunction(G, row)
-            assert mine == plancherel_invert_at_identity(table, row[None])[0]
+        for f, mine in zip(F, stacked):
+            assert mine == plancherel_invert_at_identity(table, f[None])[0]
             ref = brute_inversion(table, f)
             assert abs(mine - ref) < 1e-10
-            assert abs(mine - f.at_identity) < 1e-8 * (1 + f.l1_norm)
+            assert abs(mine - f[0]) < 1e-8 * (1 + np.abs(f).sum())
 
 
 def test_transform_equivariance(s3_table, q8_table):
     # W(u*g) = psi(u) * W(g) for every member u
     for table in (s3_table, q8_table):
         G = table.group
-        f = GroupFunction(G, draw_test_functions(G, 23, [0])[0])
+        f = draw_test_functions(G, 23, [0])[0]
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
-                W = whittaker_transform(U, psi, f)
+                W = convolve_over_subgroup(psi.member_values, U, f)
                 for u in U.members:
                     for g in range(G.order):
-                        lhs = W.values[G.mul(u, g)]
-                        rhs = psi(u) * W.values[g]
+                        lhs = W[G.mul(u, g)]
+                        rhs = psi(u) * W[g]
                         assert abs(lhs - rhs) < 1e-10
 
 
@@ -132,12 +160,12 @@ def test_transform_idempotence(s3_table, q8_table):
     # psi * (psi * f) = |U| * (psi * f)
     for table in (s3_table, q8_table):
         G = table.group
-        f = GroupFunction(G, draw_test_functions(G, 29, [0])[0])
+        f = draw_test_functions(G, 29, [0])[0]
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
-                once = whittaker_transform(U, psi, f)
-                twice = whittaker_transform(U, psi, once)
-                assert np.allclose(twice.values, U.order * once.values, atol=1e-10)
+                once = convolve_over_subgroup(psi.member_values, U, f)
+                twice = convolve_over_subgroup(psi.member_values, U, once)
+                assert np.allclose(twice, U.order * once, atol=1e-10)
 
 
 def test_kernel_total_mass(s3_table, q8_table):
@@ -171,8 +199,8 @@ def test_check_frozen_s3_spot(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
     spectrum = subgroup_spectrum(s3_table, U, [sign])
-    delta = GroupFunction.delta(s3, 0)
-    record = generalized_plancherel_check_batch(spectrum, delta.values[None])
+    delta = _delta(s3, 0)
+    record = generalized_plancherel_check_batch(spectrum, delta[None])
     assert record.lhs.shape == record.rhs.shape == record.abs_error.shape == (1, 1)
     assert record.phi.shape == (1, 1, 3)
     assert record.lhs[0, 0] == 1
@@ -181,7 +209,7 @@ def test_check_frozen_s3_spot(s3_table, s3):
     assert spectrum.multiplicities[0].tolist() == [0, 1, 1]
     assert record.abs_error[0, 0] < 1e-12
     # the verdict's norm, np.abs(F).sum(axis=1) once per report
-    assert np.abs(delta.values[None]).sum(axis=1)[0] == 1.0
+    assert np.abs(delta[None]).sum(axis=1)[0] == 1.0
     for arr in (record.lhs, record.phi, record.rhs, record.abs_error):
         assert not arr.flags.writeable
 
@@ -196,7 +224,7 @@ def test_check_matches_brute_sides(s3_table, q8_table):
             rec = generalized_plancherel_check_batch(subgroup_spectrum(table, U, psis), F)
             for j, psi in enumerate(psis):
                 for i, f in enumerate(F):
-                    lhs_ref, rhs_ref = brute_whittaker_sides(table, U, psi, GroupFunction(G, f))
+                    lhs_ref, rhs_ref = brute_whittaker_sides(table, U, psi, f)
                     assert abs(rec.lhs[j, i] - lhs_ref) < 1e-10
                     assert abs(rec.rhs[j, i] - rhs_ref) < 1e-10
                     assert rec.abs_error[j, i] <= 1e-10 * (1 + f_l1[i])
@@ -214,7 +242,7 @@ def test_batch_matches_single(s3_table, s3):
         assert batch.rhs[0, i] == single.rhs[0, 0]
         assert np.array_equal(batch.phi[0, i], single.phi[0, 0])
         # the left-hand side is the transform at the identity, bit for bit
-        assert batch.lhs[0, i] == whittaker_transform(U, psi, GroupFunction(s3, F[i])).values[0]
+        assert batch.lhs[0, i] == convolve_over_subgroup(psi.member_values, U, F[i])[0]
     with pytest.raises(GroupMismatch):
         generalized_plancherel_check_batch(spectrum, F[0])
 
@@ -227,17 +255,17 @@ def test_trivial_subgroup_degenerates_to_inversion(corpus_groups, corpus_tables)
         table = corpus_tables[spec]
         U = Subgroup(G, [0])
         psi = linear_characters(U)[0]
-        f = GroupFunction(G, draw_test_functions(G, 3, [0])[0])
-        W = whittaker_transform(U, psi, f)
-        assert np.array_equal(W.values, f.values)
+        f = draw_test_functions(G, 3, [0])[0]
+        W = convolve_over_subgroup(psi.member_values, U, f)
+        assert np.array_equal(W, f)
         spectrum = subgroup_spectrum(table, U, [psi])
-        rec = generalized_plancherel_check_batch(spectrum, f.values[None])
-        assert rec.rhs[0, 0] == plancherel_invert_at_identity(table, f.values[None])[0]
+        rec = generalized_plancherel_check_batch(spectrum, f[None])
+        assert rec.rhs[0, 0] == plancherel_invert_at_identity(table, f[None])[0]
         for pi in range(table.num_irreps):
             kernel = spectrum.kernels[0, pi]
-            assert np.array_equal(kernel, character_as_function(table, pi).values)
+            assert np.array_equal(kernel, table.character_on_elements(pi))
 
 
 def test_character_as_function(s3_table, s3):
-    f = character_as_function(s3_table, 2)
-    assert np.allclose(f.values, [2, 0, 0, -1, -1, 0], atol=1e-12)
+    f = s3_table.character_on_elements(2)
+    assert np.allclose(f, [2, 0, 0, -1, -1, 0], atol=1e-12)

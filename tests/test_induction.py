@@ -6,40 +6,36 @@ import numpy as np
 import pytest
 
 from finharm import (
-    ChainNotExhaustive,
-    ChainNotNested,
-    ChainNotSymmetric,
     CharacterTable,
-    GroupFunction,
     GroupMismatch,
-    IndexTooLarge,
+    IndexOutOfRange,
     NonIntegralMultiplicity,
     Subgroup,
     SubgroupMismatch,
     character_table,
     conjecture_probe,
     enumerate_subgroups,
-    frobenius_multiplicities,
     induced_character,
-    induced_rep_matrices,
+    induced_rep,
     kernel_multiplicity_identity_check,
     linear_characters,
     make_named_group,
-    phi,
     probe_plan,
     subgroup_closure,
     subgroup_spectra,
     subgroup_spectrum,
-    theta,
-    truncation_demo,
 )
 from finharm import test_functions as draw_test_functions
 from oracle_helpers import (
+    ChainNotExhaustive,
+    ChainNotNested,
+    ChainNotSymmetric,
     brute_fubini_value,
     brute_induced_character_value,
     brute_kernel_values,
     brute_multiplicity,
     fubini_interchange_oracle,
+    truncation_demo,
 )
 
 
@@ -47,9 +43,9 @@ def test_frobenius_matches_brute(s3_table, q8_table):
     for table in (s3_table, q8_table):
         G = table.group
         for U in enumerate_subgroups(G):
-            for psi in linear_characters(U):
-                mults = frobenius_multiplicities(table, U, psi)
-                for pi, m in enumerate(mults):
+            psis = linear_characters(U)
+            for psi, mults in zip(psis, subgroup_spectrum(table, U, psis).multiplicities):
+                for pi, m in enumerate(mults.tolist()):
                     ref = brute_multiplicity(table, pi, U, psi)
                     assert abs(ref - m) < 1e-9
                     assert m >= 0
@@ -80,28 +76,26 @@ def test_induced_multiplicities_decompose_dimension(s3_table, q8_table):
 def test_monomial_matrices_structure(s3_table, s3):
     U = subgroup_closure(s3, [1])
     psi = linear_characters(U)[1]
-    rep = induced_rep_matrices(U, psi)
+    rep = induced_rep(U, psi)
     assert rep.dimension == 3
     G = s3
     for g in range(G.order):
-        M = rep.matrices[g]
+        M = rep.matrix(g)
         nz = np.abs(M) > 1e-12
         assert nz.sum(axis=0).tolist() == [1, 1, 1]
         assert nz.sum(axis=1).tolist() == [1, 1, 1]
         assert np.allclose(np.abs(M[nz]), 1.0)
-    assert np.allclose(rep.matrices[0], np.eye(3))
+    assert np.allclose(rep.matrix(0), np.eye(3))
     # homomorphism, exhaustively
     for a in range(G.order):
         for b in range(G.order):
-            assert np.allclose(
-                rep.matrices[a] @ rep.matrices[b], rep.matrices[G.mul(a, b)], atol=1e-12
-            )
+            assert np.allclose(rep.matrix(a) @ rep.matrix(b), rep.matrix(G.mul(a, b)), atol=1e-12)
 
 
 def test_monomial_trace_equals_induced_character(q8_table, q8):
     center = subgroup_closure(q8, [1])
     for psi in linear_characters(center):
-        rep = induced_rep_matrices(center, psi)
+        rep = induced_rep(center, psi)
         ind = induced_character(center, psi, q8_table)
         assert np.allclose(rep.character, ind.values, atol=1e-10)
 
@@ -112,6 +106,7 @@ def test_trivial_subgroup_induces_regular_representation(s3_table, s3):
     ind = induced_character(U, psi, s3_table)
     # regular representation: each irrep appears with multiplicity = degree
     assert ind.multiplicities == s3_table.degrees
+    assert ind != induced_character(U, psi, s3_table)  # eq=False: by identity, never elementwise
     assert abs(ind.values[0] - 6) < 1e-12
     assert np.allclose(ind.values[1:], 0, atol=1e-12)
 
@@ -123,12 +118,27 @@ def test_full_subgroup_induces_by_multiplicity_of_psi(s3_table, s3):
     assert induced_character(U, sign, s3_table).multiplicities == (0, 1, 0)
 
 
-def test_induced_matrix_index_cap():
+def test_induced_rep_past_the_old_index_cap():
+    # index 128: the monomial action is computed per element, never stored
     G = make_named_group("cyclic:128")
     U = Subgroup(G, [0])
     psi = linear_characters(U)[0]
-    with pytest.raises(IndexTooLarge):
-        induced_rep_matrices(U, psi)
+    rep = induced_rep(U, psi)
+    assert rep.dimension == 128
+    assert rep.character[0] == 128
+    assert not rep.character[1:].any()
+    assert np.array_equal(rep.character, induced_character(U, psi, character_table(G)).values)
+    rng = np.random.default_rng(128)
+    for a, b in rng.integers(0, G.order, size=(20, 2)).tolist():
+        Ma, Mb = rep.matrix(a), rep.matrix(b)
+        for M in (Ma, Mb):
+            nz = M != 0
+            assert nz.sum(axis=0).tolist() == nz.sum(axis=1).tolist() == [1] * 128
+            assert np.array_equal(M[nz], np.ones(128))
+        assert np.array_equal(Ma @ Mb, rep.matrix(G.mul(a, b)))
+    for g in (-1, G.order):
+        with pytest.raises(IndexOutOfRange):
+            rep.matrix(g)
 
 
 def test_nonintegral_multiplicity_detected(s3_table, s3):
@@ -144,7 +154,7 @@ def test_nonintegral_multiplicity_detected(s3_table, s3):
     U = subgroup_closure(s3, [1])
     psi = linear_characters(U)[1]
     with pytest.raises(NonIntegralMultiplicity) as alone:
-        frobenius_multiplicities(broken, U, psi)
+        subgroup_spectrum(broken, U, [psi])
     # the stacked snap fails on the first failing psi, with the same message
     with pytest.raises(NonIntegralMultiplicity) as stacked:
         subgroup_spectrum(broken, U, [psi, linear_characters(U)[0]])
@@ -163,7 +173,7 @@ def test_failing_block_yields_the_characters_before_it(s3_table, s3):
     with pytest.raises(NonIntegralMultiplicity) as err:
         next(spectra)
     with pytest.raises(NonIntegralMultiplicity) as alone:
-        frobenius_multiplicities(s3_table, U, bad)
+        subgroup_spectrum(s3_table, U, [bad])
     assert str(err.value) == str(alone.value)
 
 
@@ -262,7 +272,7 @@ def test_kernel_values_match_brute(s3_table, s3):
 def test_fubini_matches_brute_and_is_seed_independent(s3_table, q8_table):
     for table in (s3_table, q8_table):
         G = table.group
-        fs = [GroupFunction(G, row) for row in draw_test_functions(G, 5, range(3))]
+        fs = draw_test_functions(G, 5, range(3))
         for U in enumerate_subgroups(G)[:4]:
             for psi in linear_characters(U):
                 for pi in range(table.num_irreps):
@@ -276,11 +286,15 @@ def test_fubini_matches_brute_and_is_seed_independent(s3_table, q8_table):
                         assert abs(b0 - b1) < 1e-10 * (1 + abs(ref))
 
 
-def test_fubini_requires_matching_group(s3_table, q8):
+def test_fubini_requires_matching_group(s3_table, q8_table, q8):
     U = Subgroup(q8, [0, 1])
     psi = linear_characters(U)[0]
+    delta = np.eye(q8.order, dtype=np.complex128)[0]
     with pytest.raises(GroupMismatch):
-        fubini_interchange_oracle(s3_table, 0, U, psi, GroupFunction.delta(q8, 0))
+        fubini_interchange_oracle(s3_table, 0, U, psi, delta)
+    # f is checked by its shape: one value per element of the table's group
+    with pytest.raises(GroupMismatch):
+        fubini_interchange_oracle(q8_table, 0, U, psi, delta[:6])
 
 
 # --- truncation -------------------------------------------------------------
@@ -298,7 +312,7 @@ def test_truncation_final_stage_is_bit_identical(s3_table, s3, q8_table, q8):
             for pi in range(table.num_irreps):
                 stages = truncation_demo(U, psi, table, pi, chain)
                 assert len(stages) == len(chain)
-                assert np.array_equal(stages[-1].values, psi_kernels[pi])
+                assert np.array_equal(stages[-1], psi_kernels[pi])
 
 
 def test_truncation_chain_validation(s3_table, s3):
@@ -359,10 +373,10 @@ def test_probe_s3_sign_distinguishes_irreps(s3_table, s3):
 def test_probe_ratio_at_delta_equals_kernel_over_degree(s3_table, s3):
     U = subgroup_closure(s3, [1])
     sign = linear_characters(U)[1]
-    delta = GroupFunction.delta(s3, 0)
+    delta = np.eye(s3.order, dtype=np.complex128)[0]
     spectrum = subgroup_spectrum(s3_table, U, [sign])
     for pi, expected in ((1, 2), (2, 1)):
-        (ratio,) = phi(spectrum, pi, delta) / theta(s3_table, pi, delta)
+        (ratio,) = spectrum.kernels[:, pi] @ delta / (delta @ s3_table.character_on_elements(pi))
         assert abs(ratio - expected) < 1e-10
 
 
