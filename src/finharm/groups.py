@@ -35,8 +35,10 @@ MAX_NAMED_ORDER = 4096
 # Default closure cap for perm:... specs and direct permutation builds.
 DEFAULT_PERM_ORDER_CAP = 2048
 
-# Composed permutation entries looked up per block in _mul_table_from_perms.
-_PERM_BLOCK_ENTRIES = 1 << 16
+# Table entries per row block when a pass over a Cayley table needs an
+# index temporary (bijectivity in _adopt, coset minima in Subgroup); an int64
+# temporary of a block is 256 KiB.
+_BLOCK_ENTRIES = 1 << 15
 
 # Deepest nesting of product: in a spec. Every tree of 13 nontrivial factors
 # already exceeds MAX_NAMED_ORDER, so no group within the cap is lost.
@@ -80,20 +82,25 @@ class FiniteGroup:
         ar = np.arange(n)
         if not np.array_equal(mul[0], ar) or not np.array_equal(mul[:, 0], ar):
             raise ValueError("element 0 must act as the identity")
-        # with entries in range, a row or column is bijective iff it hits every index
-        hit = np.zeros((n, n), dtype=bool)
-        hit[ar[:, None], mul] = True
+        # with entries in range, a row or column is bijective iff it hits every
+        # index; the cells hit are marked one block of rows at a time
+        rows = max(1, _BLOCK_ENTRIES // n)
+        hit = np.zeros(n * n, dtype=bool)
+        for i in range(0, n, rows):
+            hit[ar[i:i + rows, None] * n + mul[i:i + rows]] = True  # (row, entry)
         if not hit.all():
             raise ValueError("left translations must be bijective")
         hit[:] = False
-        hit[mul, ar] = True
+        for i in range(0, n, rows):
+            hit[mul[i:i + rows] * n + ar] = True  # (entry, column)
         if not hit.all():
             raise ValueError("right translations must be bijective")
 
+        # each row holds 0 exactly once, as its minimum; argmin before the
+        # table is frozen, since numpy copies a read-only array to take it
+        inv = np.argmin(mul, axis=1)
         mul.setflags(write=False)
         self._mul = mul
-        # each row holds 0 exactly once, in row-major order of np.where
-        inv = np.where(mul == 0)[1].copy()
         if not (np.array_equal(mul[ar, inv], np.zeros(n, dtype=np.int64))
                 and np.array_equal(mul[inv, ar], np.zeros(n, dtype=np.int64))):
             raise ValueError("left and right inverses disagree")
@@ -106,13 +113,16 @@ class FiniteGroup:
         self.generators = tuple(int(g) for g in generators)
 
         seen = np.zeros(n, dtype=bool)
+        in_orbit = np.zeros(n, dtype=bool)
         classes: list[tuple[int, ...]] = []
         for x in range(n):
             if seen[x]:
                 continue
-            orbit = np.unique(mul[mul[:, x], inv])  # all g*x*g^-1
+            in_orbit[mul[mul[:, x], inv]] = True  # all g*x*g^-1
+            orbit = np.flatnonzero(in_orbit)
+            in_orbit[orbit] = False
             seen[orbit] = True
-            classes.append(tuple(int(v) for v in orbit))
+            classes.append(tuple(orbit.tolist()))
         classes.sort(key=lambda c: (len(c), c[0]))
         self.classes = tuple(classes)
         class_of = np.empty(n, dtype=np.int64)
@@ -195,16 +205,16 @@ class Subgroup:
         mask.setflags(write=False)
         self.member_mask = mask
 
-        coset_of = np.full(n, -1, dtype=np.int64)
-        reps: list[int] = []
-        for x in range(n):
-            if coset_of[x] >= 0:
-                continue
-            coset_of[mul[arr, x]] = len(reps)
-            reps.append(x)
+        # the smallest element of each U*x is the running minimum of column x
+        # over the rows of the members, taken one block of rows at a time
+        smallest = np.arange(n)  # the identity's row
+        rows = max(1, _BLOCK_ENTRIES // n)
+        for i in range(1, len(arr), rows):
+            np.minimum(smallest, mul[arr[i:i + rows]].min(axis=0), out=smallest)
+        reps, coset_of = np.unique(smallest, return_inverse=True)
         coset_of.setflags(write=False)
         self.coset_of = coset_of
-        self.left_coset_reps = tuple(reps)
+        self.left_coset_reps = tuple(reps.tolist())
 
     @property
     def order(self) -> int:
@@ -324,30 +334,47 @@ def _validated_perm(perm: Sequence[int], degree: int) -> tuple[int, ...]:
     return p
 
 
-def _mul_table_from_perms(perms: list[tuple[int, ...]]) -> np.ndarray:
-    """Cayley table for a list of permutations closed under composition.
+def _mul_table_from_perms(
+    perms: list[tuple[int, ...]], gens: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Cayley table of the permutations gens generate, listed in perms.
 
     Composition convention everywhere in this package: (p*q)(x) = p(q(x)).
-    perms[0] must be the identity. Each permutation is looked up as one
-    fixed-width byte key by binary search in the sorted keys; a composition
-    that is not in the list raises ValueError.
+    perms[0] must be the identity. Only the products g*p of a generator and a
+    listed permutation are looked up, each as one fixed-width byte key by
+    binary search in the sorted keys; one that is not in the list raises
+    ValueError. Breadth-first from the identity, row g*p of the table is then
+    row p carried through the left action of g, and a listed permutation that
+    no product of generators reaches raises ValueError.
     """
     degree = len(perms[0])
-    arr = np.array(perms, dtype=np.min_scalar_type(degree - 1))
+    dtype = np.min_scalar_type(degree - 1)
+    arr = np.array(perms, dtype=dtype)
     n = len(perms)
     key = np.dtype((np.void, arr.itemsize * degree))
     keys = arr.view(key).ravel()
     order = np.argsort(keys)
     sorted_keys = keys[order]
+    composed = np.array(gens, dtype=dtype).reshape(-1, degree)[:, arr]  # [k, j] = g_k o p_j
+    composed_keys = np.ascontiguousarray(composed).view(key)[..., 0]
+    pos = np.minimum(np.searchsorted(sorted_keys, composed_keys), n - 1)
+    if not np.array_equal(sorted_keys[pos], composed_keys):
+        raise ValueError("permutations are not closed under composition")
+    left = order[pos]
+    steps = left.tolist()
     mul = np.empty((n, n), dtype=np.int64)
-    rows = max(1, _PERM_BLOCK_ENTRIES // (n * degree))
-    for start in range(0, n, rows):
-        composed = arr[start:start + rows, arr]  # [i, j] = perms[i] o perms[j]
-        composed_keys = np.ascontiguousarray(composed).view(key)[..., 0]
-        pos = np.minimum(np.searchsorted(sorted_keys, composed_keys), n - 1)
-        if not np.array_equal(sorted_keys[pos], composed_keys):
-            raise ValueError("permutations are not closed under composition")
-        mul[start:start + rows] = order[pos]
+    mul[0] = np.arange(n)
+    filled = [True] + [False] * (n - 1)
+    queue = [0]
+    for p in queue:  # grows while iterating
+        for g, step in enumerate(steps):
+            x = step[p]
+            if not filled[x]:
+                filled[x] = True
+                mul[x] = left[g, mul[p]]
+                queue.append(x)
+    if len(queue) < n:
+        raise ValueError("generators do not reach every permutation")
     return mul
 
 
@@ -384,7 +411,7 @@ def build_from_permutations(
                     )
                 index[new] = len(elems)
                 elems.append(new)
-    mul = _mul_table_from_perms(elems)
+    mul = _mul_table_from_perms(elems, gens)
     gen_indices = tuple(dict.fromkeys(index[g] for g in gens))
     return _owning(mul, label or f"perm:{degree}", gen_indices)
 
@@ -496,9 +523,13 @@ def _heisenberg(p: int) -> FiniteGroup:
 def _product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """Direct product; element (a, b) has index a*|B| + b."""
     _check_named_order(A.order * B.order, f"product of {A.label} and {B.label}")
-    nb = B.order
-    mul = (A.mul_table[:, None, :, None] * nb + B.mul_table[None, :, None, :])
-    mul = mul.reshape(A.order * nb, A.order * nb)
+    na, nb = A.order, B.order
+    # filled in place through a 4-axis view [a1, b1, a2, b2]: the table is the
+    # only large array
+    mul = np.empty((na * nb, na * nb), dtype=np.int64)
+    view = mul.reshape(na, nb, na, nb)
+    np.multiply(A.mul_table[:, None, :, None], nb, out=view)
+    view += B.mul_table[None, :, None, :]
     gens = tuple(g * nb for g in A.generators) + tuple(B.generators)
     return _owning(mul, f"product:{A.label}*{B.label}", gens)
 
@@ -513,13 +544,10 @@ def _symmetric(n: int) -> FiniteGroup:
         if order > MAX_NAMED_ORDER:
             raise OrderTooLarge(f"symmetric:{n} has order {n}!, cap is {MAX_NAMED_ORDER}")
     perms = [tuple(p) for p in itertools.permutations(range(n))]
-    mul = _mul_table_from_perms(perms)
-    index = {p: i for i, p in enumerate(perms)}
-    gens: tuple[int, ...] = ()
-    if n >= 2:
-        transposition = (1, 0) + tuple(range(2, n))
-        ncycle = tuple(range(1, n)) + (0,)
-        gens = tuple(dict.fromkeys((index[transposition], index[ncycle])))
+    # the transposition (0 1) and the n-cycle
+    gen_perms = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n >= 2 else []
+    mul = _mul_table_from_perms(perms, gen_perms)
+    gens = tuple(dict.fromkeys(perms.index(g) for g in gen_perms))
     return _owning(mul, f"symmetric:{n}", gens)
 
 

@@ -9,7 +9,10 @@ oracle shuffles its loops by seed. truncation_demo convolves its truncated
 kernels through the package's convolve_over_subgroup on purpose: its final
 stage must reproduce the package's kernel bit for bit, which only the same
 summation can. verify_group_axioms is the exhaustive O(n^3) check that the
-package's group constructor leaves out.
+package's group constructor leaves out. search_mul_table and table_structure
+are the whole-table group constructions the package used before it built
+permutation tables from the generators' left action: a binary search of all
+n^2 compositions, and classes by np.unique of each orbit.
 """
 
 from __future__ import annotations
@@ -306,6 +309,83 @@ def dict_mul_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
     """Cayley table by one dict lookup per product."""
     index = {p: i for i, p in enumerate(perms)}
     return [[index[compose(p, q)] for q in perms] for p in perms]
+
+
+def search_mul_table(perms: list[tuple[int, ...]], block_entries: int = 1 << 16) -> np.ndarray:
+    """Cayley table by binary search of every one of the n^2 compositions.
+
+    Each permutation is one fixed-width byte key; the composed keys of a block
+    of rows are looked up in the sorted keys, and a composition that is not in
+    the list raises ValueError. perms[0] must be the identity.
+    """
+    degree = len(perms[0])
+    arr = np.array(perms, dtype=np.min_scalar_type(degree - 1))
+    n = len(perms)
+    key = np.dtype((np.void, arr.itemsize * degree))
+    keys = arr.view(key).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    mul = np.empty((n, n), dtype=np.int64)
+    rows = max(1, block_entries // (n * degree))
+    for start in range(0, n, rows):
+        composed = arr[start:start + rows, arr]  # [i, j] = perms[i] o perms[j]
+        composed_keys = np.ascontiguousarray(composed).view(key)[..., 0]
+        pos = np.minimum(np.searchsorted(sorted_keys, composed_keys), n - 1)
+        if not np.array_equal(sorted_keys[pos], composed_keys):
+            raise ValueError("permutations are not closed under composition")
+        mul[start:start + rows] = order[pos]
+    return mul
+
+
+def table_structure(mul: np.ndarray) -> SimpleNamespace:
+    """Inverse and conjugacy classes of a validated table, derived by whole-
+    table passes: the inverse from np.where over mul == 0, each class as the
+    np.unique of its orbit mul[mul[:, x], inv], ordered by (size, smallest)."""
+    n = mul.shape[0]
+    inv = np.where(mul == 0)[1]
+    seen = np.zeros(n, dtype=bool)
+    classes = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        orbit = np.unique(mul[mul[:, x], inv])
+        seen[orbit] = True
+        classes.append(tuple(int(v) for v in orbit))
+    classes.sort(key=lambda c: (len(c), c[0]))
+    class_of = np.empty(n, dtype=np.int64)
+    for k, cls in enumerate(classes):
+        class_of[list(cls)] = k
+    return SimpleNamespace(
+        inv_table=inv,
+        classes=tuple(classes),
+        class_of=class_of,
+        class_reps=np.array([c[0] for c in classes], dtype=np.int64),
+        class_sizes=np.array([len(c) for c in classes], dtype=np.int64),
+    )
+
+
+def assert_structure_matches_oracle(G: FiniteGroup) -> None:
+    """Every derived array of G equals table_structure's, dtype included."""
+    expected = table_structure(np.array(G.mul_table))
+    assert G.classes == expected.classes
+    for name in ("inv_table", "class_of", "class_reps", "class_sizes"):
+        got, want = getattr(G, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+
+
+def loop_cosets(U: Subgroup) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(coset_of, left_coset_reps) by one pass over G in ascending order: the
+    first element not yet placed is the smallest of its coset U*x."""
+    mul = U.parent.mul_table
+    coset_of = np.full(U.parent.order, -1, dtype=np.int64)
+    reps: list[int] = []
+    for x in range(U.parent.order):
+        if coset_of[x] >= 0:
+            continue
+        coset_of[mul[U.members_array, x]] = len(reps)
+        reps.append(x)
+    return coset_of, tuple(reps)
 
 
 def quantized_descending_key(values) -> tuple:

@@ -23,17 +23,20 @@ from finharm import (
     subgroup_closure,
 )
 import finharm.groups
-from finharm.groups import _cyclic, _dihedral, _heisenberg, _mul_table_from_perms
+from finharm.groups import _cyclic, _dihedral, _heisenberg, _mul_table_from_perms, _owning
 from oracle_helpers import (
+    assert_structure_matches_oracle,
     brute_classes,
     compose,
     cycle_perm,
     dict_mul_table,
     element_orders,
     element_subgroup_lattice,
+    loop_cosets,
     perm_closure,
     perm_list,
     perm_parity,
+    search_mul_table,
     set_closure,
     verify_group_axioms,
 )
@@ -46,6 +49,17 @@ LATTICE_SPECS = (
     "heisenberg:3",
     "product:quaternion*cyclic:3",
     "product:dihedral:4*cyclic:2",
+)
+
+# the groups whose character tables the benchmark's tables workload builds
+TABLES_SPECS = (
+    "dihedral:500",
+    "heisenberg:13",
+    "heisenberg:11",
+    "cyclic:256",
+    "product:heisenberg:5*dihedral:5",
+    "symmetric:6",
+    "product:dihedral:6*quaternion",
 )
 
 # a Latin square with identity and two-sided inverses that is NOT associative
@@ -151,6 +165,32 @@ def test_cyclic_and_dihedral_build_without_table_temporaries(build, n):
     assert peak <= 1.5 * table.nbytes
 
 
+def test_product_builds_without_table_temporaries():
+    # 8 MiB table from two 8 KiB factors
+    tracemalloc.start()
+    try:
+        table = make_named_group("product:cyclic:32*cyclic:32").mul_table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table.nbytes
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1024", "heisenberg:7"])
+def test_adoption_stays_far_below_the_table(spec):
+    # validation, inverse and classes need no table-sized temporary; an argmin
+    # over the table after it is made read-only would copy it whole
+    table = np.array(make_named_group(spec).mul_table)
+    tracemalloc.start()
+    try:
+        G = _owning(table, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(G.mul_table, table)
+    assert peak <= 0.25 * table.nbytes + (1 << 20)
+
+
 def test_product_group_is_componentwise():
     G = make_named_group("product:cyclic:2*cyclic:4")
     assert G.order == 8
@@ -203,13 +243,15 @@ def test_perm_spec_matches_full_degree_build(degree, cycles):
     assert np.array_equal(G.mul_table, full.mul_table)
     assert G.generators == full.generators
     assert G.classes == full.classes
+    gens = [cycle_perm(c, degree) for c in cycles]
+    assert np.array_equal(full.mul_table, search_mul_table(perm_closure(degree, gens)))
 
 
 def test_builder_table_is_not_copied(monkeypatch):
     built = []
 
-    def recording(perms):
-        built.append(_mul_table_from_perms(perms))
+    def recording(perms, gens):
+        built.append(_mul_table_from_perms(perms, gens))
         return built[-1]
 
     monkeypatch.setattr(finharm.groups, "_mul_table_from_perms", recording)
@@ -299,31 +341,53 @@ DEGREE20_GENS = [
 ]
 
 
+S5_GENS = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+
+
 @pytest.mark.parametrize(
-    "perms", [perm_list(5), perm_closure(20, DEGREE20_GENS)], ids=["S5", "degree20"]
+    "perms, gens",
+    [(perm_list(5), S5_GENS), (perm_closure(20, DEGREE20_GENS), DEGREE20_GENS)],
+    ids=["S5", "degree20"],
 )
-def test_perm_mul_table_matches_dict_lookup(perms, monkeypatch):
+def test_perm_mul_table_matches_dict_lookup(perms, gens):
     expected = dict_mul_table(perms)
-    assert _mul_table_from_perms(perms).tolist() == expected
-    # blocks of a few rows, and of one row, give the same table
-    monkeypatch.setattr("finharm.groups._PERM_BLOCK_ENTRIES", 5 * len(perms) * len(perms[0]))
-    assert _mul_table_from_perms(perms).tolist() == expected
-    monkeypatch.setattr("finharm.groups._PERM_BLOCK_ENTRIES", 1)
-    assert _mul_table_from_perms(perms).tolist() == expected
+    assert _mul_table_from_perms(perms, gens).tolist() == expected
+    # the generators' order, a repeated generator and the identity among them
+    # change nothing
+    spare = [gens[-1], tuple(range(len(perms[0])))] + list(gens)
+    assert _mul_table_from_perms(perms, spare).tolist() == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_table_matches_search_oracle(n):
+    G = make_named_group(f"symmetric:{n}")
+    assert np.array_equal(G.mul_table, search_mul_table(perm_list(n)))
 
 
 def test_perm_spec_of_degree_20_uses_breadth_first_order():
     G = make_named_group(DEGREE20_SPEC)
     assert G.order == 384
-    expected = _mul_table_from_perms(perm_closure(20, DEGREE20_GENS))
+    perms = perm_closure(20, DEGREE20_GENS)
+    expected = _mul_table_from_perms(perms, DEGREE20_GENS)
     assert np.array_equal(G.mul_table, expected)
+    assert np.array_equal(G.mul_table, search_mul_table(perms))
 
 
 def test_perm_mul_table_rejects_unclosed_set():
+    three_cycle = (1, 2, 0)
     with pytest.raises(ValueError, match="not closed"):
-        _mul_table_from_perms([(0, 1, 2), (1, 2, 0)])  # the 3-cycle without its square
+        _mul_table_from_perms([(0, 1, 2), three_cycle], [three_cycle])  # without its square
     with pytest.raises(ValueError, match="not closed"):
-        _mul_table_from_perms(perm_list(3)[:5])
+        _mul_table_from_perms(perm_list(3)[:5], [(1, 0, 2), three_cycle])
+
+
+def test_perm_mul_table_rejects_unreached_permutations():
+    # S3 is closed, but the 3-cycle reaches only A3 and no generator reaches nothing
+    with pytest.raises(ValueError, match="do not reach"):
+        _mul_table_from_perms(perm_list(3), [(1, 2, 0)])
+    with pytest.raises(ValueError, match="do not reach"):
+        _mul_table_from_perms(perm_list(3), [])
+    assert _mul_table_from_perms([(0, 1, 2)], []).tolist() == [[0]]
 
 
 def test_constructor_rejects_malformed_tables():
@@ -353,6 +417,64 @@ def test_axiom_checker_rejects_nonassociative_loop():
 
 def test_axiom_checker_chunked_path():
     assert verify_group_axioms(make_named_group("cyclic:200")) is True
+
+
+@pytest.mark.parametrize("spec", sorted(set(CORPUS_SPECS + LATTICE_SPECS + TABLES_SPECS)))
+def test_group_structure_matches_oracle(spec):
+    assert_structure_matches_oracle(make_named_group(spec))
+
+
+def test_loop_structure_matches_oracle():
+    # the constructor does not prove associativity; the orbit formula must
+    # still give a non-associative loop the classes it always gave it
+    assert_structure_matches_oracle(FiniteGroup(LOOP5))
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "heisenberg:7", "product:dihedral:6*quaternion"])
+def test_row_blocks_do_not_change_the_group(spec, monkeypatch):
+    G = make_named_group(spec)
+    U = subgroup_closure(G, G.generators[:1])
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ENTRIES", 1)  # one row per block
+    H = FiniteGroup(G.mul_table)
+    for name in ("inv_table", "class_of", "class_reps", "class_sizes"):
+        assert np.array_equal(getattr(H, name), getattr(G, name)), name
+    assert H.classes == G.classes
+    V = Subgroup(H, U.members)
+    assert np.array_equal(V.coset_of, U.coset_of)
+    assert V.left_coset_reps == U.left_coset_reps
+    with pytest.raises(ValueError, match="left translations must be bijective"):
+        FiniteGroup([[0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="right translations must be bijective"):
+        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "symmetric:3",
+        "symmetric:4",
+        "symmetric:5",
+        "symmetric:6",
+        "perm:6:(1 3 5);(0 4)",
+        "perm:8:(0 1 2 3);(0 1);(4 5 6 7)",
+        DEGREE20_SPEC,
+    ],
+)
+def test_class_sizes_match_sympy(spec):
+    # invariants only: sympy composes permutations left to right
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    G = make_named_group(spec)
+    if spec.startswith("symmetric:"):
+        reference = combinatorics.SymmetricGroup(int(spec.split(":")[1]))
+    else:
+        _, degree, body = spec.split(":")
+        cycles = [[int(v) for v in c.strip("()").split()] for c in body.split(";")]
+        reference = combinatorics.PermutationGroup(
+            [combinatorics.Permutation([c], size=int(degree)) for c in cycles]
+        )
+    assert G.order == reference.order()
+    expected = sorted(len(c) for c in reference.conjugacy_classes())
+    assert sorted(G.class_sizes.tolist()) == expected
 
 
 def test_classes_match_brute_force(corpus_groups):
@@ -471,6 +593,17 @@ def test_cosets_tile_the_group(s3, q8):
                 assert all(U.coset_of[x] == j for x in coset)
                 seen |= coset
             assert seen == set(range(G.order))
+
+
+@pytest.mark.parametrize("spec", sorted(set(CORPUS_SPECS + LATTICE_SPECS)))
+def test_cosets_match_loop_oracle(spec):
+    for U in enumerate_subgroups(make_named_group(spec)):
+        coset_of, reps = loop_cosets(U)
+        assert U.coset_of.dtype == coset_of.dtype
+        assert np.array_equal(U.coset_of, coset_of), U.members
+        assert not U.coset_of.flags.writeable
+        assert U.left_coset_reps == reps
+        assert all(type(r) is int for r in U.left_coset_reps)
 
 
 def test_coset_reps_frozen_s3(s3):

@@ -14,7 +14,13 @@ from finharm import (
     linear_characters,
     subgroup_closure,
 )
-from oracle_helpers import element_subgroup_lattice, fraction_linear_characters, set_closure
+from oracle_helpers import (
+    assert_structure_matches_oracle,
+    element_subgroup_lattice,
+    fraction_linear_characters,
+    loop_cosets,
+    set_closure,
+)
 
 
 @st.composite
@@ -32,11 +38,15 @@ def small_perm_groups(draw):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(G=small_perm_groups(), data=st.data())
 def test_lattice_of_random_perm_group(G, data):
+    assert_structure_matches_oracle(G)
     subgroups = enumerate_subgroups(G)
     subs = [U.members for U in subgroups]
     assert subs == element_subgroup_lattice(G)
 
     for U in subgroups:
+        coset_of, reps = loop_cosets(U)
+        assert np.array_equal(U.coset_of, coset_of)
+        assert U.left_coset_reps == reps
         psis = linear_characters(U)
         oracle = fraction_linear_characters(U)
         assert [p.member_values.tobytes() for p in psis] == [
