@@ -17,13 +17,15 @@ lose digits.
 from __future__ import annotations
 
 import cmath
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
 from ._rng import derive_stream_seed, unit_uniforms
 from .errors import (
@@ -44,6 +46,39 @@ _MAX_CLASSES = 512
 
 # Bytes of one slab of the class-algebra tensor (see _ClassAlgebra).
 _SLAB_BYTES = 1 << 23
+
+
+def _load_zgees():
+    """LAPACK zgees from the file of scipy's compiled _flapack extension, so
+    that scipy/linalg/__init__.py and the f2py and testing modules it imports
+    never run; else from scipy.linalg.lapack, the same function object."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec.submodule_search_locations or ()) if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+                module_spec = importlib.util.spec_from_loader(loader.name, loader)
+                return importlib.util.module_from_spec(module_spec).zgees
+    from scipy.linalg.lapack import zgees
+
+    return zgees
+
+
+# resolved at import, so that no operation pays for loading it
+_ZGEES = _load_zgees()
+
+
+def _schur(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Complex Schur form (T, Z) of the square complex B, the same bits as
+    scipy.linalg.schur(B, output="complex"): a workspace query, then zgees
+    unsorted at the optimal workspace. A Fortran-ordered B is overwritten.
+    None when B is not finite or zgees reports failure."""
+    if not np.isfinite(B).all():
+        return None
+    lwork = int(_ZGEES(lambda z: None, B, lwork=-1)[-2][0].real)
+    T, _, _, Z, _, info = _ZGEES(lambda z: None, B, lwork=lwork, overwrite_a=1, sort_t=0)
+    return (T, Z) if info == 0 else None
 
 
 @dataclass(eq=False)
@@ -210,8 +245,10 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
     for attempt in range(_RETRY_BUDGET):
         coeffs = unit_uniforms(derive_stream_seed(int(seed), attempt), r)
         M = algebra.combination(coeffs)
-        B = (M * (sq[None, :] / sq[:, None])).astype(np.complex128)
-        T, Z = scipy.linalg.schur(B, output="complex")
+        B = (M * (sq[None, :] / sq[:, None])).astype(np.complex128, order="F")
+        if (schur := _schur(B)) is None:
+            continue  # B is not finite, or zgees found no Schur form
+        T, Z = schur
         lam = np.diag(T).copy()
         scale = max(1.0, float(np.max(np.abs(lam))))
         if float(np.max(np.abs(T - np.diag(lam)))) > 1e-7 * scale:

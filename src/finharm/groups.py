@@ -35,9 +35,9 @@ MAX_NAMED_ORDER = 4096
 # Default closure cap for perm:... specs and direct permutation builds.
 DEFAULT_PERM_ORDER_CAP = 2048
 
-# Table entries per row block when a pass over a Cayley table needs an
-# index temporary (bijectivity in _adopt, coset minima in Subgroup); an int64
-# temporary of a block is 256 KiB.
+# Table entries per block of rows, or per square tile, when a pass over a
+# Cayley table needs an index temporary (bijectivity in _adopt, coset minima
+# in Subgroup); an int64 temporary of a block is 256 KiB.
 _BLOCK_ENTRIES = 1 << 15
 
 # Deepest nesting of product: in a spec. Every tree of 13 nontrivial factors
@@ -83,16 +83,18 @@ class FiniteGroup:
         if not np.array_equal(mul[0], ar) or not np.array_equal(mul[:, 0], ar):
             raise ValueError("element 0 must act as the identity")
         # with entries in range, a row or column is bijective iff it hits every
-        # index; the cells hit are marked one block of rows at a time
-        rows = max(1, _BLOCK_ENTRIES // n)
+        # index. The cells hit are marked in one n^2 mask, by blocks of rows,
+        # then by square tiles, whose columns write only their own rows of it
+        rows, side = max(1, _BLOCK_ENTRIES // n), max(1, int(_BLOCK_ENTRIES**0.5))
         hit = np.zeros(n * n, dtype=bool)
         for i in range(0, n, rows):
             hit[ar[i:i + rows, None] * n + mul[i:i + rows]] = True  # (row, entry)
         if not hit.all():
             raise ValueError("left translations must be bijective")
         hit[:] = False
-        for i in range(0, n, rows):
-            hit[mul[i:i + rows] * n + ar] = True  # (entry, column)
+        for j in range(0, n, side):
+            for i in range(0, n, side):
+                hit[ar[j:j + side] * n + mul[i:i + side, j:j + side]] = True  # (column, entry)
         if not hit.all():
             raise ValueError("right translations must be bijective")
 

@@ -12,7 +12,9 @@ summation can. verify_group_axioms is the exhaustive O(n^3) check that the
 package's group constructor leaves out. search_mul_table and table_structure
 are the whole-table group constructions the package used before it built
 permutation tables from the generators' left action: a binary search of all
-n^2 compositions, and classes by np.unique of each orbit.
+n^2 compositions, and classes by np.unique of each orbit. scipy_schur is the
+scipy.linalg call the package made before it took LAPACK zgees straight from
+scipy's compiled extension.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 
 from finharm import (
     CharacterTable,
@@ -282,6 +285,11 @@ def structure_constants(G: FiniteGroup) -> np.ndarray:
         for x in range(G.order):
             a[G.class_of[x], G.class_of[G.mul(G.inv(x), int(z))], k] += 1.0
     return a
+
+
+def scipy_schur(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The complex Schur form (T, Z) of B by scipy.linalg.schur, B = Z T Z^H."""
+    return scipy.linalg.schur(B, output="complex")
 
 
 def cycle_perm(points: tuple[int, ...], degree: int) -> tuple[int, ...]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import importlib.machinery
+import importlib.util
 import math
 import tracemalloc
 
@@ -11,6 +13,7 @@ import pytest
 
 from finharm import (
     CharacterTable,
+    EigensplitFailure,
     SubgroupMismatch,
     Subgroup,
     LinearCharacter,
@@ -23,7 +26,8 @@ from finharm import (
 )
 import finharm.characters
 from finharm._rng import derive_stream_seed, unit_uniforms
-from finharm.characters import _ClassAlgebra, _descending_row_order
+from finharm.characters import _ClassAlgebra, _descending_row_order, _schur
+from conftest import CORPUS_SPECS
 from oracle_helpers import (
     brute_multiplicity,
     fmt_complex_scalar,
@@ -31,6 +35,7 @@ from oracle_helpers import (
     perm_list,
     perm_parity,
     quantized_descending_key,
+    scipy_schur,
     structure_constants,
 )
 
@@ -165,6 +170,64 @@ def test_class_algebra_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
+
+
+def _eigensplit_matrix(G, attempt):
+    """The matrix B that character_table hands to the Schur decomposition at
+    the given attempt of seed 0."""
+    sq = np.sqrt(G.class_sizes.astype(np.float64))
+    coeffs = unit_uniforms(derive_stream_seed(0, attempt), len(G.classes))
+    M = _ClassAlgebra(G).combination(coeffs)
+    return (M * (sq[None, :] / sq[:, None])).astype(np.complex128, order="F")
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS + ("dihedral:500",))  # r = 253
+def test_schur_equals_scipy_oracle_bit_for_bit(spec):
+    G = make_named_group(spec)
+    for attempt in range(2):
+        B = _eigensplit_matrix(G, attempt)
+        T0, Z0 = scipy_schur(B.copy())
+        T, Z = _schur(B)
+        assert T.tobytes() == T0.tobytes() and Z.tobytes() == Z0.tobytes()
+        # the same layout too, so that reductions over them sum in the same order
+        assert T.flags.f_contiguous == T0.flags.f_contiguous
+        assert Z.flags.f_contiguous == Z0.flags.f_contiguous
+
+
+def test_zgees_is_the_function_scipy_linalg_exports():
+    import scipy.linalg
+
+    assert scipy.linalg.lapack.zgees is finharm.characters._ZGEES
+
+
+def test_zgees_fallback_is_the_same_function(monkeypatch):
+    # no search locations, as for a scipy whose extension file is elsewhere:
+    # zgees then comes from importing scipy.linalg.lapack
+    def no_locations(name, package=None):
+        return importlib.machinery.ModuleSpec(name, None, is_package=True)
+
+    monkeypatch.setattr(importlib.util, "find_spec", no_locations)
+    assert finharm.characters._load_zgees() is finharm.characters._ZGEES
+
+
+def test_schur_rejects_non_finite_input():
+    B = np.eye(3, dtype=np.complex128, order="F")
+    B[1, 2] = np.nan
+    assert _schur(B) is None
+
+
+def test_lapack_failure_on_every_attempt_ends_in_eigensplit_failure(monkeypatch, s3):
+    zgees = finharm.characters._ZGEES
+    calls = []
+
+    def failing(select, a, **kwargs):
+        calls.append(kwargs.get("lwork"))
+        return (*zgees(select, a, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(finharm.characters, "_ZGEES", failing)
+    with pytest.raises(EigensplitFailure, match="after 16 seeded attempts"):
+        character_table(s3)
+    assert len(calls) == 2 * 16 and calls[0] == -1  # a workspace query, then the call
 
 
 def test_element_values_expand_classes(s3_table):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import finharm.characters
 import finharm.cli
 import finharm.reports
 from finharm.cli import main
@@ -212,15 +213,51 @@ def test_unknown_command_exits_2():
     assert err.value.code == 2
 
 
-def test_module_entry_point():
-    # the child imports the same package as this process, installed or not
+def test_lapack_failure_exits_2_without_traceback(monkeypatch, capsys):
+    zgees = finharm.characters._ZGEES
+
+    def failing(select, a, **kwargs):
+        return (*zgees(select, a, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(finharm.characters, "_ZGEES", failing)
+    assert main(["chartable", "symmetric:4"]) == 2
+    captured = capsys.readouterr()
+    assert "error: failed to separate the 5 class-algebra eigenvalues" in captured.err
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["incomplete"] is True
+
+
+def _run_child(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the same package as this process,
+    installed or not."""
     package_root = str(Path(finharm.cli.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "finharm.cli", "chartable", "cyclic:3"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=pythonpath),
     )
+
+
+def test_module_entry_point():
+    proc = _run_child("-m", "finharm.cli", "chartable", "cyclic:3")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+def test_cold_import_leaves_scipy_linalg_unloaded():
+    # zgees comes from scipy's compiled extension; scipy.linalg's package
+    # import, and the numpy.f2py and numpy.testing it pulls in, never run
+    script = (
+        "import sys\n"
+        "import finharm.cli\n"
+        "unwanted = ('scipy.linalg', 'numpy.f2py', 'numpy.testing')\n"
+        "print(sorted(m for m in unwanted if m in sys.modules))\n"
+        "sys.exit(finharm.cli.main(['chartable', 'symmetric:4']))\n"
+    )
+    proc = _run_child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    loaded, report = proc.stdout.split("\n", 1)
+    assert loaded == "[]"
+    assert json.loads(report)["verdict"] == "pass"
