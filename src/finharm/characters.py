@@ -21,6 +21,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -49,17 +50,25 @@ _SLAB_BYTES = 1 << 23
 
 
 def _load_zgees():
-    """LAPACK zgees from the file of scipy's compiled _flapack extension, so
-    that scipy/linalg/__init__.py and the f2py and testing modules it imports
-    never run; else from scipy.linalg.lapack, the same function object."""
+    """LAPACK zgees from scipy's compiled _flapack extension: from the module
+    when it is imported, else from its file, so that scipy/linalg/__init__.py
+    and the f2py and testing modules it imports never run; else from
+    scipy.linalg.lapack, the same function object."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name].zgees
     spec = importlib.util.find_spec("scipy")
     for root in (spec.submodule_search_locations or ()) if spec else ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
             path = os.path.join(root, "linalg", "_flapack" + suffix)
             if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
-                module_spec = importlib.util.spec_from_loader(loader.name, loader)
-                return importlib.util.module_from_spec(module_spec).zgees
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module_spec = importlib.util.spec_from_loader(name, loader)
+                zgees = importlib.util.module_from_spec(module_spec).zgees
+                # loading may register the module without its parent package; a
+                # later import of scipy.linalg must bind it as its attribute
+                sys.modules.pop(name, None)
+                return zgees
     from scipy.linalg.lapack import zgees
 
     return zgees

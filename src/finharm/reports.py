@@ -6,6 +6,12 @@ those keys and a wall_time field outside the digest. All floats are
 serialized through the 12-significant-digit formatter, so identical
 configurations produce byte-identical digest-bearing sections on every
 platform.
+
+The digest is the sha256 of json.dumps(payload, sort_keys=True,
+separators=(",", ":")). The JSON rendering is json.dumps(document,
+sort_keys=True, indent=2) byte for byte, written by orjson when the digest
+proves orjson's tokens canonical. CSV is not digested; a cell holds no comma
+or line break.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+import re
 import time
 from dataclasses import dataclass
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -43,7 +49,8 @@ from .induction import (
 
 SWEEP_ORDER_CAP = 200
 
-_CONTAINERS = (dict, list, tuple)
+# what json's ensure_ascii escapes and orjson writes raw
+_BEYOND_ASCII = re.compile("[\x7f-\U0010ffff]+")
 
 
 @dataclass(frozen=True)
@@ -104,10 +111,34 @@ class SweepReport:
     wall_time: float
 
     def to_json(self) -> str:
-        doc = dict(self.payload)
-        doc["digest"] = self.digest
+        """json.dumps(doc, sort_keys=True, indent=2) + "\\n" of the payload
+        with its digest and wall_time, byte for byte.
+
+        orjson writes it when its compact text of the payload, escaped as
+        json's ensure_ascii escapes, hashes to the digest: its tokens are then
+        the canonical ones. Otherwise, and when orjson refuses the payload
+        (ints beyond 64 bits, lone surrogates), json writes it.
+        """
+        import orjson  # on the first render: finharm's import does without it
+
+        doc = dict(self.payload, digest=self.digest, wall_time=None)
+        try:
+            # each text is let go once used, so that at most two are alive at
+            # once: the one being copied and its copy
+            proof = hashlib.sha256(_ascii(orjson.dumps(self.payload, option=orjson.OPT_SORT_KEYS)))
+            if proof.hexdigest() == self.digest:
+                text = orjson.dumps(
+                    doc,
+                    option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE,
+                )
+                # only a top-level key follows a newline and two spaces
+                wall_time = b'\n  "wall_time": ' + json.dumps(self.wall_time).encode()
+                text = text.replace(b'\n  "wall_time": null', wall_time, 1)
+                return _ascii(text).decode()
+        except orjson.JSONEncodeError:
+            pass
         doc["wall_time"] = self.wall_time
-        return _indented_json(doc) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         p = self.payload
@@ -193,56 +224,12 @@ class SweepReport:
         return self.to_csv() if self.config.output_format == "csv" else self.to_json()
 
 
-def _indented_json(doc: dict[str, Any]) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2), byte for byte, for str keys.
-
-    Before Python 3.13, json writes indented text in pure Python. Here every
-    flat dict or list, one holding no dict, list or tuple, is written by one
-    call of the C encoder, whose item separator carries the newline and the
-    indent of its depth; only the containers above them are walked in Python.
-    """
-    if c_make_encoder is None:
-        return json.dumps(doc, sort_keys=True, indent=2)
-    default = json.JSONEncoder().default
-    encoders: list[Any] = []
-    chunks: list[str] = []
-
-    def write(obj: dict | list | tuple, depth: int) -> None:
-        inner = "\n" + "  " * (depth + 1)
-        outer = "\n" + "  " * depth
-        if depth == len(encoders):
-            # markers, default, encoder, indent, key_separator, item_separator,
-            # sort_keys, skipkeys, allow_nan: json.dumps's settings, less the
-            # indent and the circular-reference markers a flat container needs not
-            encoders.append(
-                c_make_encoder(
-                    None, default, encode_basestring_ascii, None,
-                    ": ", "," + inner, True, False, True,
-                )
-            )
-        encode = encoders[depth]
-        is_dict = isinstance(obj, dict)
-        values = obj.values() if is_dict else obj
-        if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
-            text = "".join(encode(obj, 0))
-            if len(text) > 2:  # not empty: open up its brackets
-                text = text[0] + inner + text[1:-1] + outer + text[-1]
-            chunks.append(text)
-            return
-        items = sorted(obj.items()) if is_dict else enumerate(obj)
-        chunks.append("{" if is_dict else "[")
-        for i, (key, value) in enumerate(items):
-            chunks.append("," + inner if i else inner)
-            if is_dict:
-                chunks.append(encode_basestring_ascii(key) + ": ")
-            if isinstance(value, _CONTAINERS):
-                write(value, depth + 1)
-            else:
-                chunks.append("".join(encode(value, 0)))
-        chunks.append(outer + ("}" if is_dict else "]"))
-
-    write(doc, 0)
-    return "".join(chunks)
+def _ascii(raw: bytes) -> bytes:
+    """orjson's UTF-8 text with DEL and every character beyond ASCII escaped
+    as json's ensure_ascii escapes them, surrogate pairs above U+FFFF."""
+    if raw.isascii() and b"\x7f" not in raw:  # both far faster than the regex's scan
+        return raw
+    return _BEYOND_ASCII.sub(lambda m: json.dumps(m.group())[1:-1], raw.decode()).encode()
 
 
 def _csv_scalar(value: Any) -> str:
@@ -250,8 +237,8 @@ def _csv_scalar(value: Any) -> str:
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return ";".join(str(v) for v in value)
-    text = str(value)
-    return text.replace(",", ";")
+    # one cell, and every record on one line
+    return str(value).replace(",", ";").replace("\r", "\\r").replace("\n", "\\n")
 
 
 def _config_block(command: str, config: RunConfig) -> dict[str, Any]:

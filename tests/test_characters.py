@@ -6,6 +6,7 @@ import cmath
 import importlib.machinery
 import importlib.util
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -207,6 +208,8 @@ def test_zgees_fallback_is_the_same_function(monkeypatch):
         return importlib.machinery.ModuleSpec(name, None, is_package=True)
 
     monkeypatch.setattr(importlib.util, "find_spec", no_locations)
+    # nor an imported _flapack module to take it from
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     assert finharm.characters._load_zgees() is finharm.characters._ZGEES
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -155,6 +156,43 @@ def test_oversized_spec_integer_exits_2(capsys, spec):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "cyclic:3", "--subgroup", "99999999999999999999999"],
+        ["sweep", "cyclic:3", "--psi-index", str(2**70)],
+        ["chartable", "caf\udce9:3"],
+        ["chartable", "caf\u00e9 \u2603 \U0001f600:3"],
+        ["chartable", "cyc\x7flic:3"],
+        ["chartable", "cyc\nlic:3"],
+    ],
+    ids=["int beyond 64 bits", "psi index 2**70", "lone surrogate", "non-ASCII", "DEL", "newline"],
+)
+def test_awkward_partial_report_renders_as_json_dumps(capsys, argv):
+    # orjson refuses the first three payloads (a lone surrogate is what
+    # sys.argv holds for bytes that are not UTF-8) and writes the other three,
+    # escaped as json escapes: either way the rendering must be json's, and
+    # the digest its payload's
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    doc = json.loads(captured.out)
+    assert doc["incomplete"] is True
+    assert captured.out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    payload = {key: value for key, value in doc.items() if key not in ("digest", "wall_time")}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == doc["digest"]
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+def test_csv_records_stay_on_one_line(capsys, line_break):
+    assert main(["chartable", f"cyc{line_break}lic:3", "--format", "csv"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    escaped = line_break.replace("\r", "\\r").replace("\n", "\\n")
+    assert f"group_spec,cyc{escaped}lic:3" in lines
+    assert all(line.startswith("# ") or "," in line for line in lines)
+
+
+@pytest.mark.parametrize(
     "exc, message",
     [
         (MemoryError(), "MemoryError"),
@@ -248,11 +286,13 @@ def test_module_entry_point():
 
 def test_cold_import_leaves_scipy_linalg_unloaded():
     # zgees comes from scipy's compiled extension; scipy.linalg's package
-    # import, and the numpy.f2py and numpy.testing it pulls in, never run
+    # import, and the numpy.f2py and numpy.testing it pulls in, never run, and
+    # neither the extension's module nor orjson stays loaded
     script = (
         "import sys\n"
         "import finharm.cli\n"
-        "unwanted = ('scipy.linalg', 'numpy.f2py', 'numpy.testing')\n"
+        "unwanted = ('scipy.linalg', 'scipy.linalg._flapack', 'numpy.f2py', 'numpy.testing',\n"
+        "            'orjson')\n"
         "print(sorted(m for m in unwanted if m in sys.modules))\n"
         "sys.exit(finharm.cli.main(['chartable', 'symmetric:4']))\n"
     )
@@ -261,3 +301,19 @@ def test_cold_import_leaves_scipy_linalg_unloaded():
     loaded, report = proc.stdout.split("\n", 1)
     assert loaded == "[]"
     assert json.loads(report)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "imports",
+    ["import finharm.cli, scipy.linalg", "import scipy.linalg, finharm.cli"],
+    ids=["finharm first", "scipy.linalg first"],
+)
+def test_scipy_linalg_keeps_its_flapack_in_either_import_order(imports):
+    script = (
+        f"{imports}\n"
+        "import sys, finharm.characters\n"
+        "assert scipy.linalg._flapack is sys.modules['scipy.linalg._flapack']\n"
+        "assert scipy.linalg.lapack.zgees is finharm.characters._ZGEES\n"
+    )
+    proc = _run_child("-c", script)
+    assert proc.returncode == 0, proc.stderr

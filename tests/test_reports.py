@@ -112,21 +112,55 @@ _AWKWARD_DOC = {
 }
 
 
-@pytest.mark.parametrize("with_c_encoder", [True, False])
-def test_to_json_matches_json_dumps_byte_for_byte(monkeypatch, with_c_encoder):
-    if not with_c_encoder:
-        monkeypatch.setattr(finharm.reports, "c_make_encoder", None)
+# _AWKWARD_DOC less its floats and its int beyond 64 bits, plus the 64-bit
+# extremes, a character beyond U+FFFF and a C1 control: orjson writes the same
+# tokens as json, so its real digest lets orjson render it
+_AWKWARD_64_BIT_DOC = {
+    "empty": [[], {}, [[]], {"inner": {}}],
+    "scalars": [None, True, False, 0, -7, 2**64 - 1, -(2**63)],
+    "strings": [
+        "caf\u00e9 \u2603 \U0001f600 \u0085", 'quote " and \\ backslash', "\x00\x1f\n\t\r\x7f", ""
+    ],
+    "nested": {"tuple": (1, "two", (3,)), "deep": [1, [2, {"k\u00e9y": [None, {"z": []}]}]]},
+    "\u00fcn\u00efcode key": {"a": None, "b": [True]},
+}
+
+
+# each document, and whether orjson renders it when its digest is real
+_RENDERINGS = [
+    (_AWKWARD_DOC, False),  # orjson refuses 10**30
+    ({"floats": [-0.0, 0.1, 1e-300, 1e16, float("nan")]}, False),  # orjson writes 1e16, null
+    (_AWKWARD_64_BIT_DOC, True),
+    ({"ascii": "DEL \x7f"}, True),
+]
+
+
+@pytest.mark.parametrize(
+    "awkward, by_orjson", _RENDERINGS, ids=["awkward", "floats", "64-bit", "DEL"]
+)
+@pytest.mark.parametrize("real_digest", [False, True], ids=["wrong digest", "real digest"])
+def test_to_json_matches_json_dumps_byte_for_byte(monkeypatch, awkward, by_orjson, real_digest):
     report = SweepReport(
         command="chartable",
         config=RunConfig(group_spec="cyclic:1"),
-        payload=_AWKWARD_DOC,
-        digest="0" * 64,
+        payload=awkward,
+        digest=finharm.reports._payload_digest(awkward) if real_digest else "0" * 64,
         passed=True,
         max_abs_error=0.0,
-        wall_time=0.25,
+        wall_time=2.5e-05,
     )
-    doc = dict(_AWKWARD_DOC, digest=report.digest, wall_time=report.wall_time)
-    assert report.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    doc = dict(awkward, digest=report.digest, wall_time=report.wall_time)
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if real_digest and by_orjson:
+        # orjson's path: json may write no indented text
+        dumps = json.dumps
+
+        def compact_only(obj, **kwargs):
+            assert "indent" not in kwargs
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", compact_only)
+    assert report.to_json() == expected
 
 
 def test_parse_group_spec_roundtrip():
