@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -135,11 +135,15 @@ class CharacterTable:
         return fmt_complex_rows(self.values)
 
     def to_csv(self) -> str:
-        header = "degree," + ",".join(f"class{k}" for k in range(len(self.group.classes)))
-        lines = [header]
-        for degree, row in zip(self.degrees, self.value_strings):
-            lines.append(f"{degree}," + ",".join(row))
-        return "\n".join(lines) + "\n"
+        return "\n".join(table_csv_lines(self.degrees, self.value_strings)) + "\n"
+
+
+def table_csv_lines(degrees: Iterable[int], rows: Sequence[Sequence[str]]) -> list[str]:
+    """The CSV lines of a character table: a header naming each class, then
+    each irrep's degree and formatted values."""
+    lines = ["degree," + ",".join(f"class{k}" for k in range(len(rows[0])))]
+    lines.extend(f"{degree}," + ",".join(row) for degree, row in zip(degrees, rows))
+    return lines
 
 
 @dataclass(frozen=True)
@@ -231,17 +235,6 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
         raise ValueError("tol must lie in [1e-12, 1e-6]")
     n = G.order
     r = len(G.classes)
-    if r == 1:
-        table = CharacterTable(
-            group=G,
-            num_irreps=1,
-            values=np.ones((1, 1), dtype=np.complex128),
-            degrees=(1,),
-            plancherel_weights=np.array([1.0 / n]),
-        )
-        table.orthogonality = verify_orthogonality(table, tol)
-        return table
-
     if r > _MAX_CLASSES:
         raise OrderTooLarge(
             f"class algebra of {r} classes exceeds the cap of {_MAX_CLASSES} classes"

@@ -15,13 +15,13 @@ from pathlib import Path
 from .errors import FinharmError, SweepAborted
 from .reports import RunConfig, SweepReport, build_report
 
-_COMMANDS = (
-    "chartable",
-    "plancherel-check",
-    "whittaker-check",
-    "conjecture-probe",
-    "sweep",
-)
+_COMMANDS = {
+    "chartable": "compute and certify the character table",
+    "plancherel-check": "verify pointwise inversion at the identity on random functions",
+    "whittaker-check": "verify the subgroup-transform identity per (subgroup, character)",
+    "conjecture-probe": "sample Phi/Theta ratios without asserting proportionality",
+    "sweep": "verification sweep: transform checks plus probes for every pair",
+}
 
 
 def _add_common(sp: argparse.ArgumentParser, with_selectors: bool) -> None:
@@ -53,15 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact harmonic analysis checks on finite groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "chartable": "compute and certify the character table",
-        "plancherel-check": "verify pointwise inversion at the identity on random functions",
-        "whittaker-check": "verify the subgroup-transform identity per (subgroup, character)",
-        "conjecture-probe": "sample Phi/Theta ratios without asserting proportionality",
-        "sweep": "verification sweep: transform checks plus probes for every pair",
-    }
-    for name in _COMMANDS:
-        sp = sub.add_parser(name, help=descriptions[name])
+    for name, description in _COMMANDS.items():
+        sp = sub.add_parser(name, help=description)
         _add_common(sp, with_selectors=name in ("whittaker-check", "conjecture-probe", "sweep"))
     return parser
 
@@ -102,7 +95,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             tol=args.tol,
             output_format=args.output_format,
-            output_path=args.out,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -111,13 +103,13 @@ def main(argv: list[str] | None = None) -> int:
         report = build_report(args.command, config)
     except SweepAborted as exc:
         if isinstance(exc.report, SweepReport):
-            _deliver(exc.report, config.output_path)
+            _deliver(exc.report, args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FinharmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not _deliver(report, config.output_path):
+    if not _deliver(report, args.out):
         return 2
     return 0 if report.passed else 1
 

@@ -253,14 +253,14 @@ def _close_mask(mul: np.ndarray, mask: np.ndarray) -> np.ndarray:
         count = new_count
 
 
-def subgroup_closure(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    """Smallest subgroup of G containing the seed elements."""
+def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> Subgroup:
+    """Smallest subgroup of G containing the generator elements."""
     mask = np.zeros(G.order, dtype=bool)
-    for s in seeds:
-        s = int(s)
-        if not 0 <= s < G.order:
-            raise IndexOutOfRange(f"seed {s} out of range for order {G.order}")
-        mask[s] = True
+    for g in generators:
+        g = int(g)
+        if not 0 <= g < G.order:
+            raise IndexOutOfRange(f"generator index {g} out of range for order {G.order}")
+        mask[g] = True
     return Subgroup(G, np.flatnonzero(_close_mask(G.mul_table, mask)).tolist())
 
 

@@ -169,8 +169,8 @@ class SubgroupSpectrum:
     characters psi of U, computed once, as read-only arrays with one row per
     psi.
 
-    psi_values[j] holds psis[j] on U.members. kernels[j, pi] is the kernel
-    conj(psis[j]) *_U theta_pi on the whole group, an array of shape
+    psi_values[j] holds the j-th psi on U.members. kernels[j, pi] is the
+    kernel conj(psi) *_U theta_pi of that psi on the whole group, of shape
     (num_psis, num_irreps, |G|). multiplicities and conjugate_multiplicities,
     of shape (num_psis, num_irreps), count each pi in the representations
     induced from psi and from conj(psi), and residuals[j, pi] is
@@ -179,7 +179,6 @@ class SubgroupSpectrum:
 
     table: CharacterTable
     U: Subgroup
-    psis: tuple[LinearCharacter, ...]
     psi_values: np.ndarray
     kernels: np.ndarray
     multiplicities: np.ndarray
@@ -205,9 +204,7 @@ def subgroup_spectrum(
     residuals = _modulus(kernels[:, :, 0] - U.order * conj_mults)
     for a in (psi_values, kernels, mults, conj_mults, residuals):
         a.setflags(write=False)
-    return SubgroupSpectrum(
-        table, U, tuple(psis), psi_values, kernels, mults, conj_mults, residuals
-    )
+    return SubgroupSpectrum(table, U, psi_values, kernels, mults, conj_mults, residuals)
 
 
 _SPECTRUM_BYTES = 4 << 20  # kernels and samples of one block of characters

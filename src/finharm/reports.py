@@ -32,6 +32,7 @@ from .characters import (
     LinearCharacter,
     character_table,
     linear_characters,
+    table_csv_lines,
 )
 from .errors import FinharmError, IndexOutOfRange, OrderTooLarge, SweepAborted
 from .formatting import fmt_complex_rows, fmt_real
@@ -64,7 +65,6 @@ class RunConfig:
     seed: int = 0
     tol: float = 1e-9
     output_format: str = "json"
-    output_path: str = "-"
 
     def __post_init__(self) -> None:
         if not self.group_spec:
@@ -102,12 +102,10 @@ def _index(name: str, value: Any) -> int:
 class SweepReport:
     """Assembled report plus its digest and timing."""
 
-    command: str
     config: RunConfig
     payload: dict[str, Any]
     digest: str
     passed: bool
-    max_abs_error: float
     wall_time: float
 
     def to_json(self) -> str:
@@ -142,21 +140,14 @@ class SweepReport:
 
     def to_csv(self) -> str:
         p = self.payload
-        lines: list[str] = ["# config"]
-        for key in sorted(p["config"]):
-            lines.append(f"{key},{_csv_scalar(p['config'][key])}")
-        if "group" in p:
-            lines.append("# group")
-            for key in sorted(p["group"]):
-                lines.append(f"{key},{_csv_scalar(p['group'][key])}")
+        lines: list[str] = []
+        for section in ("config", "group"):
+            if section in p:
+                lines.append(f"# {section}")
+                lines.extend(f"{key},{_csv_scalar(p[section][key])}" for key in sorted(p[section]))
         if "table" in p:
-            tbl = p["table"]
             lines.append("# table")
-            lines.append(
-                "degree," + ",".join(f"class{k}" for k in range(len(tbl["rows"][0])))
-            )
-            for degree, row in zip(tbl["degrees"], tbl["rows"]):
-                lines.append(f"{degree}," + ",".join(row))
+            lines.extend(table_csv_lines(p["table"]["degrees"], p["table"]["rows"]))
         if p.get("checks"):
             lines.append("# checks")
             if any("subgroup" in blk for blk in p["checks"]):
@@ -254,7 +245,6 @@ def _config_block(command: str, config: RunConfig) -> dict[str, Any]:
         "seed": config.seed,
         "tol": fmt_real(config.tol),
         "output_format": config.output_format,
-        # output_path is delivery detail, deliberately outside the digest
     }
 
 
@@ -318,10 +308,11 @@ def _iter_subgroups(
 
 
 def _identity_block(
-    spectrum: SubgroupSpectrum, j: int, passed: bool, kernel_at_identity: list[str]
+    spectrum: SubgroupSpectrum, j: int, residual: float, passed: bool,
+    kernel_at_identity: list[str],
 ) -> dict[str, Any]:
     return {
-        "max_residual": fmt_real(spectrum.residuals[j].max()),
+        "max_residual": fmt_real(residual),
         "pass": passed,
         "kernel_at_identity": kernel_at_identity,
         "multiplicities": spectrum.multiplicities[j].tolist(),
@@ -383,7 +374,7 @@ def _pair_blocks(
     r, count = table.num_irreps, config.num_test_functions
     done = 0
     for spectrum in subgroup_spectra(table, U, psis, count):
-        js = indices[done : done + len(spectrum.psis)]
+        js = indices[done : done + len(spectrum.psi_values)]
         done += len(js)
         identity_ok = kernel_multiplicity_identity_check(spectrum, config.tol).tolist()
         residuals = spectrum.residuals.max(axis=1).tolist()
@@ -411,7 +402,9 @@ def _pair_blocks(
                     "psi_on_members": list(strings[i][r : r + U.order]),
                     "num_functions": count,
                     "max_abs_error": fmt_real(max_errs[i]),
-                    "identity": _identity_block(spectrum, i, identity_ok[i], kernel_at_identity),
+                    "identity": _identity_block(
+                        spectrum, i, residuals[i], identity_ok[i], kernel_at_identity
+                    ),
                     "pass": theorem_ok[i] and identity_ok[i],
                 }
                 errors = max_errs[i], residuals[i]
@@ -447,6 +440,7 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
     }
     worst = 0.0
     all_pass = True
+    aborted = None
     try:
         G = make_named_group(config.group_spec)
         table = character_table(G, seed=config.seed, tol=config.tol)
@@ -500,35 +494,23 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
                         probes.append(probe)
                         all_pass = all_pass and probe["identity_check"]
     except (FinharmError, MemoryError, RecursionError) as exc:
-        message = str(exc) or type(exc).__name__
+        aborted = exc
         payload["incomplete"] = True
-        payload["error"] = message
-        payload["verdict"] = "fail"
-        payload["max_abs_error"] = fmt_real(worst)
-        digest = _payload_digest(payload)
-        report = SweepReport(
-            command=command,
-            config=config,
-            payload=payload,
-            digest=digest,
-            passed=False,
-            max_abs_error=worst,
-            wall_time=time.perf_counter() - start,
-        )
-        raise SweepAborted(message, report) from exc
+        payload["error"] = str(exc) or type(exc).__name__
+        all_pass = False
 
     payload["verdict"] = "pass" if all_pass else "fail"
     payload["max_abs_error"] = fmt_real(worst)
-    digest = _payload_digest(payload)
-    return SweepReport(
-        command=command,
+    report = SweepReport(
         config=config,
         payload=payload,
-        digest=digest,
+        digest=_payload_digest(payload),
         passed=bool(all_pass),
-        max_abs_error=worst,
         wall_time=time.perf_counter() - start,
     )
+    if aborted is not None:
+        raise SweepAborted(payload["error"], report) from aborted
+    return report
 
 
 def _payload_digest(payload: dict[str, Any]) -> str:

@@ -69,7 +69,7 @@ def theorem_sweep(built):
         f_l1 = np.abs(F).sum(axis=1)
         for U in enumerate_subgroups(G):
             spectrum = subgroup_spectrum(table, U, linear_characters(U))
-            pairs += len(spectrum.psis)
+            pairs += len(spectrum.psi_values)
             rec = generalized_plancherel_check_batch(spectrum, F)
             worst = max(worst, float((rec.abs_error / (1.0 + f_l1)).max()))
     elapsed = time.perf_counter() - start

@@ -86,6 +86,14 @@ def test_bad_subgroup_argument_exits_2(capsys):
     assert "bad --subgroup" in capsys.readouterr().err
 
 
+def test_subgroup_generator_out_of_range_exits_2(capsys):
+    assert main(["sweep", "cyclic:3", "--subgroup", "99999999999999999999999"]) == 2
+    captured = capsys.readouterr()
+    message = "generator index 99999999999999999999999 out of range for order 3"
+    assert captured.err == f"error: {message}\n"
+    assert json.loads(captured.out)["error"] == message
+
+
 def test_bad_config_exits_2(capsys):
     assert main(["chartable", "cyclic:2", "--tol", "0.5"]) == 2
     assert main(["chartable", "cyclic:2", "--count", "0"]) == 2

@@ -44,6 +44,49 @@ CASES = [
     # aborted at the first pair: the trivial subgroup has one character
     (["sweep", "symmetric:3", "--psi-index", "1"], 2,
      "d2bdd1eb6f3e9b581f900de94307b1c046712059e788344ca7b2f7da96681320"),
+    # one conjugacy class: the table of a 1 x 1 class algebra
+    (["chartable", "cyclic:1", "--format", "csv"], 0,
+     "b763574bf37a3ba7c86b6f535c7e6e24a59c1e28887fbd4714589ff67e220503"),
+]
+
+# Recorded when the one-class groups had a table path of their own, at seeds
+# 0, 1 and 7.
+ONE_CLASS_DIGESTS = {
+    ("chartable", "cyclic:1"): (
+        "dc194dd986159e49a6089f5987859287825400d7b2fbdeb4184f8806aa4c6c56",
+        "47d12e7e2d2d79ebea0637f0df3c18edebe63a06c7adc3e46f13186a8dc754f7",
+        "3584987a3342f69bfd8153ac2a944acb2172284f96c4ed38c02988f22a868378",
+    ),
+    ("plancherel-check", "cyclic:1"): (
+        "8cec31194a03200243e4bb946afc0924e04249441ba90d6021b9b95cece0a20a",
+        "f581266435bdda8ed87154c6fc7becf4746778e8c51e1174ae52b826d336f277",
+        "4ec1c9dda6669e6effb02b96573735d1c6aca4366be4c99cc51de764933ff422",
+    ),
+    ("sweep", "cyclic:1"): (
+        "25583c3d3cae1c3fb007ba4e67d1be7a4492be1e8d76103aaa044d26fe306de7",
+        "c1d522973b7a07ee7e5e4f2650c3504549b0bd88310afbd8386296fba5110944",
+        "e0ee4e4633f635db336f7982b028863da42c32acb162ddd36f56f2137ad6e2db",
+    ),
+    ("chartable", "product:cyclic:1*cyclic:1"): (
+        "9c6d8daf934e129340050c32e998d095d843e7cfa9a830a35c1c4974e0d271d2",
+        "52f42b8165f9855f038100e967659dbd4bf51d6a0dbfac7eb8982edb26e5cdcb",
+        "27a23b680f1aa7927cd4bb16dcafe02ef34256b3a13a1ca95f7c5a761c3c49a9",
+    ),
+    ("plancherel-check", "product:cyclic:1*cyclic:1"): (
+        "4be929fadb275234a0dc757cf9508b99c7eb9071fbdb63d30bda8116db5cf7c9",
+        "14da947383e3cefb60f19abcb933ff0e6cd9aa43952f0001dd0d466408291d4e",
+        "629de242692556275d6f7edcd578c33a914cbcc5e4237c55065839aacacdcee1",
+    ),
+    ("sweep", "product:cyclic:1*cyclic:1"): (
+        "c5908d9a19b14895f3f741a1b0c5ff95759e2ac2db1614e4f203d065e3d8cd0c",
+        "3f898183c9f79e9ff54dba6858d59ff85f2159d567534250c502037753e91e4c",
+        "3960c2dad4ed246ebbe22082bd8e29bcc2e085b23ea6817df965dc7921d80008",
+    ),
+}
+CASES += [
+    ([command, spec, "--seed", str(seed)], 0, digest)
+    for (command, spec), digests in ONE_CLASS_DIGESTS.items()
+    for seed, digest in zip((0, 1, 7), digests)
 ]
 
 

@@ -78,8 +78,8 @@ def _spectra(spec, samples=0):
         psis = linear_characters(U)
         done = 0
         for spectrum in subgroup_spectra(table, U, psis, samples):
-            yield U, psis[done : done + len(spectrum.psis)], spectrum
-            done += len(spectrum.psis)
+            yield U, psis[done : done + len(spectrum.psi_values)], spectrum
+            done += len(spectrum.psi_values)
         assert done == len(psis)
 
 
@@ -175,7 +175,7 @@ def test_stacked_spectra_match_scalar_oracles(monkeypatch, spec, count, mode):
     sizes = []
     for U in enumerate_subgroups(G):
         for spectrum in subgroup_spectra(table, U, linear_characters(U), count):
-            sizes.append(len(spectrum.psis))
+            sizes.append(len(spectrum.psi_values))
             rec = generalized_plancherel_check_batch(spectrum, F)
             probe = conjecture_probe(spectrum, plan)
             identity_ok = kernel_multiplicity_identity_check(spectrum)
@@ -219,7 +219,7 @@ def test_spectrum_block_bytes(monkeypatch):
     ):
         monkeypatch.setattr(finharm.induction, "_SPECTRUM_BYTES", budget)
         spectra = subgroup_spectra(table, U, linear_characters(U), 7)
-        assert [len(s.psis) for s in spectra] == sizes
+        assert [len(s.psi_values) for s in spectra] == sizes
 
 
 def _cached(plan):
@@ -340,7 +340,7 @@ def test_uncached_plan_blocks_are_redrawn_once_per_psi_block(monkeypatch, comman
         return plans[-1]
 
     def probing(spectrum, plan):
-        psi_blocks.append(len(spectrum.psis))
+        psi_blocks.append(len(spectrum.psi_values))
         return probe(spectrum, plan)
 
     monkeypatch.setattr(finharm.induction, "_draw", lambda *a: draws.append(a) or draw(*a))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,8 @@ from finharm import (
     IndexOutOfRange,
     LinearCharacter,
     NonIntegralMultiplicity,
+    OrderTooLarge,
+    ParseError,
     SweepAborted,
     build_report,
 )
@@ -141,12 +144,10 @@ _RENDERINGS = [
 @pytest.mark.parametrize("real_digest", [False, True], ids=["wrong digest", "real digest"])
 def test_to_json_matches_json_dumps_byte_for_byte(monkeypatch, awkward, by_orjson, real_digest):
     report = SweepReport(
-        command="chartable",
         config=RunConfig(group_spec="cyclic:1"),
         payload=awkward,
         digest=finharm.reports._payload_digest(awkward) if real_digest else "0" * 64,
         passed=True,
-        max_abs_error=0.0,
         wall_time=2.5e-05,
     )
     doc = dict(awkward, digest=report.digest, wall_time=report.wall_time)
@@ -370,32 +371,51 @@ def test_csv_rendering(s3):
     assert group_lines == ["class_sizes,1;2;3"]
 
 
+def _assert_aborted(err, cause: type[Exception]) -> None:
+    """The tail every aborted run shares: a failed, incomplete report,
+    digested like a complete one, raised from the original error."""
+    report = err.value.report
+    assert report.passed is False
+    assert report.payload["verdict"] == "fail"
+    assert report.payload["incomplete"] is True
+    assert report.payload["error"] == str(err.value)
+    assert report.digest == finharm.reports._payload_digest(report.payload)
+    assert isinstance(err.value.__cause__, cause)
+
+
+def test_report_table_csv_is_the_tables_own(corpus_tables):
+    # the # table section and the text table_digest hashes are one writer's
+    for spec, table in corpus_tables.items():
+        report = build_report("chartable", RunConfig(group_spec=spec, output_format="csv"))
+        lines = report.to_csv().split("\n")
+        start = lines.index("# table") + 1
+        section = lines[start : start + 1 + table.num_irreps]
+        assert "\n".join(section) + "\n" == table.to_csv(), spec
+        assert lines[start + 1 + table.num_irreps] == "# verdict"
+        text = table.to_csv().encode()
+        assert report.payload["group"]["table_digest"] == hashlib.sha256(text).hexdigest(), spec
+
+
 def test_sweep_cap_aborts_with_partial_report():
     with pytest.raises(SweepAborted) as err:
         build_report("sweep", RunConfig(group_spec="cyclic:201"))
-    report = err.value.report
-    assert report is not None
-    assert not report.passed
-    assert report.payload["incomplete"] is True
-    assert report.payload["verdict"] == "fail"
-    assert "error" in report.payload
-    assert len(report.digest) == 64
+    _assert_aborted(err, OrderTooLarge)
+    assert "table" in err.value.report.payload
 
 
 def test_bad_psi_index_aborts():
     cfg = RunConfig(group_spec="cyclic:2", character_selector=99)
     with pytest.raises(SweepAborted) as err:
         build_report("whittaker-check", cfg)
-    assert isinstance(err.value.__cause__, IndexOutOfRange)
+    _assert_aborted(err, IndexOutOfRange)
     assert "psi index" in str(err.value)
 
 
 def test_parse_failure_aborts_with_config_only_payload():
     with pytest.raises(SweepAborted) as err:
         build_report("chartable", RunConfig(group_spec="nonsense:1"))
-    payload = err.value.report.payload
-    assert payload["incomplete"] is True
-    assert "group" not in payload
+    _assert_aborted(err, ParseError)
+    assert "group" not in err.value.report.payload
 
 
 def _third_psi_not_multiplicative(monkeypatch):
@@ -441,7 +461,7 @@ def test_mid_subgroup_abort_keeps_the_pairs_before_it(
     with pytest.raises(SweepAborted) as err:
         build_report("sweep", RunConfig(group_spec=spec, num_test_functions=count, seed=seed))
     report = err.value.report
-    assert isinstance(err.value.__cause__, NonIntegralMultiplicity)
+    _assert_aborted(err, NonIntegralMultiplicity)
     assert report.payload["error"] == error
     assert report.payload["max_abs_error"] == max_abs_error
     assert len(report.payload["checks"]) == len(report.payload["probes"]) == pairs
