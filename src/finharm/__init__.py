@@ -9,7 +9,6 @@ bookkeeping behind it, with every integral an exact finite sum.
 from ._rng import test_functions
 from .characters import (
     CharacterTable,
-    LinearCharacter,
     OrthogonalityReport,
     character_table,
     linear_characters,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharacterTable",
-    "LinearCharacter",
     "OrthogonalityReport",
     "character_table",
     "linear_characters",

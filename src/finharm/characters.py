@@ -33,7 +33,6 @@ from .errors import (
     EigensplitFailure,
     IndexOutOfRange,
     OrderTooLarge,
-    SubgroupMismatch,
     ToleranceViolation,
 )
 from .formatting import fmt_complex_rows
@@ -151,7 +150,6 @@ class OrthogonalityReport:
     max_row_deviation: float
     max_column_deviation: float
     max_deviation: float
-    tol: float
     passed: bool
 
 
@@ -172,7 +170,6 @@ def verify_orthogonality(table: CharacterTable, tol: float = 1e-9) -> Orthogonal
         max_row_deviation=row_dev,
         max_column_deviation=col_dev,
         max_deviation=worst,
-        tol=float(tol),
         passed=bool(worst <= tol),
     )
 
@@ -299,49 +296,6 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
     )
 
 
-class LinearCharacter:
-    """A homomorphism from a subgroup to the unit circle.
-
-    member_values[i] is the value at subgroup.members[i]: unit modulus, with
-    value 1 at the identity.
-    """
-
-    def __init__(self, subgroup: Subgroup, member_values: Iterable[complex]) -> None:
-        values = np.array(member_values, dtype=np.complex128)
-        if values.shape != (subgroup.order,):
-            raise SubgroupMismatch("character values must cover exactly the members")
-        if float(np.max(np.abs(np.abs(values) - 1.0))) > 1e-6:
-            raise ValueError("character values must have modulus 1")
-        if abs(values[0] - 1.0) > 1e-6:
-            raise ValueError("character value at the identity must be 1")
-        values.setflags(write=False)
-        self.subgroup = subgroup
-        self.member_values = values
-
-    def __call__(self, u: int) -> complex:
-        try:
-            return complex(self.member_values[self.subgroup.members.index(u)])
-        except ValueError:
-            raise SubgroupMismatch(f"element {u} is not a member of the subgroup") from None
-
-    @property
-    def is_trivial(self) -> bool:
-        return bool(np.max(np.abs(self.member_values - 1.0)) <= 1e-9)
-
-    def conjugated(self) -> "LinearCharacter":
-        return LinearCharacter(self.subgroup, np.conj(self.member_values))
-
-    def on_parent(self) -> np.ndarray:
-        """Values extended by zero to the whole parent group."""
-        out = np.zeros(self.subgroup.parent.order, dtype=np.complex128)
-        out[self.subgroup.members_array] = self.member_values
-        return out
-
-    def __repr__(self) -> str:
-        kind = "trivial" if self.is_trivial else "nontrivial"
-        return f"<LinearCharacter {kind} on subgroup of order {self.subgroup.order}>"
-
-
 def _descending_row_order(values: np.ndarray, leading: np.ndarray | None = None) -> np.ndarray:
     """Stable row order by the leading key, if given, then by each column's
     (real, imag) quantized at 1e-9, descending, compared left to right."""
@@ -354,8 +308,10 @@ def _descending_row_order(values: np.ndarray, leading: np.ndarray | None = None)
     return np.lexsort(keys)
 
 
-def linear_characters(U: Subgroup) -> list[LinearCharacter]:
-    """All homomorphisms U -> unit circle; the trivial character comes first.
+def linear_characters(U: Subgroup) -> np.ndarray:
+    """All homomorphisms U -> unit circle, as a read-only complex array of
+    shape (num_characters, |U|): row j holds the j-th character on
+    U.members, and the trivial character comes first.
 
     Computed through the abelianization: commutators are closed up to the
     derived subgroup D, the quotient U/D is decomposed cyclically one
@@ -408,4 +364,6 @@ def linear_characters(U: Subgroup) -> list[LinearCharacter]:
         for a in range(m)
     ]
     values = np.array(unit_roots)[angles[:, coset]]
-    return [LinearCharacter(U, values[i]) for i in _descending_row_order(values)]
+    values = values[_descending_row_order(values)]
+    values.setflags(write=False)
+    return values

@@ -102,8 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = build_report(args.command, config)
     except SweepAborted as exc:
-        if isinstance(exc.report, SweepReport):
-            _deliver(exc.report, args.out)
+        _deliver(exc.report, args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FinharmError as exc:

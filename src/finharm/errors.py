@@ -8,6 +8,11 @@ working.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .reports import SweepReport
+
 
 class FinharmError(Exception):
     """Base class for all errors raised by this package."""
@@ -64,6 +69,6 @@ class NonIntegralMultiplicity(FinharmError):
 class SweepAborted(FinharmError):
     """A sweep died partway; carries the partial report for delivery."""
 
-    def __init__(self, message: str, report: object | None = None) -> None:
+    def __init__(self, message: str, report: SweepReport) -> None:
         super().__init__(message)
         self.report = report

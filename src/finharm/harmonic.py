@@ -10,7 +10,7 @@ counting measure.
 A function on G is a row of a (k, |G|) complex array indexed by element:
 Theta_pi(f) is f @ table.element_values[pi], Phi_pi(f) for the j-th psi of a
 spectrum is spectrum.kernels[j, pi] @ f, and psi *_U f is
-convolve_over_subgroup(psi.member_values, U, f).
+convolve_over_subgroup(psi, U, f) for psi a row of linear_characters(U).
 
 Accumulation over irreps uses compensated (Kahan) summation in ascending
 index order so reports are reproducible to the last bit.

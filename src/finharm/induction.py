@@ -21,7 +21,9 @@ note the conjugate: inducing from psi itself gives the same number only when
 psi is real-valued. Reports carry both multiplicity vectors so the twist
 stays visible.
 
-A spectrum stacks the characters psi of one subgroup U along a leading axis:
+A character psi of U is a row of values on U.members, as linear_characters
+returns them, and a stack of them is a (num_psis, |U|) array. A spectrum
+stacks the characters psi of one subgroup U along that leading axis:
 their kernels come from one accumulation over U, their multiplicities from
 one stacked product, and the check and the probe pair them all at once.
 Every psi keeps the bits it would have alone. subgroup_spectra cuts the
@@ -31,13 +33,13 @@ characters of U into blocks of about _SPECTRUM_BYTES.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from . import _rng
 from ._rng import derive_stream_seed, row_blocks, test_functions
-from .characters import CharacterTable, LinearCharacter
+from .characters import CharacterTable
 from .errors import (
     GroupMismatch,
     IndexOutOfRange,
@@ -48,15 +50,40 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup
 from .harmonic import _dots, _modulus, convolve_over_subgroup
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 _THETA_ZERO_THRESHOLD = 1e-6
 _RESAMPLE_BUDGET = 32
 
 
-def _check_wiring(table: CharacterTable, U: Subgroup, psi: LinearCharacter) -> None:
+def _check_wiring(table: CharacterTable, U: Subgroup) -> None:
     if U.parent is not table.group:
         raise GroupMismatch("U must be a subgroup of the table's group")
-    if psi.subgroup is not U:
-        raise SubgroupMismatch("psi must be a character of U")
+
+
+def _psi_values(U: Subgroup, psis: ArrayLike, ndim: int) -> np.ndarray:
+    """psis as a read-only complex array of ndim axes, one character of U
+    per row of values on U.members: of unit modulus, and 1 at the identity.
+    An array that is already read-only and complex is returned as it is."""
+    values = np.asarray(psis, dtype=np.complex128)
+    if values.ndim != ndim or values.shape[-1] != U.order:
+        raise SubgroupMismatch("character values must cover exactly the members")
+    if float(np.max(np.abs(np.abs(values) - 1.0))) > 1e-6:
+        raise ValueError("character values must have modulus 1")
+    if (np.abs(values[..., 0] - 1.0) > 1e-6).any():
+        raise ValueError("character value at the identity must be 1")
+    if values.flags.writeable:
+        values = values.copy()
+        values.setflags(write=False)
+    return values
+
+
+def _on_parent(U: Subgroup, psi: np.ndarray) -> np.ndarray:
+    """The values psi on U.members, extended by zero to the parent group."""
+    out = np.zeros(U.parent.order, dtype=np.complex128)
+    out[U.members_array] = psi
+    return out
 
 
 def _snap(inner: np.ndarray, order: int, tol: float, what: str) -> np.ndarray:
@@ -98,19 +125,21 @@ class InducedCharacter:
 
 
 def induced_character(
-    U: Subgroup, psi: LinearCharacter, table: CharacterTable, tol: float = 1e-6
+    U: Subgroup, psi: ArrayLike, table: CharacterTable, tol: float = 1e-6
 ) -> InducedCharacter:
     """chi(g) = (1/|U|) * sum over x in G with x^-1 g x in U of psi(x^-1 g x),
-    together with its expansion coefficients in the irreducible rows, which
-    must equal the restriction inner product's."""
-    _check_wiring(table, U, psi)
+    for psi one row of values on U.members, together with its expansion
+    coefficients in the irreducible rows, which must equal the restriction
+    inner product's."""
+    _check_wiring(table, U)
+    psi = _psi_values(U, psi, 1)
     G = U.parent
     mul = G.mul_table
     conjugated = mul[mul[G.inv_table, G.class_reps[:, None]], np.arange(G.order)]  # x^-1 c x
-    values = psi.on_parent()[conjugated].sum(axis=1) / U.order
+    values = _on_parent(U, psi)[conjugated].sum(axis=1) / U.order
     inner = (G.class_sizes * values * np.conj(table.values)).sum(axis=1)
     mults = tuple(_snap(inner, G.order, tol, "coefficient of irrep {pi}").tolist())
-    if mults != tuple(_frobenius(table, U, np.conj(psi.member_values), tol).tolist()):
+    if mults != tuple(_frobenius(table, U, np.conj(psi), tol).tolist()):
         raise ToleranceViolation(
             "induced-character coefficients disagree with the restriction inner product"
         )
@@ -118,11 +147,12 @@ def induced_character(
     return InducedCharacter(values=values, multiplicities=mults)
 
 
-def _monomial_action(U: Subgroup, psi_on_G: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+def _monomial_action(U: Subgroup, psi: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
     """For each element g[k] and coset representative r_i: the coset j of
     r_i * g[k] = u * r_j, and the phase psi(u) = psi(r_i g[k] r_j^-1); two
     (len(g), [G:U]) arrays."""
     G = U.parent
+    psi_on_G = _on_parent(U, psi)
     reps = np.array(U.left_coset_reps, dtype=np.int64)
     moved = G.mul_table[reps, g[:, None]]  # r_i * g
     target = U.coset_of[moved]
@@ -133,10 +163,11 @@ def _monomial_action(U: Subgroup, psi_on_G: np.ndarray, g: np.ndarray) -> tuple[
 class InducedRep:
     """The representation induced from a subgroup character, as its monomial
     action on the cosets U\\G: dimension = [G:U], and character is its trace
-    at each class representative."""
+    at each class representative. psi holds the character's values on
+    U.members."""
 
     U: Subgroup
-    psi: LinearCharacter
+    psi: np.ndarray
     dimension: int
     character: np.ndarray
 
@@ -146,18 +177,18 @@ class InducedRep:
         homomorphism."""
         if not 0 <= g < self.U.parent.order:
             raise IndexOutOfRange(f"element index {g} out of range")
-        target, phase = _monomial_action(self.U, self.psi.on_parent(), np.array([g]))
+        target, phase = _monomial_action(self.U, self.psi, np.array([g]))
         M = np.zeros((self.dimension, self.dimension), dtype=np.complex128)
         M[np.arange(self.dimension), target[0]] = phase[0]
         return M
 
 
-def induced_rep(U: Subgroup, psi: LinearCharacter) -> InducedRep:
-    """The monomial representation induced from psi, with its trace at every
-    class representative: the phases of the cosets that g fixes."""
-    if psi.subgroup is not U:
-        raise SubgroupMismatch("psi must be a character of U")
-    target, phase = _monomial_action(U, psi.on_parent(), U.parent.class_reps)
+def induced_rep(U: Subgroup, psi: ArrayLike) -> InducedRep:
+    """The monomial representation induced from psi, one row of values on
+    U.members, with its trace at every class representative: the phases of
+    the cosets that g fixes."""
+    psi = _psi_values(U, psi, 1)
+    target, phase = _monomial_action(U, psi, U.parent.class_reps)
     character = np.where(target == np.arange(U.num_cosets), phase, 0).sum(axis=1)
     character.setflags(write=False)
     return InducedRep(U, psi, U.num_cosets, character)
@@ -169,6 +200,7 @@ class SubgroupSpectrum:
     characters psi of U, computed once, as read-only arrays with one row per
     psi.
 
+    psi_values is the (num_psis, |U|) stack the spectrum was built from, so
     psi_values[j] holds the j-th psi on U.members. kernels[j, pi] is the
     kernel conj(psi) *_U theta_pi of that psi on the whole group, of shape
     (num_psis, num_irreps, |G|). multiplicities and conjugate_multiplicities,
@@ -186,23 +218,21 @@ class SubgroupSpectrum:
     residuals: np.ndarray
 
 
-def subgroup_spectrum(
-    table: CharacterTable, U: Subgroup, psis: Sequence[LinearCharacter]
-) -> SubgroupSpectrum:
-    """Build the kernels of every (U, psi), psi in psis, for every irrep in
-    one pass over U, together with both multiplicity matrices and the
-    kernel-identity residuals. Raises NonIntegralMultiplicity when a
-    multiplicity does not snap to a nonnegative integer."""
-    if not psis:
+def subgroup_spectrum(table: CharacterTable, U: Subgroup, psis: ArrayLike) -> SubgroupSpectrum:
+    """Build the kernels of every (U, psi), psi a row of the
+    (num_psis, |U|) stack psis, for every irrep in one pass over U, together
+    with both multiplicity matrices and the kernel-identity residuals.
+    Raises NonIntegralMultiplicity when a multiplicity does not snap to a
+    nonnegative integer."""
+    if len(psis) == 0:
         raise ValueError("a spectrum needs at least one character")
-    for psi in psis:
-        _check_wiring(table, U, psi)
-    psi_values = np.array([psi.member_values for psi in psis])
+    _check_wiring(table, U)
+    psi_values = _psi_values(U, psis, 2)
     mults = _frobenius(table, U, np.conj(psi_values), 1e-6)
     conj_mults = _frobenius(table, U, psi_values, 1e-6)
     kernels = convolve_over_subgroup(np.conj(psi_values), U, table.element_values)
     residuals = _modulus(kernels[:, :, 0] - U.order * conj_mults)
-    for a in (psi_values, kernels, mults, conj_mults, residuals):
+    for a in (kernels, mults, conj_mults, residuals):
         a.setflags(write=False)
     return SubgroupSpectrum(table, U, psi_values, kernels, mults, conj_mults, residuals)
 
@@ -211,14 +241,14 @@ _SPECTRUM_BYTES = 4 << 20  # kernels and samples of one block of characters
 
 
 def subgroup_spectra(
-    table: CharacterTable, U: Subgroup, psis: Sequence[LinearCharacter], samples: int = 0
+    table: CharacterTable, U: Subgroup, psis: np.ndarray, samples: int = 0
 ) -> Iterator[SubgroupSpectrum]:
-    """subgroup_spectrum of consecutive blocks of psis, in order. A block
-    holds about _SPECTRUM_BYTES of kernels and of `samples` complex pairings
-    per (psi, irrep), such as the probe's ratios; the blocking changes no
-    bits. A block that raises is redone one psi at a time, so the spectra of
-    the characters before the failing one are yielded before it raises, with
-    the message of that psi alone."""
+    """subgroup_spectrum of consecutive blocks of rows of the stack psis, in
+    order. A block holds about _SPECTRUM_BYTES of kernels and of `samples`
+    complex pairings per (psi, irrep), such as the probe's ratios; the
+    blocking changes no bits. A block that raises is redone one row at a
+    time, so the spectra of the characters before the failing one are
+    yielded before it raises, with the message of that psi alone."""
     per_psi = 16 * table.num_irreps * (table.group.order + samples)
     step = max(1, _SPECTRUM_BYTES // per_psi)
     for start in range(0, len(psis), step):
@@ -226,7 +256,7 @@ def subgroup_spectra(
         try:  # yielded unbound, so no block outlives the caller's use of it
             yield subgroup_spectrum(table, U, block)
         except NonIntegralMultiplicity:
-            yield from (subgroup_spectrum(table, U, [psi]) for psi in block)
+            yield from (subgroup_spectrum(table, U, block[i : i + 1]) for i in range(len(block)))
 
 
 def kernel_multiplicity_identity_check(

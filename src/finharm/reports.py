@@ -2,10 +2,12 @@
 
 A report is a plain JSON-serializable dict with top-level keys config, group,
 table, checks, probes, verdict, max_abs_error, plus a digest over exactly
-those keys and a wall_time field outside the digest. All floats are
-serialized through the 12-significant-digit formatter, so identical
-configurations produce byte-identical digest-bearing sections on every
-platform.
+those keys and a wall_time field outside the digest. The report of a run that
+aborted also has the keys incomplete (true) and error (the message) under the
+digest, and lacks group and table when it aborted before building them. All
+floats are serialized through the 12-significant-digit formatter, so
+identical configurations produce byte-identical digest-bearing sections on
+every platform.
 
 The digest is the sha256 of json.dumps(payload, sort_keys=True,
 separators=(",", ":")). The JSON rendering is json.dumps(document,
@@ -29,7 +31,6 @@ import numpy as np
 from ._rng import test_functions
 from .characters import (
     CharacterTable,
-    LinearCharacter,
     character_table,
     linear_characters,
     table_csv_lines,
@@ -286,9 +287,10 @@ def _subgroup_block(U: Subgroup) -> dict[str, Any]:
 
 def _iter_subgroups(
     G: FiniteGroup, config: RunConfig
-) -> Iterator[tuple[Subgroup, Sequence[int], list[LinearCharacter]]]:
+) -> Iterator[tuple[Subgroup, Sequence[int], np.ndarray]]:
     """Each subgroup of the run with the indices of its selected linear
-    characters and the characters themselves."""
+    characters and the (num_selected, |U|) stack of the characters
+    themselves."""
     if config.subgroup_selector == "all":
         subgroups = enumerate_subgroups(G)
     else:
@@ -304,7 +306,7 @@ def _iter_subgroups(
                 f"psi index {k} out of range: subgroup of order {U.order} "
                 f"has {len(psis)} linear characters"
             )
-        yield U, [k], [psis[k]]
+        yield U, [k], psis[k : k + 1]
 
 
 def _identity_block(
@@ -357,7 +359,7 @@ def _pair_blocks(
     table: CharacterTable,
     U: Subgroup,
     indices: Sequence[int],
-    psis: list[LinearCharacter],
+    psis: np.ndarray,
     config: RunConfig,
     checked: tuple[np.ndarray, np.ndarray] | None,
     probed: tuple[ProbePlan, list[int]] | None,

@@ -1,7 +1,8 @@
 """Loop-only reference computations used to cross-check the package.
 
-Functions on a group are (|G|,) complex arrays indexed by element, as in the
-package. Apart from truncation_demo, nothing here shares a code path with the
+Functions on a group are (|G|,) complex arrays indexed by element, and a
+linear character psi of U is a (|U|,) complex array of its values on
+U.members, as in the package. Apart from truncation_demo, nothing here shares a code path with the
 vectorized internals: sums run as plain Python loops over scalar table
 lookups, or over one 1-D np.dot per function and irrep, so agreement between
 these values and the package's is meaningful evidence. The summation-order
@@ -32,7 +33,6 @@ from finharm import (
     FiniteGroup,
     FinharmError,
     GroupMismatch,
-    LinearCharacter,
     Subgroup,
     SubgroupMismatch,
     ToleranceViolation,
@@ -97,6 +97,11 @@ def brute_convolve(
     return out
 
 
+def psi_at(U: Subgroup, psi: np.ndarray) -> dict[int, complex]:
+    """psi as a map from each member of U to its value, a Python complex."""
+    return dict(zip(U.members, np.asarray(psi).tolist()))
+
+
 def brute_inversion(table: CharacterTable, f: np.ndarray) -> complex:
     G = table.group
     total = 0j
@@ -109,70 +114,75 @@ def brute_inversion(table: CharacterTable, f: np.ndarray) -> complex:
 
 
 def brute_whittaker_sides(
-    table: CharacterTable, U: Subgroup, psi: LinearCharacter, f: np.ndarray
+    table: CharacterTable, U: Subgroup, psi: np.ndarray, f: np.ndarray
 ) -> tuple[complex, complex]:
     """Both sides of the transform identity: lhs (psi *_U f)(identity), rhs
     the weighted sum over irreps of the kernel pairing, by raw triple loops."""
     G = table.group
+    psi = psi_at(U, psi)
     lhs = 0j
     for u in U.members:
-        lhs += psi(u) * complex(f[G.inv(u)])
+        lhs += psi[u] * complex(f[G.inv(u)])
     rhs = 0j
     for pi in range(table.num_irreps):
         pairing = 0j
         for x in range(G.order):
             for u in U.members:
                 chi = complex(table.values[pi, G.class_of[G.mul(G.inv(u), x)]])
-                pairing += psi(u).conjugate() * chi * complex(f[x])
+                pairing += psi[u].conjugate() * chi * complex(f[x])
         rhs += (table.degrees[pi] / G.order) * pairing
     return lhs, rhs
 
 
 def brute_kernel_values(
-    table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter
+    table: CharacterTable, pi: int, U: Subgroup, psi: np.ndarray
 ) -> list[complex]:
     G = table.group
+    psi = psi_at(U, psi)
     out = []
     for x in range(G.order):
         acc = 0j
         for u in U.members:
             chi = complex(table.values[pi, G.class_of[G.mul(G.inv(u), x)]])
-            acc += psi(u).conjugate() * chi
+            acc += psi[u].conjugate() * chi
         out.append(acc)
     return out
 
 
 def brute_multiplicity(
-    table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter
+    table: CharacterTable, pi: int, U: Subgroup, psi: np.ndarray
 ) -> complex:
     """Restriction inner product, left unsnapped."""
     G = table.group
+    psi = psi_at(U, psi)
     total = 0j
     for u in U.members:
-        total += complex(table.values[pi, G.class_of[u]]) * psi(u).conjugate()
+        total += complex(table.values[pi, G.class_of[u]]) * psi[u].conjugate()
     return total / U.order
 
 
-def brute_induced_character_value(U: Subgroup, psi: LinearCharacter, g: int) -> complex:
+def brute_induced_character_value(U: Subgroup, psi: np.ndarray, g: int) -> complex:
     G = U.parent
+    psi = psi_at(U, psi)
     total = 0j
     for x in range(G.order):
         c = G.mul(G.mul(G.inv(x), g), x)
         if U.member_mask[c]:
-            total += psi(c)
+            total += psi[c]
     return total / U.order
 
 
 def brute_fubini_value(
-    table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter, f: np.ndarray
+    table: CharacterTable, pi: int, U: Subgroup, psi: np.ndarray, f: np.ndarray
 ) -> complex:
     """The double sum over (g, u) of theta(g) f(u^-1 g) psi(u), one fixed order."""
     G = table.group
+    psi = psi_at(U, psi)
     total = 0j
     for g in range(G.order):
         chi = complex(table.values[pi, G.class_of[g]])
         for u in U.members:
-            total += chi * complex(f[G.mul(G.inv(u), g)]) * psi(u)
+            total += chi * complex(f[G.mul(G.inv(u), g)]) * psi[u]
     return total
 
 
@@ -180,7 +190,7 @@ def fubini_interchange_oracle(
     table: CharacterTable,
     pi: int,
     U: Subgroup,
-    psi: LinearCharacter,
+    psi: np.ndarray,
     f: np.ndarray,
     seed: int = 0,
 ) -> tuple[complex, complex]:
@@ -192,7 +202,9 @@ def fubini_interchange_oracle(
     genuine order-independence rather than one fixed loop nesting. The three
     values are required to agree; (orderA, orderB) is returned.
     """
-    if not (U.parent is table.group and psi.subgroup is U and f.shape == (table.group.order,)):
+    if not (
+        U.parent is table.group and psi.shape == (U.order,) and f.shape == (table.group.order,)
+    ):
         raise GroupMismatch("table, U, psi and f must share one group")
     G = table.group
     n = G.order
@@ -200,11 +212,10 @@ def fubini_interchange_oracle(
     inv = G.inv_table
     theta_el = table.character_on_elements(pi)
     members = U.members_array
-    psiv = psi.member_values
 
     # f(u^-1 g) laid out as a |U| x |G| matrix
     translates = f[mul[np.ix_(inv[members], np.arange(n))]]
-    inner_over_u = psiv @ translates
+    inner_over_u = psi @ translates
 
     g_order = np.argsort(unit_uniforms(derive_stream_seed(int(seed), 0), n), kind="stable")
     order_a = 0.0 + 0.0j
@@ -217,7 +228,7 @@ def fubini_interchange_oracle(
     order_b = 0.0 + 0.0j
     for ui in u_order:
         u = int(members[ui])
-        order_b += complex(psiv[ui]) * complex(np.dot(theta_el, f[mul[inv[u]]]))
+        order_b += complex(psi[ui]) * complex(np.dot(theta_el, f[mul[inv[u]]]))
 
     substituted = 0.0 + 0.0j
     u_order_s = np.argsort(
@@ -225,7 +236,7 @@ def fubini_interchange_oracle(
     )
     for ui in u_order_s:
         u = int(members[ui])
-        substituted += complex(psiv[ui]) * complex(np.dot(theta_el[mul[u]], f))
+        substituted += complex(psi[ui]) * complex(np.dot(theta_el[mul[u]], f))
 
     scale = 1.0 + max(abs(order_a), abs(order_b), abs(substituted))
     worst = max(
@@ -473,10 +484,10 @@ def scalar_inversion(table: CharacterTable, F: np.ndarray) -> list[complex]:
 
 
 def scalar_frobenius(
-    table: CharacterTable, pi: int, U: Subgroup, psi: LinearCharacter, tol: float = 1e-6
+    table: CharacterTable, pi: int, U: Subgroup, psi: np.ndarray, tol: float = 1e-6
 ) -> int:
     restricted = table.character_on_elements(pi)[U.members_array]
-    value = complex(np.dot(restricted, np.conj(psi.member_values))) / U.order
+    value = complex(np.dot(restricted, np.conj(psi))) / U.order
     rounded = int(round(value.real))
     assert rounded >= 0 and abs(value - rounded) <= tol
     return rounded
@@ -501,12 +512,12 @@ def scalar_convolve(coeffs, U: Subgroup, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def scalar_pair(table: CharacterTable, U: Subgroup, psi: LinearCharacter) -> SimpleNamespace:
+def scalar_pair(table: CharacterTable, U: Subgroup, psi: np.ndarray) -> SimpleNamespace:
     """kernels (r, |G|), multiplicities, conjugate_multiplicities and
     residuals of one pair."""
-    kernels = scalar_convolve(np.conj(psi.member_values), U, table.element_values)
+    kernels = scalar_convolve(np.conj(psi), U, table.element_values)
     irreps = range(table.num_irreps)
-    conj = tuple(scalar_frobenius(table, pi, U, psi.conjugated()) for pi in irreps)
+    conj = tuple(scalar_frobenius(table, pi, U, np.conj(psi)) for pi in irreps)
     return SimpleNamespace(
         kernels=kernels,
         multiplicities=tuple(scalar_frobenius(table, pi, U, psi) for pi in irreps),
@@ -516,13 +527,13 @@ def scalar_pair(table: CharacterTable, U: Subgroup, psi: LinearCharacter) -> Sim
 
 
 def scalar_check(
-    table: CharacterTable, U: Subgroup, psi: LinearCharacter, kernels: np.ndarray, F: np.ndarray
+    table: CharacterTable, U: Subgroup, psi: np.ndarray, kernels: np.ndarray, F: np.ndarray
 ) -> list[tuple]:
     """(lhs, phi, rhs, abs_error, f_l1) per row of F; lhs is the transform
     of the row alone, at the identity."""
     out = []
     for f in F:
-        lhs = complex(scalar_convolve(psi.member_values, U, f)[0])
+        lhs = complex(scalar_convolve(psi, U, f)[0])
         phis = tuple(complex(np.dot(f, kernel)) for kernel in kernels)
         rhs = kahan_sum(float(w) * p for w, p in zip(table.plancherel_weights, phis))
         out.append((lhs, phis, rhs, abs(lhs - rhs), float(np.abs(f).sum())))
@@ -591,8 +602,9 @@ def _unit_root(turns: Fraction) -> complex:
     return cmath.exp(2j * cmath.pi * float(turns))
 
 
-def fraction_linear_characters(U: Subgroup) -> list[LinearCharacter]:
-    """All homomorphisms U -> unit circle; the trivial character comes first.
+def fraction_linear_characters(U: Subgroup) -> np.ndarray:
+    """All homomorphisms U -> unit circle, one row of values on U.members
+    each; the trivial character comes first.
 
     Computed through the abelianization: commutators are closed up to the
     derived subgroup D, the quotient U/D is decomposed cyclically one
@@ -648,11 +660,8 @@ def fraction_linear_characters(U: Subgroup) -> list[LinearCharacter]:
         chars = extended
         covered = set(chars[0].keys())
 
-    lifted = [
-        LinearCharacter(U, [_unit_root(chi[coset_of[u]]) for u in members]) for chi in chars
-    ]
-    order = _descending_row_order(np.array([psi.member_values for psi in lifted]))
-    return [lifted[i] for i in order]
+    lifted = np.array([[_unit_root(chi[coset_of[u]]) for u in members] for chi in chars])
+    return lifted[_descending_row_order(lifted)]
 
 
 # --- truncated kernels -------------------------------------------------------
@@ -672,7 +681,7 @@ class ChainNotExhaustive(FinharmError):
 
 def truncation_demo(
     U: Subgroup,
-    psi: LinearCharacter,
+    psi: np.ndarray,
     table: CharacterTable,
     pi: int,
     chain,
@@ -687,7 +696,7 @@ def truncation_demo(
     """
     if U.parent is not table.group:
         raise GroupMismatch("U must be a subgroup of the table's group")
-    if psi.subgroup is not U:
+    if psi.shape != (U.order,):
         raise SubgroupMismatch("psi must be a character of U")
     member_set = set(U.members)
     inv = U.parent.inv_table
@@ -709,7 +718,7 @@ def truncation_demo(
         raise ChainNotExhaustive("chain must terminate at the full subgroup")
 
     theta_values = table.character_on_elements(pi)
-    psi_bar = np.conj(psi.member_values)
+    psi_bar = np.conj(psi)
     kernels = []
     for support in stages:
         coeffs = np.where(np.isin(U.members_array, support), psi_bar, 0)

@@ -142,7 +142,8 @@ def test_c4_kernel_multiplicity_identity(built):
     q8 = built.groups["quaternion"]
     t8 = built.tables["quaternion"]
     center = subgroup_closure(q8, [1])
-    psi_c = next(p for p in linear_characters(center) if abs(p(1) + 1) < 1e-9)
+    at_1 = center.members.index(1)
+    psi_c = next(p for p in linear_characters(center) if abs(p[at_1] + 1) < 1e-9)
     spot8 = subgroup_spectrum(t8, center, [psi_c])
     assert round(spot8.kernels[0, 4, 0].real) == 4
 
@@ -151,7 +152,7 @@ def test_c4_kernel_multiplicity_identity(built):
         (t8, center, psi_c, [0, 0, 0, 0, 4]),
     ):
         G_ = table.group
-        rep = induced_rep(U_, psi_.conjugated())
+        rep = induced_rep(U_, np.conj(psi_))
         sizes = G_.class_sizes.astype(float)
         for pi, expected in enumerate(kernels):
             inner = complex(np.sum(sizes * rep.character * np.conj(table.values[pi])))

@@ -15,9 +15,7 @@ import pytest
 from finharm import (
     CharacterTable,
     EigensplitFailure,
-    SubgroupMismatch,
     Subgroup,
-    LinearCharacter,
     character_table,
     enumerate_subgroups,
     linear_characters,
@@ -28,6 +26,7 @@ from finharm import (
 import finharm.characters
 from finharm._rng import derive_stream_seed, unit_uniforms
 from finharm.characters import _ClassAlgebra, _descending_row_order, _schur
+from finharm.induction import _on_parent
 from conftest import CORPUS_SPECS
 from oracle_helpers import (
     brute_multiplicity,
@@ -35,6 +34,7 @@ from oracle_helpers import (
     fraction_linear_characters,
     perm_list,
     perm_parity,
+    psi_at,
     quantized_descending_key,
     scipy_schur,
     structure_constants,
@@ -316,7 +316,7 @@ def test_linear_character_order_matches_tuple_key_sort(corpus_groups):
     for spec in ("cyclic:12", "product:cyclic:2*cyclic:4", "dihedral:8"):
         U = Subgroup(corpus_groups[spec], range(corpus_groups[spec].order))
         psis = linear_characters(U)
-        keys = [quantized_descending_key(psi.member_values) for psi in psis]
+        keys = [quantized_descending_key(psi) for psi in psis]
         assert keys == sorted(keys)
 
 
@@ -333,17 +333,18 @@ def test_character_on_elements_bounds(s3_table):
 def test_s3_order2_subgroup_characters(s3):
     U = subgroup_closure(s3, [1])
     psis = linear_characters(U)
-    assert len(psis) == 2
-    assert psis[0].is_trivial
-    assert [psis[1](u) for u in U.members] == [(1 + 0j), (-1 + 0j)]
+    assert psis.shape == (2, U.order)
+    assert np.abs(psis[0] - 1.0).max() <= 1e-9
+    assert psis[1].tolist() == [(1 + 0j), (-1 + 0j)]
 
 
 def test_a3_characters_are_cube_roots(s3):
     U = subgroup_closure(s3, [3])
     psis = linear_characters(U)
-    assert len(psis) == 3
-    assert psis[0].is_trivial
-    got = {complex(round(psis[k](3).real, 9), round(psis[k](3).imag, 9)) for k in (1, 2)}
+    assert psis.shape == (3, U.order)
+    assert np.abs(psis[0] - 1.0).max() <= 1e-9
+    at3 = [psis[k][U.members.index(3)] for k in (1, 2)]
+    got = {complex(round(v.real, 9), round(v.imag, 9)) for v in at3}
     assert got == {
         complex(round(OMEGA.real, 9), round(OMEGA.imag, 9)),
         complex(round((OMEGA**2).real, 9), round((OMEGA**2).imag, 9)),
@@ -353,7 +354,7 @@ def test_a3_characters_are_cube_roots(s3):
 def test_cyclic4_characters_frozen():
     G = make_named_group("cyclic:4")
     U = Subgroup(G, range(4))
-    rows = [[psi(u) for u in U.members] for psi in linear_characters(U)]
+    rows = linear_characters(U).tolist()
     assert rows == [
         [1, 1, 1, 1],
         [1, 1j, -1, -1j],
@@ -375,17 +376,18 @@ def test_multiplicativity_exhaustive(corpus_groups):
         G = corpus_groups[spec]
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
-                assert abs(psi(0) - 1) == 0
+                psi = psi_at(U, psi)
+                assert abs(psi[0] - 1) == 0
                 for a in U.members:
                     for b in U.members:
-                        lhs = psi(a) * psi(b)
-                        rhs = psi(G.mul(a, b))
+                        lhs = psi[a] * psi[b]
+                        rhs = psi[G.mul(a, b)]
                         assert abs(lhs - rhs) < 1e-12
 
 
 def test_characters_are_distinct(q8):
     for U in enumerate_subgroups(q8):
-        rows = [tuple(psi(u) for u in U.members) for psi in linear_characters(U)]
+        rows = [tuple(psi.tolist()) for psi in linear_characters(U)]
         assert len(set(rows)) == len(rows)
 
 
@@ -399,7 +401,7 @@ LATTICE_SPECS = (
 
 
 def _character_bytes(psis) -> list[bytes]:
-    return [psi.member_values.tobytes() for psi in psis]
+    return [psi.tobytes() for psi in psis]
 
 
 def test_characters_equal_fraction_oracle_on_every_subgroup(corpus_groups):
@@ -432,33 +434,26 @@ def test_whole_group_characters_equal_fraction_oracle(spec, count):
 def test_conjugated_character(s3):
     U = subgroup_closure(s3, [3])
     psi = linear_characters(U)[1]
-    bar = psi.conjugated()
-    for u in U.members:
-        assert bar(u) == psi(u).conjugate()
+    bar = np.conj(psi)
+    for u, value in psi_at(U, psi).items():
+        assert psi_at(U, bar)[u] == value.conjugate()
 
 
 def test_on_parent_extends_by_zero(s3):
     U = subgroup_closure(s3, [1])
     psi = linear_characters(U)[1]
-    full = psi.on_parent()
+    full = _on_parent(U, psi)
     assert full.tolist() == [1, -1, 0, 0, 0, 0]
 
 
-def test_character_call_outside_subgroup(s3):
-    U = subgroup_closure(s3, [1])
-    psi = linear_characters(U)[0]
-    with pytest.raises(SubgroupMismatch):
-        psi(2)
-
-
-def test_linear_character_validation(s3):
-    U = subgroup_closure(s3, [1])
-    with pytest.raises(SubgroupMismatch):
-        LinearCharacter(U, [1.0])  # missing member 1
-    with pytest.raises(ValueError):
-        LinearCharacter(U, [1.0, 2.0])  # modulus
-    with pytest.raises(ValueError):
-        LinearCharacter(U, [-1.0, 1.0])  # identity value
+def test_linear_characters_are_one_read_only_array(s3):
+    for U in enumerate_subgroups(s3):
+        psis = linear_characters(U)
+        assert psis.dtype == np.complex128 and psis.shape == (len(psis), U.order)
+        assert psis.flags.c_contiguous and not psis.flags.writeable
+        assert psis[0].tolist() == [1] * U.order  # the trivial character first
+        with pytest.raises(ValueError):
+            psis[-1, -1] = 1
 
 
 def test_restriction_of_linear_parent_characters(s3_table, s3):

@@ -19,7 +19,8 @@ from finharm import (
     subgroup_spectrum,
 )
 from finharm import test_functions as draw_test_functions
-from oracle_helpers import brute_convolve, brute_inversion, brute_whittaker_sides
+from finharm.induction import _on_parent
+from oracle_helpers import brute_convolve, brute_inversion, brute_whittaker_sides, psi_at
 
 
 def _delta(G, g):
@@ -45,15 +46,15 @@ def test_delta_and_indicator(s3):
 
 def _check_delta_and_indicator(s3, U):
     for psi in linear_characters(U):
-        on_G = psi.on_parent()
+        on_G = _on_parent(U, psi)
         # psi *_U delta_g is psi(x g^-1) on the coset U g and zero off it
         for g in range(s3.order):
             expected = [on_G[s3.mul(x, s3.inv(g))] for x in range(s3.order)]
-            out = convolve_over_subgroup(psi.member_values, U, _delta(s3, g))
+            out = convolve_over_subgroup(psi, U, _delta(s3, g))
             assert out.tolist() == expected
         # psi *_U 1_U is |U| * 1_U for the trivial psi and zero otherwise
-        total = psi.member_values.sum()
-        out = convolve_over_subgroup(psi.member_values, U, _indicator(s3, U.members))
+        total = psi.sum()
+        out = convolve_over_subgroup(psi, U, _indicator(s3, U.members))
         assert np.allclose(out, total * _indicator(s3, U.members), atol=1e-12)
 
 
@@ -66,9 +67,9 @@ def test_right_translate(s3):
             assert shifted[x] == f[s3.mul(x, g)]
         # convolution over U acts on the left, so it commutes with R_g
         for psi in linear_characters(U):
-            W = convolve_over_subgroup(psi.member_values, U, f)
+            W = convolve_over_subgroup(psi, U, f)
             assert np.allclose(
-                convolve_over_subgroup(psi.member_values, U, shifted),
+                convolve_over_subgroup(psi, U, shifted),
                 W[s3.mul_table[:, g]],
                 atol=1e-12,
             )
@@ -94,8 +95,8 @@ def test_convolution_matches_brute_loops(s3, q8):
         U = subgroup_closure(G, seeds)
         f = draw_test_functions(G, 41, [0])[0]
         for psi in linear_characters(U):
-            out = convolve_over_subgroup(psi.member_values, U, f)
-            expected = brute_convolve(dict(zip(U.members, psi.member_values)), U, f)
+            out = convolve_over_subgroup(psi, U, f)
+            expected = brute_convolve(psi_at(U, psi), U, f)
             assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -105,7 +106,7 @@ def test_convolution_rejects_bad_wiring(s3, q8):
     with pytest.raises(GroupMismatch):
         convolve_over_subgroup(np.ones(2), U, f_wrong)
     with pytest.raises(GroupMismatch):
-        convolve_over_subgroup(linear_characters(U)[0].member_values, U, f_wrong)
+        convolve_over_subgroup(linear_characters(U)[0], U, f_wrong)
     f = _delta(s3, 0)
     with pytest.raises(SubgroupMismatch):
         convolve_over_subgroup(np.ones(3), U, f)  # U has 2 members, not 3
@@ -148,11 +149,11 @@ def test_transform_equivariance(s3_table, q8_table):
         f = draw_test_functions(G, 23, [0])[0]
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
-                W = convolve_over_subgroup(psi.member_values, U, f)
-                for u in U.members:
+                W = convolve_over_subgroup(psi, U, f)
+                for u, value in psi_at(U, psi).items():
                     for g in range(G.order):
                         lhs = W[G.mul(u, g)]
-                        rhs = psi(u) * W[g]
+                        rhs = value * W[g]
                         assert abs(lhs - rhs) < 1e-10
 
 
@@ -163,8 +164,8 @@ def test_transform_idempotence(s3_table, q8_table):
         f = draw_test_functions(G, 29, [0])[0]
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
-                once = convolve_over_subgroup(psi.member_values, U, f)
-                twice = convolve_over_subgroup(psi.member_values, U, once)
+                once = convolve_over_subgroup(psi, U, f)
+                twice = convolve_over_subgroup(psi, U, once)
                 assert np.allclose(twice, U.order * once, atol=1e-10)
 
 
@@ -177,7 +178,7 @@ def test_kernel_total_mass(s3_table, q8_table):
             for psi, kernels in zip(psis, subgroup_spectrum(table, U, psis).kernels):
                 for pi in range(table.num_irreps):
                     lhs = complex(kernels[pi].sum())
-                    psi_mass = sum(psi(u) for u in U.members)
+                    psi_mass = sum(psi_at(U, psi).values())
                     theta_mass = complex(table.character_on_elements(pi).sum())
                     assert abs(lhs - psi_mass.conjugate() * theta_mass) < 1e-10
 
@@ -191,7 +192,7 @@ def test_transform_surjectivity_rank(corpus_groups):
         inv = G.inv_table
         for U in enumerate_subgroups(G):
             for psi in linear_characters(U):
-                kernel_matrix = psi.on_parent()[mul[:, inv]]
+                kernel_matrix = _on_parent(U, psi)[mul[:, inv]]
                 assert np.linalg.matrix_rank(kernel_matrix) == U.num_cosets
 
 
@@ -242,7 +243,7 @@ def test_batch_matches_single(s3_table, s3):
         assert batch.rhs[0, i] == single.rhs[0, 0]
         assert np.array_equal(batch.phi[0, i], single.phi[0, 0])
         # the left-hand side is the transform at the identity, bit for bit
-        assert batch.lhs[0, i] == convolve_over_subgroup(psi.member_values, U, F[i])[0]
+        assert batch.lhs[0, i] == convolve_over_subgroup(psi, U, F[i])[0]
     with pytest.raises(GroupMismatch):
         generalized_plancherel_check_batch(spectrum, F[0])
 
@@ -256,7 +257,7 @@ def test_trivial_subgroup_degenerates_to_inversion(corpus_groups, corpus_tables)
         U = Subgroup(G, [0])
         psi = linear_characters(U)[0]
         f = draw_test_functions(G, 3, [0])[0]
-        W = convolve_over_subgroup(psi.member_values, U, f)
+        W = convolve_over_subgroup(psi, U, f)
         assert np.array_equal(W, f)
         spectrum = subgroup_spectrum(table, U, [psi])
         rec = generalized_plancherel_check_batch(spectrum, f[None])

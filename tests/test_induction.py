@@ -157,19 +157,18 @@ def test_nonintegral_multiplicity_detected(s3_table, s3):
         subgroup_spectrum(broken, U, [psi])
     # the stacked snap fails on the first failing psi, with the same message
     with pytest.raises(NonIntegralMultiplicity) as stacked:
-        subgroup_spectrum(broken, U, [psi, linear_characters(U)[0]])
+        subgroup_spectrum(broken, U, np.array([psi, linear_characters(U)[0]]))
     assert str(stacked.value) == str(alone.value)
 
 
 def test_failing_block_yields_the_characters_before_it(s3_table, s3):
     U = Subgroup(s3, range(6))
     trivial, sign = linear_characters(U)
-    values = sign.member_values.copy()
-    values[1] = -values[1]  # unit modulus and 1 at the identity, not multiplicative
-    bad = type(sign)(U, values)
-    spectra = subgroup_spectra(s3_table, U, [trivial, sign, bad, trivial], 0)
-    assert np.array_equal(next(spectra).psi_values, [trivial.member_values])
-    assert np.array_equal(next(spectra).psi_values, [sign.member_values])
+    bad = sign.copy()
+    bad[1] = -bad[1]  # unit modulus and 1 at the identity, not multiplicative
+    spectra = subgroup_spectra(s3_table, U, np.array([trivial, sign, bad, trivial]), 0)
+    assert np.array_equal(next(spectra).psi_values, [trivial])
+    assert np.array_equal(next(spectra).psi_values, [sign])
     with pytest.raises(NonIntegralMultiplicity) as err:
         next(spectra)
     with pytest.raises(NonIntegralMultiplicity) as alone:
@@ -195,7 +194,8 @@ def test_kernel_identity_spot_q8_center(q8_table, q8):
     center = subgroup_closure(q8, [1])
     assert center.members == (0, 1)
     # the character with psi(-1) = -1
-    psi = next(p for p in linear_characters(center) if abs(p(1) + 1) < 1e-9)
+    at_1 = center.members.index(1)
+    psi = next(p for p in linear_characters(center) if abs(p[at_1] + 1) < 1e-9)
     spectrum = subgroup_spectrum(q8_table, center, [psi])
     assert kernel_multiplicity_identity_check(spectrum).all()
     assert abs(spectrum.kernels[0, 4, 0] - 4) < 1e-10
@@ -235,7 +235,7 @@ def test_subgroup_spectrum_wiring_and_read_only(s3_table, s3, q8):
     psis = linear_characters(U)
     spectrum = subgroup_spectrum(s3_table, U, psis)
     assert spectrum.kernels.shape == (3, 3, 6)
-    assert np.array_equal(spectrum.psi_values, [psi.member_values for psi in psis])
+    assert spectrum.psi_values is psis  # the read-only stack, not a copy
     for a in (
         spectrum.psi_values,
         spectrum.kernels,
@@ -250,9 +250,38 @@ def test_subgroup_spectrum_wiring_and_read_only(s3_table, s3, q8):
     with pytest.raises(GroupMismatch):
         subgroup_spectrum(s3_table, other, linear_characters(other)[:1])
     with pytest.raises(SubgroupMismatch):
-        subgroup_spectrum(s3_table, U, [psis[0], linear_characters(subgroup_closure(s3, [1]))[0]])
+        subgroup_spectrum(s3_table, U, linear_characters(subgroup_closure(s3, [1])))
     with pytest.raises(ValueError):
         subgroup_spectrum(s3_table, U, [])
+    # a writable stack is copied, so the caller's array stays the caller's
+    values = np.array(psis)
+    spectrum = subgroup_spectrum(s3_table, U, values)
+    assert values.flags.writeable and not spectrum.psi_values.flags.writeable
+    values[1] = values[2]
+    assert np.array_equal(spectrum.psi_values, psis)
+
+
+def test_character_values_are_checked_where_they_enter(s3_table, s3):
+    U = subgroup_closure(s3, [1])
+    psis = linear_characters(U)
+    entries = (
+        lambda row: subgroup_spectrum(s3_table, U, [row]),
+        lambda row: induced_character(U, row, s3_table),
+        lambda row: induced_rep(U, row),
+    )
+    for enter in entries:
+        with pytest.raises(SubgroupMismatch, match="cover exactly the members"):
+            enter([1.0])  # missing member 1
+        with pytest.raises(SubgroupMismatch, match="cover exactly the members"):
+            enter(linear_characters(subgroup_closure(s3, [3]))[1])  # another subgroup's
+        with pytest.raises(SubgroupMismatch, match="cover exactly the members"):
+            enter(psis)  # a stack where one row is taken, a 3-D stack for a spectrum
+        with pytest.raises(ValueError, match="modulus 1"):
+            enter([1.0, 2.0])
+        with pytest.raises(ValueError, match="at the identity must be 1"):
+            enter([-1.0, 1.0])
+        with pytest.raises(ValueError, match="at the identity must be 1"):
+            enter([1j, 1.0])
 
 
 def test_kernel_values_match_brute(s3_table, s3):

@@ -14,7 +14,6 @@ import finharm.induction
 import finharm.reports
 from finharm import (
     IndexOutOfRange,
-    LinearCharacter,
     NonIntegralMultiplicity,
     OrderTooLarge,
     ParseError,
@@ -426,9 +425,9 @@ def _third_psi_not_multiplicative(monkeypatch):
     def patched(U):
         psis = real(U)
         if len(psis) >= 3:
-            values = psis[0].member_values.copy()
-            values[1] = -values[1]
-            psis[2] = LinearCharacter(U, values)
+            psis = psis.copy()
+            psis[2] = psis[0]
+            psis[2, 1] = -psis[2, 1]
         return psis
 
     monkeypatch.setattr(finharm.reports, "linear_characters", patched)
