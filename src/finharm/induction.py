@@ -65,15 +65,22 @@ def _check_wiring(table: CharacterTable, U: Subgroup) -> None:
 def _psi_values(U: Subgroup, psis: ArrayLike, ndim: int) -> np.ndarray:
     """psis as a read-only complex array of ndim axes, one character of U
     per row of values on U.members: of unit modulus, and 1 at the identity.
-    An array that is already read-only and complex is returned as it is."""
-    values = np.asarray(psis, dtype=np.complex128)
+    A complex array that no writable array shares memory with is returned
+    as it is; any other input is copied."""
+    try:
+        values = np.asarray(psis, dtype=np.complex128)
+    except ValueError as exc:  # ragged rows
+        raise SubgroupMismatch("character values must cover exactly the members") from exc
     if values.ndim != ndim or values.shape[-1] != U.order:
         raise SubgroupMismatch("character values must cover exactly the members")
     if float(np.max(np.abs(np.abs(values) - 1.0))) > 1e-6:
         raise ValueError("character values must have modulus 1")
     if (np.abs(values[..., 0] - 1.0) > 1e-6).any():
         raise ValueError("character value at the identity must be 1")
-    if values.flags.writeable:
+    owner = values
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is not None:  # writable itself, a view of a writable array, or a foreign buffer
         values = values.copy()
         values.setflags(write=False)
     return values

@@ -249,6 +249,8 @@ def test_subgroup_spectrum_wiring_and_read_only(s3_table, s3, q8):
     other = subgroup_closure(q8, [1])
     with pytest.raises(GroupMismatch):
         subgroup_spectrum(s3_table, other, linear_characters(other)[:1])
+    with pytest.raises(SubgroupMismatch):  # rows of two subgroups, a ragged list
+        subgroup_spectrum(s3_table, U, [psis[0], linear_characters(subgroup_closure(s3, [1]))[0]])
     with pytest.raises(SubgroupMismatch):
         subgroup_spectrum(s3_table, U, linear_characters(subgroup_closure(s3, [1])))
     with pytest.raises(ValueError):
@@ -259,6 +261,15 @@ def test_subgroup_spectrum_wiring_and_read_only(s3_table, s3, q8):
     assert values.flags.writeable and not spectrum.psi_values.flags.writeable
     values[1] = values[2]
     assert np.array_equal(spectrum.psi_values, psis)
+    # so is a read-only view of a writable stack; a view of psis is not
+    values = np.array(psis)
+    view = values[:]
+    view.setflags(write=False)
+    spectrum = subgroup_spectrum(s3_table, U, view)
+    assert spectrum.psi_values is not view
+    values[1] = values[2]
+    assert np.array_equal(spectrum.psi_values, psis)
+    assert subgroup_spectrum(s3_table, U, psis[1:]).psi_values.base is psis
 
 
 def test_character_values_are_checked_where_they_enter(s3_table, s3):
