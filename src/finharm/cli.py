@@ -60,13 +60,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _deliver(report: SweepReport, out_path: str) -> bool:
-    """Write the report; on an unwritable path say so and return False."""
+    """Write the report; on an unwritable path say so and return False.
+
+    The text is written as UTF-8 bytes, with the surrogates that stand for
+    undecodable bytes of the command line (a spec that is not UTF-8) written
+    back as those bytes, so a file and stdout receive the same bytes. A
+    stdout that takes only text, as under contextlib.redirect_stdout, gets
+    the text.
+    """
     text = report.rendered()
     try:
-        if out_path == "-":
-            sys.stdout.write(text)
+        if out_path != "-":
+            Path(out_path).write_bytes(text.encode("utf-8", "surrogateescape"))
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()  # text written before the report goes first
+            sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
         else:
-            Path(out_path).write_text(text)
+            sys.stdout.write(text)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return False

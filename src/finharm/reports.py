@@ -10,10 +10,16 @@ identical configurations produce byte-identical digest-bearing sections on
 every platform.
 
 The digest is the sha256 of json.dumps(payload, sort_keys=True,
-separators=(",", ":")). The JSON rendering is json.dumps(document,
-sort_keys=True, indent=2) byte for byte, written by orjson when the digest
-proves orjson's tokens canonical. CSV is not digested; a cell holds no comma
-or line break.
+separators=(",", ":")), and orjson computes it. Every leaf build_report puts
+in a payload is a str (each number goes through fmt_real or fmt_complex), a
+Python int, a bool or None, under str-keyed dicts and lists; orjson's compact
+sorted text of such a payload, with DEL and every character beyond ASCII
+escaped as json's ensure_ascii escapes them, is json's text byte for byte.
+json computes it where orjson refuses the payload: ints beyond 64 bits, lone
+surrogates, keys that are not str. The JSON rendering is json.dumps(document,
+sort_keys=True, indent=2) byte for byte, written by orjson when its compact
+text proves canonical by hashing to the digest. CSV is not digested; a cell
+holds no comma or line break.
 """
 
 from __future__ import annotations
@@ -116,16 +122,17 @@ class SweepReport:
         orjson writes it when its compact text of the payload, escaped as
         json's ensure_ascii escapes, hashes to the digest: its tokens are then
         the canonical ones. Otherwise, and when orjson refuses the payload
-        (ints beyond 64 bits, lone surrogates), json writes it.
+        (ints beyond 64 bits, lone surrogates), json writes it. So a report
+        built by hand whose payload holds floats, which orjson writes in its
+        own format, is still rendered as json renders it.
         """
-        import orjson  # on the first render: finharm's import does without it
+        import orjson
 
         doc = dict(self.payload, digest=self.digest, wall_time=None)
         try:
             # each text is let go once used, so that at most two are alive at
             # once: the one being copied and its copy
-            proof = hashlib.sha256(_ascii(orjson.dumps(self.payload, option=orjson.OPT_SORT_KEYS)))
-            if proof.hexdigest() == self.digest:
+            if hashlib.sha256(_orjson_compact(self.payload)).hexdigest() == self.digest:
                 text = orjson.dumps(
                     doc,
                     option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE,
@@ -214,6 +221,14 @@ class SweepReport:
 
     def rendered(self) -> str:
         return self.to_csv() if self.config.output_format == "csv" else self.to_json()
+
+
+def _orjson_compact(payload: dict[str, Any]) -> bytes:
+    """orjson's compact sorted text of payload, escaped by _ascii; raises
+    orjson.JSONEncodeError where orjson refuses the payload."""
+    import orjson
+
+    return _ascii(orjson.dumps(payload, option=orjson.OPT_SORT_KEYS))
 
 
 def _ascii(raw: bytes) -> bytes:
@@ -310,37 +325,34 @@ def _iter_subgroups(
 
 
 def _identity_block(
-    spectrum: SubgroupSpectrum, j: int, residual: float, passed: bool,
-    kernel_at_identity: list[str],
+    spectrum: SubgroupSpectrum, j: int, residual: float, passed: bool
 ) -> dict[str, Any]:
+    """Pair j's identity check; _fill_strings sets its kernel_at_identity."""
     return {
         "max_residual": fmt_real(residual),
         "pass": passed,
-        "kernel_at_identity": kernel_at_identity,
+        "kernel_at_identity": None,
         "multiplicities": spectrum.multiplicities[j].tolist(),
         "conjugate_multiplicities": spectrum.conjugate_multiplicities[j].tolist(),
     }
 
 
 def _probe_per_pi(
-    spectrum: SubgroupSpectrum,
-    probe: ProbeRecord,
-    i: int,
-    num_flagged: list[int],
-    kernel_at_identity: list[str],
-    first_ratio: Sequence[str],
+    spectrum: SubgroupSpectrum, probe: ProbeRecord, i: int, num_flagged: list[int]
 ) -> list[dict[str, Any]]:
-    count = probe.flagged.shape[1]
+    """The per-irrep records of pair i; _fill_strings sets their
+    kernel_at_identity, and their first_ratio unless every sample of the
+    irrep was flagged."""
     return [
         {
             "pi": pi,
             "degree": degree,
             "multiplicity": m,
             "conjugate_multiplicity": m_bar,
-            "kernel_at_identity": kernel_at_identity[pi],
+            "kernel_at_identity": None,
             "ratio_constant": constant,
             "num_flagged": num_flagged[pi],
-            "first_ratio": None if num_flagged[pi] == count else first_ratio[pi],
+            "first_ratio": None,
             "max_ratio_spread": fmt_real(spread),
         }
         for pi, (degree, m, m_bar, constant, spread) in enumerate(
@@ -355,6 +367,45 @@ def _probe_per_pi(
     ]
 
 
+@dataclass
+class _StringBlock:
+    """A block of pairs whose complex strings wait for the end of the report.
+
+    values holds one row per pair: the kernels at the identity, psi on U when
+    checked, then the probe's first ratios when probed; psi_at and ratio_at
+    are where the last two parts start. pairs holds each pair's check block
+    and probe block, None where the command skips that part.
+    """
+
+    values: np.ndarray
+    psi_at: int
+    ratio_at: int
+    pairs: list[tuple[dict[str, Any] | None, dict[str, Any] | None]]
+
+
+def _fill_strings(blocks: list[_StringBlock], count: int) -> None:
+    """Hand every pair of blocks its strings, formatted in one
+    fmt_complex_rows call: per call its fixed numpy cost outweighs a block's
+    few dozen values."""
+    if not blocks:
+        return
+    (strings,) = fmt_complex_rows(np.concatenate([b.values.ravel() for b in blocks])[None])
+    at = 0
+    for b in blocks:
+        width = b.values.shape[1]
+        for i, (check, probe) in enumerate(b.pairs):
+            row = strings[at + i * width : at + (i + 1) * width]
+            if check is not None:
+                check["identity"]["kernel_at_identity"] = list(row[: b.psi_at])
+                check["psi_on_members"] = list(row[b.psi_at : b.ratio_at])
+            if probe is not None:
+                for rec, k, ratio in zip(probe["per_pi"], row, row[b.ratio_at :]):
+                    rec["kernel_at_identity"] = k
+                    if rec["num_flagged"] != count:
+                        rec["first_ratio"] = ratio
+        at += b.values.size
+
+
 def _pair_blocks(
     table: CharacterTable,
     U: Subgroup,
@@ -363,6 +414,7 @@ def _pair_blocks(
     config: RunConfig,
     checked: tuple[np.ndarray, np.ndarray] | None,
     probed: tuple[ProbePlan, list[int]] | None,
+    string_blocks: list[_StringBlock],
 ) -> Iterator[tuple[dict[str, Any] | None, dict[str, Any] | None, tuple[float, float] | None]]:
     """The check block, the probe block and the check's (max_abs_error,
     max_residual) of each selected (U, psi) in order, one spectrum per block
@@ -370,43 +422,41 @@ def _pair_blocks(
 
     checked holds the test functions and their L1 norms, probed the probe
     plan and its flag count per irrep; either is None when the command skips
-    that part. A pair whose spectrum fails raises after the pairs before it.
+    that part. Each block of characters appends its complex values and its
+    pairs to string_blocks; the pairs' strings are None until _fill_strings. A pair whose spectrum fails raises after the pairs before
+    it.
     """
     subgroup = _subgroup_block(U)
     r, count = table.num_irreps, config.num_test_functions
+    ratio_at = r + (0 if checked is None else U.order)
     done = 0
     for spectrum in subgroup_spectra(table, U, psis, count):
         js = indices[done : done + len(spectrum.psi_values)]
         done += len(js)
         identity_ok = kernel_multiplicity_identity_check(spectrum, config.tol).tolist()
         residuals = spectrum.residuals.max(axis=1).tolist()
+        parts = [spectrum.kernels[:, :, 0]]
         if checked is not None:
             F, f_l1 = checked
             rec = generalized_plancherel_check_batch(spectrum, F)
             theorem_ok = (rec.abs_error <= config.tol * (1.0 + f_l1)).all(axis=1).tolist()
             max_errs = rec.abs_error.max(axis=1).tolist()
+            parts.append(spectrum.psi_values)
         probe = None if probed is None else conjecture_probe(spectrum, probed[0])
-        # the block's complex strings in one pass: kernels at the identity,
-        # psi on U, then the probe's first ratios
-        strings = fmt_complex_rows(
-            np.hstack(
-                [spectrum.kernels[:, :, 0], spectrum.psi_values]
-                + ([] if probe is None else [probe.first_ratio])
-            )
-        )
+        if probe is not None:
+            parts.append(probe.first_ratio)
+        block = _StringBlock(np.hstack(parts), r, ratio_at, [])
+        string_blocks.append(block)
         for i, j in enumerate(js):
-            kernel_at_identity = list(strings[i][:r])
             check = probe_block = errors = None
             if checked is not None:
                 check = {
                     "subgroup": subgroup,
                     "psi_index": j,
-                    "psi_on_members": list(strings[i][r : r + U.order]),
+                    "psi_on_members": None,
                     "num_functions": count,
                     "max_abs_error": fmt_real(max_errs[i]),
-                    "identity": _identity_block(
-                        spectrum, i, residuals[i], identity_ok[i], kernel_at_identity
-                    ),
+                    "identity": _identity_block(spectrum, i, residuals[i], identity_ok[i]),
                     "pass": theorem_ok[i] and identity_ok[i],
                 }
                 errors = max_errs[i], residuals[i]
@@ -415,11 +465,9 @@ def _pair_blocks(
                     "subgroup": subgroup,
                     "psi_index": j,
                     "identity_check": identity_ok[i],
-                    "per_pi": _probe_per_pi(
-                        spectrum, probe, i, probed[1], kernel_at_identity,
-                        strings[i][r + U.order :],
-                    ),
+                    "per_pi": _probe_per_pi(spectrum, probe, i, probed[1]),
                 }
+            block.pairs.append((check, probe_block))
             yield check, probe_block, errors
         spectrum = probe = rec = None  # let this block go before the next is built
 
@@ -435,6 +483,7 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
     start = time.perf_counter()
     checks: list[dict[str, Any]] = []
     probes: list[dict[str, Any]] = []
+    string_blocks: list[_StringBlock] = []
     payload: dict[str, Any] = {
         "config": _config_block(command, config),
         "checks": checks,
@@ -486,7 +535,7 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
                 probed = plan, plan.flagged.sum(axis=1).tolist()
             for U, indices, psis in _iter_subgroups(G, config):
                 for check, probe, errors in _pair_blocks(
-                    table, U, indices, psis, config, checked, probed
+                    table, U, indices, psis, config, checked, probed, string_blocks
                 ):
                     if check is not None:
                         checks.append(check)
@@ -501,6 +550,7 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
         payload["error"] = str(exc) or type(exc).__name__
         all_pass = False
 
+    _fill_strings(string_blocks, config.num_test_functions)
     payload["verdict"] = "pass" if all_pass else "fail"
     payload["max_abs_error"] = fmt_real(worst)
     report = SweepReport(
@@ -516,5 +566,13 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
 
 
 def _payload_digest(payload: dict[str, Any]) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """sha256 of json.dumps(payload, sort_keys=True, separators=(",", ":")),
+    written by orjson unless it refuses the payload (see the module
+    docstring for the payloads on which the two agree)."""
+    import orjson  # at the first digest: finharm's import does without it
+
+    try:
+        canonical = _orjson_compact(payload)
+    except orjson.JSONEncodeError:
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(canonical).hexdigest()

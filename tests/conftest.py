@@ -1,15 +1,20 @@
-"""Shared fixtures: the verification corpus and a few pinned groups."""
+"""Shared fixtures: the verification corpus, a few pinned groups, and a
+watcher of the payloads build_report makes."""
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import finharm.reports
 from finharm import CharacterTable, FiniteGroup, character_table, make_named_group
+from finharm.formatting import fmt_complex
+from oracle_helpers import json_digest
 
 CORPUS_SPECS: tuple[str, ...] = (
     tuple(f"cyclic:{n}" for n in range(1, 13))
@@ -58,3 +63,90 @@ def q8(corpus_groups) -> FiniteGroup:
 @pytest.fixture(scope="session")
 def q8_table(corpus_tables) -> CharacterTable:
     return corpus_tables["quaternion"]
+
+
+def _assert_canonical(node, path: str = "payload") -> None:
+    """Only str-keyed dicts, lists, str, Python int, bool and None: the
+    types on which orjson writes json's digest text."""
+    if type(node) is dict:
+        for key, value in node.items():
+            assert type(key) is str, f"{path}: key {key!r}"
+            _assert_canonical(value, f"{path}.{key}")
+    elif type(node) is list:
+        for i, value in enumerate(node):
+            _assert_canonical(value, f"{path}[{i}]")
+    else:
+        assert type(node) in (str, int, bool, type(None)), f"{path}: {type(node).__name__}"
+
+
+class PayloadWatch:
+    """Records, per report built while installed, the complex values of its
+    pairs as build_report's spectra and probes held them, its
+    fmt_complex_rows calls, and its payload and digest."""
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        self.reports: list[tuple] = []
+        self._spectra: list[tuple[np.ndarray, np.ndarray]] = []
+        self._ratios: list[np.ndarray] = []
+        self._calls = 0
+        spectra = finharm.reports.subgroup_spectra
+        probe = finharm.reports.conjecture_probe
+        fmt_rows = finharm.reports.fmt_complex_rows
+        digest = finharm.reports._payload_digest
+
+        def recorded_spectra(*args, **kwargs):
+            for spectrum in spectra(*args, **kwargs):
+                self._spectra.append((spectrum.kernels[:, :, 0].copy(), spectrum.psi_values.copy()))
+                yield spectrum
+
+        def recorded_probe(spectrum, plan):
+            record = probe(spectrum, plan)
+            self._ratios.append(record.first_ratio.copy())
+            return record
+
+        def counted_fmt_rows(values):
+            self._calls += 1
+            return fmt_rows(values)
+
+        def recorded_digest(payload):
+            value = digest(payload)
+            self.reports.append((payload, value, self._spectra, self._ratios, self._calls))
+            self._spectra, self._ratios, self._calls = [], [], 0
+            return value
+
+        monkeypatch.setattr(finharm.reports, "subgroup_spectra", recorded_spectra)
+        monkeypatch.setattr(finharm.reports, "conjecture_probe", recorded_probe)
+        monkeypatch.setattr(finharm.reports, "fmt_complex_rows", counted_fmt_rows)
+        monkeypatch.setattr(finharm.reports, "_payload_digest", recorded_digest)
+
+    def check(self) -> None:
+        """Every report recorded holds only canonical types, its digest is
+        json's, its pairs' strings are fmt_complex of their values, and they
+        took one fmt_complex_rows call, or none when it has no pairs."""
+        assert self.reports
+        for payload, digest, spectra, ratios, calls in self.reports:
+            _assert_canonical(payload)
+            assert digest == json_digest(payload)
+            command = payload["config"]["command"]
+            rows = [pair for kernels, psis in spectra for pair in zip(kernels, psis)]
+            assert calls == (1 if rows else 0)
+            if command in ("whittaker-check", "sweep"):
+                assert len(payload["checks"]) == len(rows)
+                for check, (kernel, psi) in zip(payload["checks"], rows):
+                    assert check["identity"]["kernel_at_identity"] == list(map(fmt_complex, kernel))
+                    assert check["psi_on_members"] == list(map(fmt_complex, psi))
+            if command in ("conjecture-probe", "sweep"):
+                count = payload["config"]["num_test_functions"]
+                first_ratios = [row for block in ratios for row in block]
+                assert len(payload["probes"]) == len(rows) == len(first_ratios)
+                for probe, (kernel, _), first in zip(payload["probes"], rows, first_ratios):
+                    for rec, k, f in zip(probe["per_pi"], kernel, first, strict=True):
+                        assert rec["kernel_at_identity"] == fmt_complex(k)
+                        assert rec["first_ratio"] == (
+                            None if rec["num_flagged"] == count else fmt_complex(f)
+                        )
+
+
+@pytest.fixture
+def payload_watch(monkeypatch: pytest.MonkeyPatch) -> PayloadWatch:
+    return PayloadWatch(monkeypatch)

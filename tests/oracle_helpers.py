@@ -15,13 +15,16 @@ are the whole-table group constructions the package used before it built
 permutation tables from the generators' left action: a binary search of all
 n^2 compositions, and classes by np.unique of each orbit. scipy_schur is the
 scipy.linalg call the package made before it took LAPACK zgees straight from
-scipy's compiled extension.
+scipy's compiled extension. json_digest is the report digest as defined, by
+json.dumps; the package computes it through orjson.
 """
 
 from __future__ import annotations
 
 import cmath
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -420,6 +423,12 @@ def fmt_complex_scalar(z: complex) -> str:
         parts.append("0" if s == "-0" else s)
     re, im = parts
     return f"{re}-{im[1:]}i" if im.startswith("-") else f"{re}+{im}i"
+
+
+def json_digest(payload) -> str:
+    """The report digest's definition: sha256 of the compact sorted json text."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def set_closure(G: FiniteGroup, seeds) -> set[int]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -25,6 +27,15 @@ def test_chartable_stdout(capsys):
     assert doc["group"]["order"] == 2
     assert doc["table"]["rows"] == [["1+0i", "1+0i"], ["1+0i", "-1+0i"]]
     assert "digest" in doc
+
+
+def test_text_only_stdout_receives_the_text():
+    # a stdout without a byte buffer, as under contextlib.redirect_stdout,
+    # which perfbench's worker uses
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        assert main(["chartable", "cyclic:2"]) == 0
+    assert json.loads(captured.getvalue())["verdict"] == "pass"
 
 
 def test_output_file(tmp_path, capsys):
@@ -175,7 +186,7 @@ def test_oversized_spec_integer_exits_2(capsys, spec):
     ],
     ids=["int beyond 64 bits", "psi index 2**70", "lone surrogate", "non-ASCII", "DEL", "newline"],
 )
-def test_awkward_partial_report_renders_as_json_dumps(capsys, argv):
+def test_awkward_partial_report_renders_as_json_dumps(capsys, payload_watch, argv):
     # orjson refuses the first three payloads (a lone surrogate is what
     # sys.argv holds for bytes that are not UTF-8) and writes the other three,
     # escaped as json escapes: either way the rendering must be json's, and
@@ -189,6 +200,7 @@ def test_awkward_partial_report_renders_as_json_dumps(capsys, argv):
     payload = {key: value for key, value in doc.items() if key not in ("digest", "wall_time")}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == doc["digest"]
+    payload_watch.check()
 
 
 @pytest.mark.parametrize("line_break", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
@@ -273,17 +285,38 @@ def test_lapack_failure_exits_2_without_traceback(monkeypatch, capsys):
     assert json.loads(captured.out)["incomplete"] is True
 
 
-def _run_child(*args: str) -> subprocess.CompletedProcess:
+def _run_child(*args: str | bytes, text: bool = True, **env: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports the same package as this process,
-    installed or not."""
+    installed or not, with env added to this process's environment."""
     package_root = str(Path(finharm.cli.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
+        text=text,
+        env=dict(os.environ, PYTHONPATH=pythonpath, **env),
     )
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_spec_that_is_not_utf8_reaches_csv_as_its_bytes(tmp_path, errors):
+    # sys.argv holds the byte 0xff as a lone surrogate, which neither a strict
+    # stdout nor Path.write_text could encode; the partial report carries the
+    # byte back, to a file and to stdout alike
+    argv = ["-m", "finharm.cli", "chartable", b"\xff", "--format", "csv"]
+    out = tmp_path / "report.csv"
+    encoding = {"PYTHONIOENCODING": f"utf-8:{errors}"}
+    to_file = _run_child(*argv, "--out", str(out), text=False, **encoding)
+    to_stdout = _run_child(*argv, text=False, **encoding)
+    for proc in (to_file, to_stdout):
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(b"error: at position 0")
+        assert b"Traceback" not in proc.stderr
+    assert to_file.stdout == b""
+    report = out.read_bytes()
+    assert report == to_stdout.stdout
+    assert b"\ngroup_spec,\xff\n" in report
+    assert b"\nincomplete,true\n" in report
 
 
 def test_module_entry_point():

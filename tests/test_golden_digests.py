@@ -93,10 +93,11 @@ CASES += [
 @pytest.mark.parametrize(
     "argv, exit_code, digest", CASES, ids=[" ".join(c[0]) for c in CASES]
 )
-def test_report_digest_is_frozen(tmp_path, capsys, argv, exit_code, digest):
+def test_report_digest_is_frozen(tmp_path, capsys, payload_watch, argv, exit_code, digest):
     out = tmp_path / "report"
     assert main(argv + ["--out", str(out)]) == exit_code
     capsys.readouterr()
+    payload_watch.check()
     text = out.read_text()
     if "csv" in argv:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -152,11 +153,14 @@ RESAMPLE_CASES = [
     RESAMPLE_CASES,
     ids=[f"{c[0]} " + " ".join(c[1]) for c in RESAMPLE_CASES],
 )
-def test_resample_digest_is_frozen(monkeypatch, capsys, threshold, argv, num_flagged, digest):
+def test_resample_digest_is_frozen(
+    monkeypatch, capsys, payload_watch, threshold, argv, num_flagged, digest
+):
     import finharm.induction
 
     monkeypatch.setattr(finharm.induction, "_THETA_ZERO_THRESHOLD", threshold)
     assert main(argv) == 0
+    payload_watch.check()
     doc = json.loads(capsys.readouterr().out)
     assert sum(rec["num_flagged"] for blk in doc["probes"] for rec in blk["per_pi"]) == num_flagged
     assert doc["digest"] == digest

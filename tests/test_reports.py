@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import finharm.induction
@@ -24,7 +24,7 @@ from finharm.cli import main
 from finharm import test_functions as draw_test_functions
 from finharm.formatting import fmt_complex, fmt_complex_rows, fmt_real
 from finharm.reports import RunConfig, SweepReport
-from oracle_helpers import fmt_complex_scalar
+from oracle_helpers import fmt_complex_scalar, json_digest
 
 TOP_LEVEL_KEYS = {"config", "group", "table", "checks", "probes", "verdict", "max_abs_error"}
 
@@ -116,7 +116,7 @@ _AWKWARD_DOC = {
 
 # _AWKWARD_DOC less its floats and its int beyond 64 bits, plus the 64-bit
 # extremes, a character beyond U+FFFF and a C1 control: orjson writes the same
-# tokens as json, so its real digest lets orjson render it
+# tokens as json, so its real digest, json_digest's, lets orjson render it
 _AWKWARD_64_BIT_DOC = {
     "empty": [[], {}, [[]], {"inner": {}}],
     "scalars": [None, True, False, 0, -7, 2**64 - 1, -(2**63)],
@@ -145,7 +145,7 @@ def test_to_json_matches_json_dumps_byte_for_byte(monkeypatch, awkward, by_orjso
     report = SweepReport(
         config=RunConfig(group_spec="cyclic:1"),
         payload=awkward,
-        digest=finharm.reports._payload_digest(awkward) if real_digest else "0" * 64,
+        digest=json_digest(awkward) if real_digest else "0" * 64,
         passed=True,
         wall_time=2.5e-05,
     )
@@ -161,6 +161,62 @@ def test_to_json_matches_json_dumps_byte_for_byte(monkeypatch, awkward, by_orjso
 
         monkeypatch.setattr(json, "dumps", compact_only)
     assert report.to_json() == expected
+
+
+# Characters whose text the two writers must agree on: C0 controls, the
+# quote and the backslash, which both escape; the slash, which neither does;
+# DEL, C1 controls and every character beyond ASCII, which orjson writes raw
+# and _ascii escapes, astral ones as surrogate pairs; and lone surrogates,
+# which orjson refuses, as it refuses ints beyond 64 bits.
+_JSON_CHARS = st.one_of(
+    st.integers(0, 0x20).map(chr),
+    st.sampled_from('"\\/\x7f'),
+    st.integers(0x80, 0x9F).map(chr),
+    st.characters(),
+)
+_LONE_SURROGATES = st.integers(0xD800, 0xDFFF).map(chr)
+_INTS_IN_64_BITS = st.one_of(
+    st.sampled_from([0, -1, 2**63 - 1, -(2**63), 2**63, 2**64 - 1]),
+    st.integers(-(2**63), 2**64 - 1),
+)
+_INTS_BEYOND_64_BITS = st.sampled_from([2**64, -(2**63) - 1, 10**30, -(10**30)])
+
+
+def _json_payloads(chars, ints):
+    """Dicts of the types a report payload holds: str-keyed dicts, lists and
+    tuples, str, int, bool and None."""
+    text = st.text(chars, max_size=6)
+    leaves = st.one_of(st.none(), st.booleans(), ints, text)
+    trees = st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=3).map(tuple),
+            st.dictionaries(text, kids, max_size=4),
+        ),
+        max_leaves=24,
+    )
+    return st.dictionaries(text, trees, max_size=5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    payload=st.one_of(
+        _json_payloads(_JSON_CHARS, _INTS_IN_64_BITS),  # orjson's path
+        _json_payloads(  # mostly the fallback
+            st.one_of(_JSON_CHARS, _LONE_SURROGATES),
+            st.one_of(_INTS_IN_64_BITS, _INTS_BEYOND_64_BITS),
+        ),
+    )
+)
+@example(payload={"\u00e9": 1, "z": [], "\U0001f600": {}, "\uffff": (), "Z": "\x7f\x85\u2028"})
+@example(payload={"max": [2**64 - 1, -(2**63)], "over": 2**64})
+@example(payload={"lone": "\ud800", "pair": "\U0001f600"})
+@example(payload={"int keys": {1: "one", 2: None}})
+def test_payload_digest_is_json_digest(payload):
+    # the digest is computed by orjson and defined by json; an orjson release
+    # that escapes or orders differently fails here
+    assert finharm.reports._payload_digest(payload) == json_digest(payload)
 
 
 def test_parse_group_spec_roundtrip():
@@ -378,7 +434,7 @@ def _assert_aborted(err, cause: type[Exception]) -> None:
     assert report.payload["verdict"] == "fail"
     assert report.payload["incomplete"] is True
     assert report.payload["error"] == str(err.value)
-    assert report.digest == finharm.reports._payload_digest(report.payload)
+    assert report.digest == json_digest(report.payload)
     assert isinstance(err.value.__cause__, cause)
 
 
@@ -452,7 +508,8 @@ MID_SUBGROUP_ABORTS = [
     "spec, count, seed, pairs, max_abs_error, error, digest", MID_SUBGROUP_ABORTS
 )
 def test_mid_subgroup_abort_keeps_the_pairs_before_it(
-    monkeypatch, capsys, tmp_path, block, spec, count, seed, pairs, max_abs_error, error, digest
+    monkeypatch, capsys, tmp_path, payload_watch,
+    block, spec, count, seed, pairs, max_abs_error, error, digest,
 ):
     _third_psi_not_multiplicative(monkeypatch)
     if block == "one psi":
@@ -471,3 +528,4 @@ def test_mid_subgroup_abort_keeps_the_pairs_before_it(
     assert main(argv + ["--out", str(out)]) == 2
     capsys.readouterr()
     assert json.loads(out.read_text())["digest"] == digest
+    payload_watch.check()
