@@ -31,7 +31,6 @@ import numpy as np
 from ._rng import derive_stream_seed, unit_uniforms
 from .errors import (
     EigensplitFailure,
-    IndexOutOfRange,
     OrderTooLarge,
     ToleranceViolation,
 )
@@ -93,39 +92,37 @@ def _schur(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 class CharacterTable:
     """All irreducible characters of a group, as values on conjugacy classes.
 
-    Rows are sorted by (degree, then descending lexicographic value order,
-    comparing (real, imag) quantized at 1e-9), which places the trivial
-    character first. plancherel_weights[pi] = degrees[pi] / |G|.
+    Built from the group, the values (one row per irrep, one column per
+    class) and the degrees. Rows are sorted by (degree, then descending
+    lexicographic value order, comparing (real, imag) quantized at 1e-9),
+    which places the trivial character first. Derived on construction:
+    num_irreps = len(degrees), the read-only plancherel_weights[pi] =
+    degrees[pi] / |G| and element_values[pi, x] = values[pi, class_of[x]].
     orthogonality is the check character_table accepted the table on.
     """
 
     group: FiniteGroup
-    num_irreps: int
+    num_irreps: int = field(init=False)
     values: np.ndarray
     degrees: tuple[int, ...]
-    plancherel_weights: np.ndarray
+    plancherel_weights: np.ndarray = field(init=False)
     element_values: np.ndarray = field(init=False, repr=False)
     orthogonality: OrthogonalityReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.degrees = tuple(int(d) for d in self.degrees)
+        self.num_irreps = len(self.degrees)
         vals = np.asarray(self.values, dtype=np.complex128).copy()
-        if vals.shape != (self.num_irreps, len(self.group.classes)):
+        if vals.shape != (self.num_irreps, len(self.group.class_reps)):
             raise ValueError("character value matrix has the wrong shape")
         vals.setflags(write=False)
         self.values = vals
-        weights = np.asarray(self.plancherel_weights, dtype=np.float64).copy()
+        weights = np.array(self.degrees, dtype=np.float64) / self.group.order
         weights.setflags(write=False)
         self.plancherel_weights = weights
-        self.degrees = tuple(int(d) for d in self.degrees)
         ev = vals[:, self.group.class_of].copy()
         ev.setflags(write=False)
         self.element_values = ev
-
-    def character_on_elements(self, pi: int) -> np.ndarray:
-        """Row pi expanded from classes to elements (read-only view)."""
-        if not 0 <= pi < self.num_irreps:
-            raise IndexOutOfRange(f"irrep index {pi} out of range 0..{self.num_irreps - 1}")
-        return self.element_values[pi]
 
     @cached_property
     def value_strings(self) -> tuple[tuple[str, ...], ...]:
@@ -149,8 +146,11 @@ def table_csv_lines(degrees: Iterable[int], rows: Sequence[Sequence[str]]) -> li
 class OrthogonalityReport:
     max_row_deviation: float
     max_column_deviation: float
-    max_deviation: float
     passed: bool
+
+    @property
+    def max_deviation(self) -> float:
+        return max(self.max_row_deviation, self.max_column_deviation)
 
 
 def verify_orthogonality(table: CharacterTable, tol: float = 1e-9) -> OrthogonalityReport:
@@ -165,12 +165,10 @@ def verify_orthogonality(table: CharacterTable, tol: float = 1e-9) -> Orthogonal
     row_dev = float(np.max(np.abs(row_gram - np.eye(r))))
     col_gram = V.T @ V.conj()
     col_dev = float(np.max(np.abs(col_gram - np.diag(n / sizes))))
-    worst = max(row_dev, col_dev)
     return OrthogonalityReport(
         max_row_deviation=row_dev,
         max_column_deviation=col_dev,
-        max_deviation=worst,
-        passed=bool(worst <= tol),
+        passed=bool(max(row_dev, col_dev) <= tol),
     )
 
 
@@ -196,7 +194,7 @@ class _ClassAlgebra:
     """
 
     def __init__(self, G: FiniteGroup) -> None:
-        r = len(G.classes)
+        r = len(G.class_reps)
         step = 8 // math.gcd(r, 8)
         self.height = min(r, max(step, _SLAB_BYTES // (8 * r * r) // step * step))
         # with y = x^-1: a[i, j, k] counts the y with y^-1 in C_i and y z_k in C_j
@@ -231,7 +229,7 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-12, 1e-6]")
     n = G.order
-    r = len(G.classes)
+    r = len(G.class_reps)
     if r > _MAX_CLASSES:
         raise OrderTooLarge(
             f"class algebra of {r} classes exceeds the cap of {_MAX_CLASSES} classes"
@@ -274,13 +272,7 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
         order = _descending_row_order(rows, dint)
         values = rows[order]
         degrees = tuple(int(dint[i]) for i in order)
-        table = CharacterTable(
-            group=G,
-            num_irreps=r,
-            values=values,
-            degrees=degrees,
-            plancherel_weights=np.array(degrees, dtype=np.float64) / n,
-        )
+        table = CharacterTable(group=G, values=values, degrees=degrees)
         orth_report = verify_orthogonality(table, tol)
         if orth_report.passed:
             table.orthogonality = orth_report

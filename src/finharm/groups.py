@@ -58,6 +58,12 @@ class FiniteGroup:
     tables by construction, and the test suite checks them exhaustively with
     ``verify_group_axioms`` in ``tests/oracle_helpers.py``. The group keeps a
     read-only copy of the table it is given.
+
+    Elements are read through the read-only int64 arrays ``mul_table`` and
+    ``inv_table``. The conjugacy classes are held once, as three read-only
+    int64 arrays in the canonical class order: ``class_of[x]`` is the class
+    of element x, ``class_sizes[k]`` the size of class k and
+    ``class_reps[k]`` its smallest member.
     """
 
     def __init__(
@@ -114,30 +120,24 @@ class FiniteGroup:
                 raise IndexOutOfRange(f"generator index {g} out of range for order {n}")
         self.generators = tuple(int(g) for g in generators)
 
-        seen = np.zeros(n, dtype=bool)
-        in_orbit = np.zeros(n, dtype=bool)
-        classes: list[tuple[int, ...]] = []
+        # one orbit g*x*g^-1 per element x not yet placed, numbered as found;
+        # x is the smallest member of its orbit, since every smaller element
+        # was placed with its whole orbit before it
+        class_of = np.full(n, -1, dtype=np.int64)
+        smallest: list[int] = []
         for x in range(n):
-            if seen[x]:
-                continue
-            in_orbit[mul[mul[:, x], inv]] = True  # all g*x*g^-1
-            orbit = np.flatnonzero(in_orbit)
-            in_orbit[orbit] = False
-            seen[orbit] = True
-            classes.append(tuple(orbit.tolist()))
-        classes.sort(key=lambda c: (len(c), c[0]))
-        self.classes = tuple(classes)
-        class_of = np.empty(n, dtype=np.int64)
-        for k, cls in enumerate(classes):
-            class_of[list(cls)] = k
-        class_of.setflags(write=False)
-        self.class_of = class_of
-        sizes = np.array([len(c) for c in classes], dtype=np.int64)
-        sizes.setflags(write=False)
-        self.class_sizes = sizes
-        reps = np.array([c[0] for c in classes], dtype=np.int64)
-        reps.setflags(write=False)
-        self.class_reps = reps
+            if class_of[x] < 0:
+                class_of[mul[mul[:, x], inv]] = len(smallest)
+                smallest.append(x)
+        reps = np.array(smallest, dtype=np.int64)
+        sizes = np.bincount(class_of)
+        # canonical order: by size, then by smallest member
+        order = np.lexsort((reps, sizes))
+        self.class_of = np.argsort(order)[class_of]  # the inverse permutation
+        self.class_sizes = sizes[order]
+        self.class_reps = reps[order]
+        for a in (self.class_of, self.class_sizes, self.class_reps):
+            a.setflags(write=False)
 
     @property
     def order(self) -> int:
@@ -150,17 +150,6 @@ class FiniteGroup:
     @property
     def inv_table(self) -> np.ndarray:
         return self._inv
-
-    def mul(self, a: int, b: int) -> int:
-        n = self.order
-        if not (0 <= a < n and 0 <= b < n):
-            raise IndexOutOfRange(f"element index out of range for order {n}")
-        return int(self._mul[a, b])
-
-    def inv(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise IndexOutOfRange(f"element index out of range for order {self.order}")
-        return int(self._inv[a])
 
     def __repr__(self) -> str:
         name = self.label or "unnamed"
@@ -177,9 +166,12 @@ def _owning(mul: np.ndarray, label: str, generators: Sequence[int] = ()) -> Fini
 class Subgroup:
     """An embedded subgroup with its left coset decomposition U\\g.
 
-    Cosets are the sets U*x; the representative of each coset is its smallest
-    element index, and `left_coset_reps` lists them in ascending order of that
-    representative.
+    `members` is the ascending tuple of member indices and `members_array`
+    the same as a read-only int64 array. Cosets are the sets U*x; the
+    representative of each coset is its smallest element index.
+    `left_coset_reps` is the read-only int64 array of the representatives in
+    ascending order, and `coset_of[x]` the read-only int64 position of the
+    coset of x in it.
     """
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]) -> None:
@@ -204,8 +196,6 @@ class Subgroup:
         self.members = tuple(mem)
         arr.setflags(write=False)
         self.members_array = arr
-        mask.setflags(write=False)
-        self.member_mask = mask
 
         # the smallest element of each U*x is the running minimum of column x
         # over the rows of the members, taken one block of rows at a time
@@ -214,9 +204,10 @@ class Subgroup:
         for i in range(1, len(arr), rows):
             np.minimum(smallest, mul[arr[i:i + rows]].min(axis=0), out=smallest)
         reps, coset_of = np.unique(smallest, return_inverse=True)
-        coset_of.setflags(write=False)
+        for a in (reps, coset_of):
+            a.setflags(write=False)
         self.coset_of = coset_of
-        self.left_coset_reps = tuple(reps.tolist())
+        self.left_coset_reps = reps
 
     @property
     def order(self) -> int:

@@ -160,7 +160,7 @@ def _monomial_action(U: Subgroup, psi: np.ndarray, g: np.ndarray) -> tuple[np.nd
     (len(g), [G:U]) arrays."""
     G = U.parent
     psi_on_G = _on_parent(U, psi)
-    reps = np.array(U.left_coset_reps, dtype=np.int64)
+    reps = U.left_coset_reps
     moved = G.mul_table[reps, g[:, None]]  # r_i * g
     target = U.coset_of[moved]
     return target, psi_on_G[G.mul_table[moved, G.inv_table[reps[target]]]]
@@ -175,8 +175,11 @@ class InducedRep:
 
     U: Subgroup
     psi: np.ndarray
-    dimension: int
     character: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.U.num_cosets
 
     def matrix(self, g: int) -> np.ndarray:
         """M(g)[i, j] = psi(u) where r_i * g = u * r_j, zero elsewhere: one
@@ -198,7 +201,7 @@ def induced_rep(U: Subgroup, psi: ArrayLike) -> InducedRep:
     target, phase = _monomial_action(U, psi, U.parent.class_reps)
     character = np.where(target == np.arange(U.num_cosets), phase, 0).sum(axis=1)
     character.setflags(write=False)
-    return InducedRep(U, psi, U.num_cosets, character)
+    return InducedRep(U, psi, character)
 
 
 @dataclass(frozen=True, eq=False)

@@ -76,6 +76,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.group_spec:
             raise ValueError("group_spec must be nonempty")
+        try:  # reports are written as these bytes
+            self.group_spec.encode("utf-8", "surrogateescape")
+        except UnicodeEncodeError:
+            raise ValueError(
+                f"group_spec holds a surrogate that stands for no byte: {self.group_spec!r}"
+            ) from None
         if self.subgroup_selector != "all":
             gens = tuple(_index("subgroup_selector", g) for g in self.subgroup_selector)
             object.__setattr__(self, "subgroup_selector", gens)
@@ -107,13 +113,17 @@ def _index(name: str, value: Any) -> int:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Assembled report plus its digest and timing."""
+    """Assembled report plus its digest and timing; passed is whether the
+    payload's verdict is pass."""
 
     config: RunConfig
     payload: dict[str, Any]
     digest: str
-    passed: bool
     wall_time: float
+
+    @property
+    def passed(self) -> bool:
+        return self.payload["verdict"] == "pass"
 
     def to_json(self) -> str:
         """json.dumps(doc, sort_keys=True, indent=2) + "\\n" of the payload
@@ -269,7 +279,7 @@ def _group_block(config: RunConfig, G: FiniteGroup, table: CharacterTable) -> di
         "spec": config.group_spec,
         "label": G.label,
         "order": G.order,
-        "num_classes": len(G.classes),
+        "num_classes": len(G.class_reps),
         "class_sizes": [int(s) for s in G.class_sizes],
         "class_reps": [int(rep) for rep in G.class_reps],
         "table_digest": hashlib.sha256(table.to_csv().encode()).hexdigest(),
@@ -423,8 +433,8 @@ def _pair_blocks(
     checked holds the test functions and their L1 norms, probed the probe
     plan and its flag count per irrep; either is None when the command skips
     that part. Each block of characters appends its complex values and its
-    pairs to string_blocks; the pairs' strings are None until _fill_strings. A pair whose spectrum fails raises after the pairs before
-    it.
+    pairs to string_blocks; the pairs' strings are None until _fill_strings.
+    A pair whose spectrum fails raises after the pairs before it.
     """
     subgroup = _subgroup_block(U)
     r, count = table.num_irreps, config.num_test_functions
@@ -557,7 +567,6 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
         config=config,
         payload=payload,
         digest=_payload_digest(payload),
-        passed=bool(all_pass),
         wall_time=time.perf_counter() - start,
     )
     if aborted is not None:

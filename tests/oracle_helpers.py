@@ -64,38 +64,62 @@ def perm_parity(p: tuple[int, ...]) -> int:
 
 
 def element_orders(G: FiniteGroup) -> list[int]:
+    mul = G.mul_table
     orders = []
     for x in range(G.order):
         k, y = 1, x
         while y != 0:
-            y = G.mul(y, x)
+            y = int(mul[y, x])
             k += 1
         orders.append(k)
     return sorted(orders)
 
 
 def brute_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    mul, inv = G.mul_table, G.inv_table
     seen: set[int] = set()
     classes = []
     for g in range(G.order):
         if g in seen:
             continue
-        orbit = {G.mul(G.mul(x, g), G.inv(x)) for x in range(G.order)}
+        orbit = {int(mul[mul[x, g], inv[x]]) for x in range(G.order)}
         seen |= orbit
         classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda c: (len(c), c[0]))
     return tuple(classes)
 
 
+def class_partition(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """G's classes as ascending member tuples in G's class order, read back
+    from class_of: class k holds the elements that class_of maps to k."""
+    return tuple(
+        tuple(np.flatnonzero(G.class_of == k).tolist()) for k in range(len(G.class_reps))
+    )
+
+
+def assert_classes_are(G: FiniteGroup, classes) -> None:
+    """class_of, class_sizes and class_reps of G hold the partition classes,
+    a sequence of ascending member tuples in (size, smallest member) order,
+    as read-only int64 arrays."""
+    classes = tuple(tuple(c) for c in classes)
+    assert sorted(classes, key=lambda c: (len(c), c[0])) == list(classes)
+    assert class_partition(G) == classes
+    assert G.class_sizes.tolist() == [len(c) for c in classes]
+    assert G.class_reps.tolist() == [c[0] for c in classes]
+    for name in ("class_of", "class_sizes", "class_reps"):
+        a = getattr(G, name)
+        assert a.dtype == np.int64 and not a.flags.writeable, name
+
+
 def brute_convolve(
     coeffs: dict[int, complex], U: Subgroup, f: np.ndarray
 ) -> list[complex]:
-    G = U.parent
+    mul, inv = U.parent.mul_table, U.parent.inv_table
     out = []
-    for x in range(G.order):
+    for x in range(U.parent.order):
         acc = 0j
         for u, c in coeffs.items():
-            acc += complex(c) * complex(f[G.mul(G.inv(u), x)])
+            acc += complex(c) * complex(f[mul[inv[u], x]])
         out.append(acc)
     return out
 
@@ -122,16 +146,17 @@ def brute_whittaker_sides(
     """Both sides of the transform identity: lhs (psi *_U f)(identity), rhs
     the weighted sum over irreps of the kernel pairing, by raw triple loops."""
     G = table.group
+    mul, inv = G.mul_table, G.inv_table
     psi = psi_at(U, psi)
     lhs = 0j
     for u in U.members:
-        lhs += psi[u] * complex(f[G.inv(u)])
+        lhs += psi[u] * complex(f[inv[u]])
     rhs = 0j
     for pi in range(table.num_irreps):
         pairing = 0j
         for x in range(G.order):
             for u in U.members:
-                chi = complex(table.values[pi, G.class_of[G.mul(G.inv(u), x)]])
+                chi = complex(table.values[pi, G.class_of[mul[inv[u], x]]])
                 pairing += psi[u].conjugate() * chi * complex(f[x])
         rhs += (table.degrees[pi] / G.order) * pairing
     return lhs, rhs
@@ -141,12 +166,13 @@ def brute_kernel_values(
     table: CharacterTable, pi: int, U: Subgroup, psi: np.ndarray
 ) -> list[complex]:
     G = table.group
+    mul, inv = G.mul_table, G.inv_table
     psi = psi_at(U, psi)
     out = []
     for x in range(G.order):
         acc = 0j
         for u in U.members:
-            chi = complex(table.values[pi, G.class_of[G.mul(G.inv(u), x)]])
+            chi = complex(table.values[pi, G.class_of[mul[inv[u], x]]])
             acc += psi[u].conjugate() * chi
         out.append(acc)
     return out
@@ -166,11 +192,12 @@ def brute_multiplicity(
 
 def brute_induced_character_value(U: Subgroup, psi: np.ndarray, g: int) -> complex:
     G = U.parent
+    mul, inv = G.mul_table, G.inv_table
     psi = psi_at(U, psi)
     total = 0j
     for x in range(G.order):
-        c = G.mul(G.mul(G.inv(x), g), x)
-        if U.member_mask[c]:
+        c = int(mul[mul[inv[x], g], x])
+        if c in psi:
             total += psi[c]
     return total / U.order
 
@@ -180,12 +207,13 @@ def brute_fubini_value(
 ) -> complex:
     """The double sum over (g, u) of theta(g) f(u^-1 g) psi(u), one fixed order."""
     G = table.group
+    mul, inv = G.mul_table, G.inv_table
     psi = psi_at(U, psi)
     total = 0j
     for g in range(G.order):
         chi = complex(table.values[pi, G.class_of[g]])
         for u in U.members:
-            total += chi * complex(f[G.mul(G.inv(u), g)]) * psi[u]
+            total += chi * complex(f[mul[inv[u], g]]) * psi[u]
     return total
 
 
@@ -213,7 +241,7 @@ def fubini_interchange_oracle(
     n = G.order
     mul = G.mul_table
     inv = G.inv_table
-    theta_el = table.character_on_elements(pi)
+    theta_el = table.element_values[pi]
     members = U.members_array
 
     # f(u^-1 g) laid out as a |U| x |G| matrix
@@ -274,17 +302,16 @@ def verify_group_axioms(G: FiniteGroup) -> bool:
         right = rows[:, mul]      # a*(b*c)
         if not np.array_equal(left, right):
             raise ValueError("associativity fails")
-    # classes: partition plus conjugation invariance
-    covered = np.zeros(n, dtype=bool)
-    for k, cls in enumerate(G.classes):
-        idx = np.array(cls, dtype=np.int64)
-        if covered[idx].any():
-            raise ValueError("classes are not disjoint")
-        covered[idx] = True
-        if not np.array_equal(G.class_of[idx], np.full(len(cls), k, dtype=np.int64)):
-            raise ValueError("class_of disagrees with the class partition")
-    if not covered.all():
-        raise ValueError("classes do not cover the group")
+    # classes: every class nonempty, sized and represented by its smallest
+    # member, plus conjugation invariance
+    r = len(G.class_reps)
+    if G.class_of.min() != 0 or G.class_of.max() != r - 1:
+        raise ValueError("class_of names a class that is not there")
+    if not np.array_equal(np.bincount(G.class_of, minlength=r), G.class_sizes):
+        raise ValueError("class_sizes disagree with class_of")
+    for k, rep in enumerate(G.class_reps.tolist()):
+        if G.class_of[rep] != k or (G.class_of[:rep] == k).any():
+            raise ValueError("class_reps are not the smallest members of their classes")
     for g in range(n):
         if not np.array_equal(G.class_of[mul[mul[g, :], inv[g]]], G.class_of):
             raise ValueError("conjugation does not preserve classes")
@@ -293,11 +320,12 @@ def verify_group_axioms(G: FiniteGroup) -> bool:
 
 def structure_constants(G: FiniteGroup) -> np.ndarray:
     """The whole r^3 class-algebra tensor, a[i, j, k] = #{x in C_i : x^-1 z_k in C_j}."""
-    r = len(G.classes)
+    r = len(G.class_reps)
+    mul, inv = G.mul_table, G.inv_table
     a = np.zeros((r, r, r))
     for k, z in enumerate(G.class_reps):
         for x in range(G.order):
-            a[G.class_of[x], G.class_of[G.mul(G.inv(x), int(z))], k] += 1.0
+            a[G.class_of[x], G.class_of[mul[inv[x], z]], k] += 1.0
     return a
 
 
@@ -389,16 +417,17 @@ def table_structure(mul: np.ndarray) -> SimpleNamespace:
 def assert_structure_matches_oracle(G: FiniteGroup) -> None:
     """Every derived array of G equals table_structure's, dtype included."""
     expected = table_structure(np.array(G.mul_table))
-    assert G.classes == expected.classes
+    assert_classes_are(G, expected.classes)
     for name in ("inv_table", "class_of", "class_reps", "class_sizes"):
         got, want = getattr(G, name), getattr(expected, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert not got.flags.writeable, name
 
 
-def loop_cosets(U: Subgroup) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(coset_of, left_coset_reps) by one pass over G in ascending order: the
-    first element not yet placed is the smallest of its coset U*x."""
+def loop_cosets(U: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """(coset_of, left_coset_reps), two int64 arrays, by one pass over G in
+    ascending order: the first element not yet placed is the smallest of its
+    coset U*x."""
     mul = U.parent.mul_table
     coset_of = np.full(U.parent.order, -1, dtype=np.int64)
     reps: list[int] = []
@@ -407,7 +436,7 @@ def loop_cosets(U: Subgroup) -> tuple[np.ndarray, tuple[int, ...]]:
             continue
         coset_of[mul[U.members_array, x]] = len(reps)
         reps.append(x)
-    return coset_of, tuple(reps)
+    return coset_of, np.array(reps, dtype=np.int64)
 
 
 def quantized_descending_key(values) -> tuple:
@@ -495,7 +524,7 @@ def scalar_inversion(table: CharacterTable, F: np.ndarray) -> list[complex]:
 def scalar_frobenius(
     table: CharacterTable, pi: int, U: Subgroup, psi: np.ndarray, tol: float = 1e-6
 ) -> int:
-    restricted = table.character_on_elements(pi)[U.members_array]
+    restricted = table.element_values[pi][U.members_array]
     value = complex(np.dot(restricted, np.conj(psi))) / U.order
     rounded = int(round(value.real))
     assert rounded >= 0 and abs(value - rounded) <= tol
@@ -559,7 +588,7 @@ def scalar_probe_slots(
     out = []
     for pi in range(table.num_irreps):
         stream = derive_stream_seed(seed, pi)
-        chi = table.character_on_elements(pi)
+        chi = table.element_values[pi]
         slots = []
         for slot in range(count):
             first = count + slot * budget
@@ -726,7 +755,7 @@ def truncation_demo(
     if not stages or set(stages[-1]) != member_set:
         raise ChainNotExhaustive("chain must terminate at the full subgroup")
 
-    theta_values = table.character_on_elements(pi)
+    theta_values = table.element_values[pi]
     psi_bar = np.conj(psi)
     kernels = []
     for support in stages:

@@ -203,7 +203,7 @@ def _canonical_chain(U):
     for m in U.members:
         if m in stage:
             continue
-        stage |= {m, G.inv(m)}
+        stage |= {m, int(G.inv_table[m])}
         chain.append(set(stage))
     return chain
 
@@ -272,8 +272,8 @@ def test_c7_probe_sanity(built):
     spectrum = subgroup_spectrum(t3, U, [sign])
     (constant,) = conjecture_probe(spectrum, probe_plan(t3, 20, seed=SWEEP_SEED)).constant
     delta = np.eye(s3.order, dtype=np.complex128)[0]
-    (ratio_sign,) = spectrum.kernels[:, 1] @ delta / (delta @ t3.character_on_elements(1))
-    (ratio_std,) = spectrum.kernels[:, 2] @ delta / (delta @ t3.character_on_elements(2))
+    (ratio_sign,) = spectrum.kernels[:, 1] @ delta / (delta @ t3.element_values[1])
+    (ratio_std,) = spectrum.kernels[:, 2] @ delta / (delta @ t3.element_values[2])
     assert abs(ratio_sign - 2) < 1e-10
     assert abs(ratio_std - 1) < 1e-10
     assert abs(spectrum.kernels[0, 1, 0] / t3.degrees[1] - 2) < 1e-10

@@ -240,7 +240,9 @@ def test_failing_verdict_exits_1(monkeypatch, capsys):
     def failing_report(command, config):
         report = build_report(command, config)
         payload = dict(report.payload, verdict="fail")
-        return dataclasses.replace(report, payload=payload, passed=False)
+        failed = dataclasses.replace(report, payload=payload)
+        assert failed.passed is False
+        return failed
 
     monkeypatch.setattr(finharm.cli, "build_report", failing_report)
     assert main(["chartable", "cyclic:2"]) == 1
@@ -317,6 +319,21 @@ def test_spec_that_is_not_utf8_reaches_csv_as_its_bytes(tmp_path, errors):
     assert report == to_stdout.stdout
     assert b"\ngroup_spec,\xff\n" in report
     assert b"\nincomplete,true\n" in report
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spec_with_a_surrogate_that_stands_for_no_byte_exits_2(tmp_path, capsys, fmt):
+    # only U+DC80..U+DCFF stand for bytes of a command line; a report of any
+    # other lone surrogate has no bytes to be written as, so the spec is
+    # refused before the run
+    out = tmp_path / f"report.{fmt}"
+    assert main(["chartable", "a\ud800", "--format", fmt, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    message = "group_spec holds a surrogate that stands for no byte: 'a\\ud800'"
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_module_entry_point():

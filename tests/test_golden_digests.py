@@ -12,10 +12,15 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 import finharm.cli
+import finharm.reports
+from finharm import SweepAborted, induced_rep, verify_orthogonality
 from finharm.cli import main
+from finharm.formatting import fmt_real
+from oracle_helpers import assert_classes_are, brute_classes, loop_cosets
 
 CASES = [
     (["chartable", "symmetric:4"], 0,
@@ -130,6 +135,65 @@ def test_rendered_json_is_json_dumps(monkeypatch, argv, exit_code):
     # whole documents would take pytest minutes
     at = len(os.path.commonprefix([rendered, expected]))
     assert rendered[at:at + 80] == expected[at:at + 80]
+
+
+def test_derived_fields_are_their_definitions(monkeypatch, capsys, corpus_tables):
+    # every value a table, an orthogonality check, an induced representation
+    # or a report derives from its inputs, bit for bit, on the corpus tables
+    # and on each table, subgroup and report of the golden cases, the aborted
+    # runs included; and the index arrays of groups and subgroups, read-only
+    tables, subgroups, reports = list(corpus_tables.values()), [], []
+    table_of = finharm.reports.character_table
+    characters_of = finharm.reports.linear_characters
+    build = finharm.cli.build_report
+
+    def recording_table(*args, **kwargs):
+        tables.append(table_of(*args, **kwargs))
+        return tables[-1]
+
+    def recording_characters(U):
+        subgroups.append(U)
+        return characters_of(U)
+
+    def recording_build(command, config):
+        try:
+            reports.append(build(command, config))
+        except SweepAborted as exc:
+            reports.append(exc.report)
+            raise
+        return reports[-1]
+
+    monkeypatch.setattr(finharm.reports, "character_table", recording_table)
+    monkeypatch.setattr(finharm.reports, "linear_characters", recording_characters)
+    monkeypatch.setattr(finharm.cli, "build_report", recording_build)
+    for argv, exit_code, _ in CASES:
+        built = len(tables)
+        assert main(argv) == exit_code
+        report = reports[-1]
+        assert report.passed is (report.payload["verdict"] == "pass") is (exit_code == 0)
+        if "table" in report.payload:
+            assert len(tables) == built + 1
+            block, table = report.payload["table"], tables[-1]
+            assert block["num_irreps"] == table.num_irreps == len(block["rows"])
+            assert block["plancherel_weights"] == [fmt_real(w) for w in table.plancherel_weights]
+    capsys.readouterr()
+    assert len(reports) == len(CASES) and len(subgroups) > len(CASES)
+
+    for table in tables:
+        G = table.group
+        assert table.num_irreps == len(table.degrees) == table.values.shape[0]
+        weights = table.plancherel_weights
+        assert weights.dtype == np.float64 and not weights.flags.writeable
+        assert weights.tobytes() == (np.array(table.degrees, dtype=np.float64) / G.order).tobytes()
+        for orth in (table.orthogonality, verify_orthogonality(table)):
+            assert orth.max_deviation == max(orth.max_row_deviation, orth.max_column_deviation)
+        assert_classes_are(G, brute_classes(G))
+    for U in subgroups:
+        coset_of, reps = loop_cosets(U)
+        assert U.left_coset_reps.dtype == np.int64 and not U.left_coset_reps.flags.writeable
+        assert np.array_equal(U.left_coset_reps, reps)
+        rep = induced_rep(U, characters_of(U)[0])
+        assert rep.dimension == U.num_cosets == len(reps) == U.parent.order // U.order
 
 
 # The resample branch of conjecture_probe (|Theta_pi(f)| at or below the

@@ -46,7 +46,7 @@ def test_lattice_of_random_perm_group(G, data):
     for U in subgroups:
         coset_of, reps = loop_cosets(U)
         assert np.array_equal(U.coset_of, coset_of)
-        assert U.left_coset_reps == reps
+        assert np.array_equal(U.left_coset_reps, reps)
         psis = linear_characters(U)
         oracle = fraction_linear_characters(U)
         assert [p.tobytes() for p in psis] == [p.tobytes() for p in oracle]
@@ -56,10 +56,11 @@ def test_lattice_of_random_perm_group(G, data):
         for v in psis:
             assert np.abs(np.outer(v, v) - v[products]).max() < 1e-12
 
+    mul, inv = G.mul_table, G.inv_table
     member_sets = set(subs)
     for members in member_sets:
         for g in range(G.order):
-            conj = tuple(sorted(G.mul(G.mul(g, m), G.inv(g)) for m in members))
+            conj = tuple(sorted(int(mul[mul[g, m], inv[g]]) for m in members))
             assert conj in member_sets
 
     element = st.integers(min_value=0, max_value=G.order - 1)

@@ -146,7 +146,6 @@ def test_to_json_matches_json_dumps_byte_for_byte(monkeypatch, awkward, by_orjso
         config=RunConfig(group_spec="cyclic:1"),
         payload=awkward,
         digest=json_digest(awkward) if real_digest else "0" * 64,
-        passed=True,
         wall_time=2.5e-05,
     )
     doc = dict(awkward, digest=report.digest, wall_time=report.wall_time)

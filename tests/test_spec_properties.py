@@ -1,9 +1,11 @@
 """Property tests of the group-spec parser: every string made of the spec
 grammar's tokens, and every perm: spec with arbitrary cycles, either builds a
-group or raises a FinharmError."""
+group or raises a FinharmError. A perm: group that builds has the classes of
+the brute-force oracle, and a small one the cosets of the loop oracle."""
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +14,10 @@ from finharm import (
     FiniteGroup,
     character_table,
     make_named_group,
+    subgroup_closure,
     verify_orthogonality,
 )
+from oracle_helpers import assert_classes_are, brute_classes, loop_cosets
 
 TOKENS = (
     "product:", "perm:", "cyclic:", "dihedral:", "symmetric:", "quaternion",
@@ -61,5 +65,10 @@ def test_perm_specs_build_or_raise_finharm_error(spec):
         return
     assert isinstance(G, FiniteGroup)
     assert G.label == spec
+    assert_classes_are(G, brute_classes(G))
     if G.order <= 120:
         assert verify_orthogonality(character_table(G)).passed
+        U = subgroup_closure(G, G.generators[:1])
+        coset_of, reps = loop_cosets(U)
+        assert np.array_equal(U.coset_of, coset_of)
+        assert np.array_equal(U.left_coset_reps, reps)
