@@ -120,7 +120,7 @@ class CharacterTable:
         weights = np.array(self.degrees, dtype=np.float64) / self.group.order
         weights.setflags(write=False)
         self.plancherel_weights = weights
-        ev = vals[:, self.group.class_of].copy()
+        ev = np.take(vals, self.group.class_of, axis=1)
         ev.setflags(write=False)
         self.element_values = ev
 
@@ -178,8 +178,9 @@ class _ClassAlgebra:
     (A_i)[j, k] = a[i, j, k] = #{x in C_i : x^-1 z_k in C_j} for the class rep
     z_k: the number of ways z_k factors as (element of C_i) times (element of
     C_j). The r^3 tensor a is never held whole. It is filled and contracted
-    in slabs of output rows a[:, j0:j1, :] of about _SLAB_BYTES each, in one
-    buffer that is reused and reset through the entries it was filled at.
+    in slabs of output rows a[:, j0:j1, :] of about _SLAB_BYTES each. Each
+    call to combination allocates one slab buffer, resets it between slabs
+    through the entries it was filled at, and drops it on return.
 
     Each slab is contracted by np.tensordot, a BLAS dgemv over the flattened
     (r, (j1 - j0) * r) slab, as the whole (r, r^2) tensor would be. Slab
@@ -201,16 +202,16 @@ class _ClassAlgebra:
         self.i = G.class_of[G.inv_table]
         j = G.class_of[G.mul_table[:, G.class_reps]].astype(np.int16)  # r <= 512
         self.slab, self.row = np.divmod(j, self.height)
-        self.buffer = np.zeros(r * self.height * r)
 
     def combination(self, coeffs: np.ndarray) -> np.ndarray:
         r = len(coeffs)
         M = np.empty((r, r))
+        buffer = np.zeros(r * self.height * r)
         for s, j0 in enumerate(range(0, r, self.height)):
             j1 = min(j0 + self.height, r)
             y, k = np.nonzero(self.slab == s)
             flat = (self.i[y] * (j1 - j0) + self.row[y, k]) * r + k
-            slab = self.buffer[: r * (j1 - j0) * r]
+            slab = buffer[: r * (j1 - j0) * r]
             np.add.at(slab, flat, 1.0)
             M[j0:j1] = np.tensordot(coeffs, slab.reshape(r, j1 - j0, r), axes=(0, 0))
             slab[flat] = 0.0

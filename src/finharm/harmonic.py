@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._rng import row_blocks
 from .characters import CharacterTable
 from .errors import GroupMismatch, SubgroupMismatch
 from .groups import Subgroup
@@ -94,10 +95,18 @@ def convolve_over_subgroup(coeffs: np.ndarray, U: Subgroup, values: np.ndarray) 
 
 def plancherel_invert_at_identity(table: CharacterTable, F: np.ndarray) -> np.ndarray:
     """sum_pi mu_pi * Theta_pi(f) for each row f of F, a (k, |G|) array;
-    equals f(identity) for a correct table."""
+    equals f(identity) for a correct table.
+
+    Theta is filled one slice of row_blocks(num_irreps, |G|) irreps of
+    element_values at a time, so each slice stays in cache while every f is
+    paired with it; each Theta_pi(f) is still np.dot(f, element_values[pi])
+    bit for bit."""
     if F.ndim != 2 or F.shape[1] != table.group.order:
         raise GroupMismatch("F must hold functions on the table's group, one per row")
-    return _kahan_rows(_dots(F[:, None, :], table.element_values) * table.plancherel_weights)
+    theta = np.empty((len(F), table.num_irreps), dtype=np.complex128)
+    for irreps in row_blocks(table.num_irreps, table.group.order):
+        theta[:, irreps] = _dots(F[:, None, :], table.element_values[irreps])
+    return _kahan_rows(theta * table.plancherel_weights)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from ._rng import test_functions
+from ._rng import row_blocks, test_functions
 from .characters import (
     CharacterTable,
     character_table,
@@ -511,12 +511,20 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
         all_pass = all_pass and table.orthogonality.passed
 
         if command == "plancherel-check":
-            F = test_functions(G, config.seed, range(config.num_test_functions))
-            errors = np.abs(F[:, 0] - plancherel_invert_at_identity(table, F))
-            # a row within tol passes whatever its L1 norm; only the rest need one
-            over = errors > config.tol
-            ok = bool((errors[over] <= config.tol * (1.0 + np.abs(F[over]).sum(axis=1))).all())
-            max_err = float(errors.max())
+            # the functions are drawn, inverted and judged one block of rows
+            # at a time, so memory does not grow with the count; each row is
+            # keyed by its index and keeps its bits
+            count = config.num_test_functions
+            ok, max_err = True, 0.0
+            for rows in row_blocks(count, G.order):
+                F = test_functions(G, config.seed, range(count)[rows])
+                errors = np.abs(F[:, 0] - plancherel_invert_at_identity(table, F))
+                # a row within tol passes whatever its L1 norm; only the rest need one
+                over = errors > config.tol
+                l1 = np.abs(F[over]).sum(axis=1)
+                ok = ok and bool((errors[over] <= config.tol * (1.0 + l1)).all())
+                max_err = np.maximum(max_err, errors.max())  # a NaN error carries
+            max_err = float(max_err)
             checks.append(
                 {
                     "kind": "plancherel-inversion",

@@ -185,6 +185,9 @@ def test_derived_fields_are_their_definitions(monkeypatch, capsys, corpus_tables
         weights = table.plancherel_weights
         assert weights.dtype == np.float64 and not weights.flags.writeable
         assert weights.tobytes() == (np.array(table.degrees, dtype=np.float64) / G.order).tobytes()
+        ev = table.element_values
+        assert ev.flags.c_contiguous and ev.flags.owndata and not ev.flags.writeable
+        assert ev.tobytes() == table.values[:, G.class_of].tobytes()
         for orth in (table.orthogonality, verify_orthogonality(table)):
             assert orth.max_deviation == max(orth.max_row_deviation, orth.max_column_deviation)
         assert_classes_are(G, brute_classes(G))

@@ -113,11 +113,33 @@ def test_kahan_rows_match_scalar_kahan():
 
 
 @pytest.mark.parametrize("spec", SPECS)
-def test_inversion_matches_scalar_oracle(spec):
+def test_inversion_matches_scalar_oracle(monkeypatch, spec):
     G = make_named_group(spec)
     table = character_table(G)
     F = draw_test_functions(G, 17, range(11))
-    assert _bits(plancherel_invert_at_identity(table, F)) == _bits(scalar_inversion(table, F))
+    expected = _bits(scalar_inversion(table, F))
+    assert _bits(plancherel_invert_at_identity(table, F)) == expected
+    # at one element per block, Theta is filled one irrep of element_values at a time
+    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 1)
+    assert len(list(finharm._rng.row_blocks(table.num_irreps, G.order))) == table.num_irreps >= 3
+    assert _bits(plancherel_invert_at_identity(table, F)) == expected
+
+
+def test_plancherel_report_blocks_change_no_bits(monkeypatch):
+    config = RunConfig(group_spec="dihedral:6", num_test_functions=7, seed=4)
+    whole = build_report("plancherel-check", config)
+    # blocks of two functions of D6, so the seven are drawn and judged in four
+    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 24)
+    draw = finharm.reports.test_functions
+    drawn = []
+    monkeypatch.setattr(
+        finharm.reports, "test_functions", lambda *a: drawn.append(a[2]) or draw(*a)
+    )
+    blocked = build_report("plancherel-check", config)
+    assert drawn == [range(0, 2), range(2, 4), range(4, 6), range(6, 7)]
+    assert blocked.digest == whole.digest
+    assert blocked.payload["max_abs_error"] == whole.payload["max_abs_error"]
+    assert blocked.payload["checks"] == whole.payload["checks"]
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,24 @@ def test_plancherel_verdict_bounds_each_row_by_its_l1_norm(monkeypatch, s3, fact
     report = build_report("plancherel-check", cfg)
     assert report.payload["checks"][0]["pass"] is passed
     assert report.passed is passed
+
+
+def _plancherel_peak(count):
+    config = RunConfig(group_spec="dihedral:64", num_test_functions=count)
+    tracemalloc.start()
+    try:
+        build_report("plancherel-check", config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_plancherel_memory_does_not_grow_with_count():
+    # all 8000 functions of dihedral:64 at once would take 16 MB; a first
+    # report pays orjson's import, so both peaks are taken after one
+    build_report("plancherel-check", RunConfig(group_spec="dihedral:64", num_test_functions=1))
+    assert _plancherel_peak(8000) - _plancherel_peak(600) < 2 * 2**20
 
 
 def test_whittaker_report_single_pair(s3):

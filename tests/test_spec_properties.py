@@ -1,7 +1,9 @@
 """Property tests of the group-spec parser: every string made of the spec
 grammar's tokens, and every perm: spec with arbitrary cycles, either builds a
 group or raises a FinharmError. A perm: group that builds has the classes of
-the brute-force oracle, and a small one the cosets of the loop oracle."""
+the brute-force oracle, and one of at most 720 elements the table and the
+cosets of the loop oracle. Specs of distinct points below a small degree
+always build, and run the same oracles."""
 
 from __future__ import annotations
 
@@ -47,10 +49,13 @@ def test_spec_strings_build_or_raise_finharm_error(spec):
     assert isinstance(G, FiniteGroup)
 
 
+def _perm_spec(degree, cycles):
+    return f"perm:{degree}:" + ";".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+
+
 # cycles may repeat a point or leave the degree; degrees run from 0 to 17 digits
 perm_specs = st.builds(
-    lambda degree, cycles: f"perm:{degree}:"
-    + ";".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles),
+    _perm_spec,
     st.one_of(st.integers(0, 8), st.integers(10**6, 10**17)),
     st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=3),
 )
@@ -64,9 +69,37 @@ def test_perm_specs_build_or_raise_finharm_error(spec):
     except FinharmError:
         return
     assert isinstance(G, FiniteGroup)
+    _assert_matches_oracles(G, spec)
+
+
+# cycles of distinct points below a degree of at most 6: every spec builds,
+# and groups up to the 720 elements of S6 come up
+buildable_perm_specs = st.integers(1, 6).flatmap(
+    lambda degree: st.builds(
+        _perm_spec,
+        st.just(degree),
+        st.lists(
+            st.lists(st.integers(0, degree - 1), min_size=1, max_size=degree, unique=True),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spec=buildable_perm_specs)
+def test_buildable_perm_specs_match_oracles(spec):
+    _assert_matches_oracles(make_named_group(spec), spec)
+
+
+def _assert_matches_oracles(G, spec):
+    """The label, the classes, the table and the cosets of one generator's
+    subgroup of a perm: group against the oracles, the last two up to the
+    order of S6."""
     assert G.label == spec
     assert_classes_are(G, brute_classes(G))
-    if G.order <= 120:
+    if G.order <= 720:
         assert verify_orthogonality(character_table(G)).passed
         U = subgroup_closure(G, G.generators[:1])
         coset_of, reps = loop_cosets(U)
