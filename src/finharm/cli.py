@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: chartable, plancherel-check, whittaker-check, conjecture-probe,
-sweep. Exit code 0 means the report verdict is pass, 1 means fail, 2 means
-the run aborted (a partial report flagged incomplete is still delivered when
-one exists).
+Subcommands are the commands of finharm.reports.COMMANDS: chartable,
+plancherel-check, whittaker-check, conjecture-probe, sweep. Those that run
+over (subgroup, character) pairs take --subgroup and --psi-index. Exit code
+0 means the report verdict is pass, 1 means fail, 2 means the run aborted
+(a partial report flagged incomplete is still delivered when one exists).
 """
 
 from __future__ import annotations
@@ -13,18 +14,10 @@ import sys
 from pathlib import Path
 
 from .errors import FinharmError, SweepAborted
-from .reports import RunConfig, SweepReport, build_report
-
-_COMMANDS = {
-    "chartable": "compute and certify the character table",
-    "plancherel-check": "verify pointwise inversion at the identity on random functions",
-    "whittaker-check": "verify the subgroup-transform identity per (subgroup, character)",
-    "conjecture-probe": "sample Phi/Theta ratios without asserting proportionality",
-    "sweep": "verification sweep: transform checks plus probes for every pair",
-}
+from .reports import COMMANDS, RunConfig, SweepReport, build_report
 
 
-def _add_common(sp: argparse.ArgumentParser, with_selectors: bool) -> None:
+def _add_common(sp: argparse.ArgumentParser, selectors: bool) -> None:
     sp.add_argument("spec", help="group spec, e.g. symmetric:3 or product:cyclic:2*cyclic:4")
     sp.add_argument("--seed", type=int, default=0, help="unsigned 64-bit stream seed")
     sp.add_argument("--tol", type=float, default=1e-9, help="tolerance in [1e-12, 1e-6]")
@@ -33,7 +26,7 @@ def _add_common(sp: argparse.ArgumentParser, with_selectors: bool) -> None:
     )
     sp.add_argument("--out", default="-", help="output path, - for stdout")
     sp.add_argument("--count", type=int, default=20, help="number of seeded test functions")
-    if with_selectors:
+    if selectors:
         sp.add_argument(
             "--subgroup",
             default=None,
@@ -53,9 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact harmonic analysis checks on finite groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, description in _COMMANDS.items():
-        sp = sub.add_parser(name, help=description)
-        _add_common(sp, with_selectors=name in ("whittaker-check", "conjecture-probe", "sweep"))
+    for name, command in COMMANDS.items():
+        _add_common(sub.add_parser(name, help=command.help), selectors=command.pairs)
     return parser
 
 

@@ -450,28 +450,13 @@ def _dihedral(n: int) -> FiniteGroup:
 
 
 def _quaternion() -> FiniteGroup:
-    """Quaternion group on {1, -1, i, -i, j, -j, k, -k} in that element order."""
-    # basis products: (unit index, sign), units 0=1, 1=i, 2=j, 3=k
-    base: dict[tuple[int, int], tuple[int, int]] = {}
-    for t in range(4):
-        base[(0, t)] = (t, 0)
-        base[(t, 0)] = (t, 0)
-    for t in (1, 2, 3):
-        base[(t, t)] = (0, 1)
-    base[(1, 2)] = (3, 0)
-    base[(2, 3)] = (1, 0)
-    base[(3, 1)] = (2, 0)
-    base[(2, 1)] = (3, 1)
-    base[(3, 2)] = (1, 1)
-    base[(1, 3)] = (2, 1)
-    mul = np.empty((8, 8), dtype=np.int64)
-    for t1 in range(4):
-        for s1 in range(2):
-            for t2 in range(4):
-                for s2 in range(2):
-                    t3, flip = base[(t1, t2)]
-                    s3 = (s1 + s2 + flip) % 2
-                    mul[2 * t1 + s1, 2 * t2 + s2] = 2 * t3 + s3
+    """Quaternion group on {1, -1, i, -i, j, -j, k, -k} in that element order:
+    element 2t + s is (-1)^s times unit t of (1, i, j, k). By Hamilton's rule
+    the product of units t1 and t2 is unit t1 ^ t2, negated where
+    sign[t1, t2] is 1 (i^2 = j^2 = k^2 = -1, ij = k, ji = -k, ...)."""
+    sign = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.int64)
+    t, s = np.divmod(np.arange(8, dtype=np.int64), 2)
+    mul = 2 * (t[:, None] ^ t) + (s[:, None] ^ s ^ sign[t[:, None], t])
     return _owning(mul, "quaternion", (2, 4))
 
 

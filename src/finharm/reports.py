@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 import re
 import time
-from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from dataclasses import asdict, dataclass
+from functools import reduce
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,13 +59,49 @@ from .induction import (
 
 SWEEP_ORDER_CAP = 200
 
+
+class Command(NamedTuple):
+    """A command's help text and the parts it runs after the table: the
+    inversion at the identity, and the check and the probe of each selected
+    (U, psi). A command that runs over pairs takes their selectors."""
+
+    help: str
+    inversion: bool = False
+    checks: bool = False
+    probes: bool = False
+
+    @property
+    def pairs(self) -> bool:
+        return self.checks or self.probes
+
+
+COMMANDS = {
+    "chartable": Command("compute and certify the character table"),
+    "plancherel-check": Command(
+        "verify pointwise inversion at the identity on random functions", inversion=True
+    ),
+    "whittaker-check": Command(
+        "verify the subgroup-transform identity per (subgroup, character)", checks=True
+    ),
+    "conjecture-probe": Command(
+        "sample Phi/Theta ratios without asserting proportionality", probes=True
+    ),
+    "sweep": Command(
+        "verification sweep: transform checks plus probes for every pair", checks=True, probes=True
+    ),
+}
+
 # what json's ensure_ascii escapes and orjson writes raw
 _BEYOND_ASCII = re.compile("[\x7f-\U0010ffff]+")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs of one CLI run."""
+    """Validated inputs of one CLI run.
+
+    Every field is a key of the report's config block, and so part of its
+    digest.
+    """
 
     group_spec: str
     subgroup_selector: str | tuple[int, ...] = "all"
@@ -74,16 +112,19 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self) -> None:
-        if not self.group_spec:
-            raise ValueError("group_spec must be nonempty")
+        if not isinstance(self.group_spec, str) or not self.group_spec:
+            raise ValueError(f"group_spec must be a nonempty str, got {self.group_spec!r}")
         try:  # reports are written as these bytes
             self.group_spec.encode("utf-8", "surrogateescape")
         except UnicodeEncodeError:
             raise ValueError(
                 f"group_spec holds a surrogate that stands for no byte: {self.group_spec!r}"
             ) from None
-        if self.subgroup_selector != "all":
-            gens = tuple(_index("subgroup_selector", g) for g in self.subgroup_selector)
+        selector = self.subgroup_selector
+        if selector != "all":
+            if isinstance(selector, str) or not hasattr(selector, "__iter__"):
+                raise ValueError(f'subgroup_selector must be "all" or indices, got {selector!r}')
+            gens = tuple(_index("subgroup_selector", g) for g in selector)
             object.__setattr__(self, "subgroup_selector", gens)
         if self.character_selector != "all":
             k = _index("character_selector", self.character_selector)
@@ -92,7 +133,10 @@ class RunConfig:
             object.__setattr__(self, "character_selector", k)
         for name in ("num_test_functions", "seed"):
             object.__setattr__(self, name, _index(name, getattr(self, name)))
-        object.__setattr__(self, "tol", float(self.tol))
+        try:
+            object.__setattr__(self, "tol", float(self.tol))
+        except TypeError:
+            raise ValueError(f"tol must be a real number, got {self.tol!r}") from None
         if not 1 <= self.num_test_functions <= 10**4:
             raise ValueError("num_test_functions must lie in [1, 10^4]")
         if not 0 <= self.seed < 2**64:
@@ -116,7 +160,6 @@ class SweepReport:
     """Assembled report plus its digest and timing; passed is whether the
     payload's verdict is pass."""
 
-    config: RunConfig
     payload: dict[str, Any]
     digest: str
     wall_time: float
@@ -169,57 +212,15 @@ class SweepReport:
         if p.get("checks"):
             lines.append("# checks")
             if any("subgroup" in blk for blk in p["checks"]):
-                lines.append(
-                    "subgroup,psi_index,num_functions,max_abs_error,identity_max_residual,pass"
-                )
+                lines.append(",".join(header for header, _ in _CHECK_COLUMNS))
             for blk in p["checks"]:
-                if "subgroup" in blk:
-                    lines.append(
-                        ",".join(
-                            [
-                                _csv_scalar(blk["subgroup"]["members"]),
-                                str(blk["psi_index"]),
-                                str(blk["num_functions"]),
-                                blk["max_abs_error"],
-                                blk["identity"]["max_residual"],
-                                _csv_scalar(blk["pass"]),
-                            ]
-                        )
-                    )
-                else:
-                    lines.append(
-                        ",".join(
-                            [
-                                blk["kind"],
-                                str(blk["num_functions"]),
-                                blk["max_abs_error"],
-                                _csv_scalar(blk["pass"]),
-                            ]
-                        )
-                    )
+                columns = _CHECK_COLUMNS if "subgroup" in blk else _INVERSION_COLUMNS
+                lines.append(_csv_row(columns, blk))
         if p.get("probes"):
             lines.append("# probes")
-            lines.append(
-                "subgroup,psi_index,pi,degree,multiplicity,conjugate_multiplicity,"
-                "kernel_at_identity,ratio_constant,num_flagged"
-            )
+            lines.append(",".join(header for header, _ in _PROBE_COLUMNS))
             for blk in p["probes"]:
-                for rec in blk["per_pi"]:
-                    lines.append(
-                        ",".join(
-                            [
-                                _csv_scalar(blk["subgroup"]["members"]),
-                                str(blk["psi_index"]),
-                                str(rec["pi"]),
-                                str(rec["degree"]),
-                                str(rec["multiplicity"]),
-                                str(rec["conjugate_multiplicity"]),
-                                rec["kernel_at_identity"],
-                                _csv_scalar(rec["ratio_constant"]),
-                                str(rec["num_flagged"]),
-                            ]
-                        )
-                    )
+                lines.extend(_csv_row(_PROBE_COLUMNS, {**blk, **rec}) for rec in blk["per_pi"])
         lines.append("# verdict")
         lines.append(f"verdict,{p['verdict']}")
         lines.append(f"max_abs_error,{p['max_abs_error']}")
@@ -230,7 +231,8 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
     def rendered(self) -> str:
-        return self.to_csv() if self.config.output_format == "csv" else self.to_json()
+        csv = self.payload["config"]["output_format"] == "csv"
+        return self.to_csv() if csv else self.to_json()
 
 
 def _orjson_compact(payload: dict[str, Any]) -> bytes:
@@ -258,20 +260,38 @@ def _csv_scalar(value: Any) -> str:
     return str(value).replace(",", ";").replace("\r", "\\r").replace("\n", "\\n")
 
 
+# (header, key path) of each column of a CSV row section: a pair check, the
+# inversion row (written without its header), and a probe record, whose
+# paths read its pair's keys beside its own
+_CHECK_COLUMNS = (
+    ("subgroup", "subgroup.members"), ("psi_index", "psi_index"),
+    ("num_functions", "num_functions"), ("max_abs_error", "max_abs_error"),
+    ("identity_max_residual", "identity.max_residual"), ("pass", "pass"),
+)
+_INVERSION_COLUMNS = (
+    ("kind", "kind"), ("num_functions", "num_functions"), ("max_abs_error", "max_abs_error"),
+    ("pass", "pass"),
+)
+_PROBE_COLUMNS = (
+    ("subgroup", "subgroup.members"), ("psi_index", "psi_index"), ("pi", "pi"),
+    ("degree", "degree"), ("multiplicity", "multiplicity"),
+    ("conjugate_multiplicity", "conjugate_multiplicity"),
+    ("kernel_at_identity", "kernel_at_identity"), ("ratio_constant", "ratio_constant"),
+    ("num_flagged", "num_flagged"),
+)
+
+
+def _csv_row(columns: Sequence[tuple[str, str]], block: dict[str, Any]) -> str:
+    cells = (reduce(operator.getitem, path.split("."), block) for _, path in columns)
+    return ",".join(map(_csv_scalar, cells))
+
+
 def _config_block(command: str, config: RunConfig) -> dict[str, Any]:
-    selector: Any = config.subgroup_selector
-    if selector != "all":
-        selector = list(selector)
-    return {
-        "command": command,
-        "group_spec": config.group_spec,
-        "subgroup_selector": selector,
-        "character_selector": config.character_selector,
-        "num_test_functions": config.num_test_functions,
-        "seed": config.seed,
-        "tol": fmt_real(config.tol),
-        "output_format": config.output_format,
-    }
+    block = asdict(config)
+    if config.subgroup_selector != "all":
+        block["subgroup_selector"] = list(config.subgroup_selector)
+    block.update(command=command, tol=fmt_real(config.tol))
+    return block
 
 
 def _group_block(config: RunConfig, G: FiniteGroup, table: CharacterTable) -> dict[str, Any]:
@@ -302,14 +322,6 @@ def _table_block(table: CharacterTable) -> dict[str, Any]:
     }
 
 
-def _subgroup_block(U: Subgroup) -> dict[str, Any]:
-    return {
-        "members": [int(m) for m in U.members],
-        "order": U.order,
-        "num_cosets": U.num_cosets,
-    }
-
-
 def _iter_subgroups(
     G: FiniteGroup, config: RunConfig
 ) -> Iterator[tuple[Subgroup, Sequence[int], np.ndarray]]:
@@ -332,19 +344,6 @@ def _iter_subgroups(
                 f"has {len(psis)} linear characters"
             )
         yield U, [k], psis[k : k + 1]
-
-
-def _identity_block(
-    spectrum: SubgroupSpectrum, j: int, residual: float, passed: bool
-) -> dict[str, Any]:
-    """Pair j's identity check; _fill_strings sets its kernel_at_identity."""
-    return {
-        "max_residual": fmt_real(residual),
-        "pass": passed,
-        "kernel_at_identity": None,
-        "multiplicities": spectrum.multiplicities[j].tolist(),
-        "conjugate_multiplicities": spectrum.conjugate_multiplicities[j].tolist(),
-    }
 
 
 def _probe_per_pi(
@@ -416,13 +415,29 @@ def _fill_strings(blocks: list[_StringBlock], count: int) -> None:
         at += b.values.size
 
 
+def _within_tolerance(errors: np.ndarray, F: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each error lies within tol * (1 + ||f||_1), f the row of F its
+    last index names: the bound of every transform certificate. An error
+    within tol passes unsummed, and a NaN error fails."""
+    ok = errors <= tol
+    rows = ~ok.all(axis=tuple(range(errors.ndim - 1)))
+    if rows.any():
+        ok[..., rows] = errors[..., rows] <= tol * (1.0 + np.abs(F[rows]).sum(axis=1))
+    return ok
+
+
+def _worst(*errors: float) -> float:
+    """The fold of a report's max_abs_error: the largest error, NaN once one is."""
+    return max(errors) if all(e == e for e in errors) else math.nan
+
+
 def _pair_blocks(
     table: CharacterTable,
     U: Subgroup,
     indices: Sequence[int],
     psis: np.ndarray,
     config: RunConfig,
-    checked: tuple[np.ndarray, np.ndarray] | None,
+    checked: np.ndarray | None,
     probed: tuple[ProbePlan, list[int]] | None,
     string_blocks: list[_StringBlock],
 ) -> Iterator[tuple[dict[str, Any] | None, dict[str, Any] | None, tuple[float, float] | None]]:
@@ -430,13 +445,14 @@ def _pair_blocks(
     max_residual) of each selected (U, psi) in order, one spectrum per block
     of characters.
 
-    checked holds the test functions and their L1 norms, probed the probe
+    checked holds the test functions F, one per row, and probed the probe
     plan and its flag count per irrep; either is None when the command skips
     that part. Each block of characters appends its complex values and its
     pairs to string_blocks; the pairs' strings are None until _fill_strings.
     A pair whose spectrum fails raises after the pairs before it.
     """
-    subgroup = _subgroup_block(U)
+    members = [int(m) for m in U.members]
+    subgroup = {"members": members, "order": U.order, "num_cosets": U.num_cosets}
     r, count = table.num_irreps, config.num_test_functions
     ratio_at = r + (0 if checked is None else U.order)
     done = 0
@@ -447,9 +463,8 @@ def _pair_blocks(
         residuals = spectrum.residuals.max(axis=1).tolist()
         parts = [spectrum.kernels[:, :, 0]]
         if checked is not None:
-            F, f_l1 = checked
-            rec = generalized_plancherel_check_batch(spectrum, F)
-            theorem_ok = (rec.abs_error <= config.tol * (1.0 + f_l1)).all(axis=1).tolist()
+            rec = generalized_plancherel_check_batch(spectrum, checked)
+            theorem_ok = _within_tolerance(rec.abs_error, checked, config.tol).all(axis=1).tolist()
             max_errs = rec.abs_error.max(axis=1).tolist()
             parts.append(spectrum.psi_values)
         probe = None if probed is None else conjecture_probe(spectrum, probed[0])
@@ -466,7 +481,13 @@ def _pair_blocks(
                     "psi_on_members": None,
                     "num_functions": count,
                     "max_abs_error": fmt_real(max_errs[i]),
-                    "identity": _identity_block(spectrum, i, residuals[i], identity_ok[i]),
+                    "identity": {
+                        "max_residual": fmt_real(residuals[i]),
+                        "pass": identity_ok[i],
+                        "kernel_at_identity": None,
+                        "multiplicities": spectrum.multiplicities[i].tolist(),
+                        "conjugate_multiplicities": spectrum.conjugate_multiplicities[i].tolist(),
+                    },
                     "pass": theorem_ok[i] and identity_ok[i],
                 }
                 errors = max_errs[i], residuals[i]
@@ -483,13 +504,17 @@ def _pair_blocks(
 
 
 def build_report(command: str, config: RunConfig) -> SweepReport:
-    """Assemble the report for one CLI command.
+    """Assemble the report for one command of COMMANDS; ValueError for any
+    other.
 
     On any package error, and when memory or the recursion limit runs out,
     the partially assembled payload is flagged incomplete and carried inside
     the raised SweepAborted, so the CLI can still deliver it alongside a
     nonzero exit code.
     """
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
+    parts = COMMANDS[command]
     start = time.perf_counter()
     checks: list[dict[str, Any]] = []
     probes: list[dict[str, Any]] = []
@@ -507,10 +532,10 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
         table = character_table(G, seed=config.seed, tol=config.tol)
         payload["group"] = _group_block(config, G, table)
         payload["table"] = _table_block(table)
-        worst = max(worst, table.orthogonality.max_deviation)
+        worst = _worst(worst, table.orthogonality.max_deviation)
         all_pass = all_pass and table.orthogonality.passed
 
-        if command == "plancherel-check":
+        if parts.inversion:
             # the functions are drawn, inverted and judged one block of rows
             # at a time, so memory does not grow with the count; each row is
             # keyed by its index and keeps its bits
@@ -519,12 +544,8 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
             for rows in row_blocks(count, G.order):
                 F = test_functions(G, config.seed, range(count)[rows])
                 errors = np.abs(F[:, 0] - plancherel_invert_at_identity(table, F))
-                # a row within tol passes whatever its L1 norm; only the rest need one
-                over = errors > config.tol
-                l1 = np.abs(F[over]).sum(axis=1)
-                ok = ok and bool((errors[over] <= config.tol * (1.0 + l1)).all())
-                max_err = np.maximum(max_err, errors.max())  # a NaN error carries
-            max_err = float(max_err)
+                ok = ok and bool(_within_tolerance(errors, F, config.tol).all())
+                max_err = _worst(max_err, float(errors.max()))
             checks.append(
                 {
                     "kind": "plancherel-inversion",
@@ -533,22 +554,21 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
                     "pass": ok,
                 }
             )
-            worst = max(worst, max_err)
+            worst = _worst(worst, max_err)
             all_pass = all_pass and ok
 
-        if command in ("whittaker-check", "conjecture-probe", "sweep"):
+        if parts.pairs:
             if G.order > SWEEP_ORDER_CAP:
                 raise OrderTooLarge(
                     f"sweeps are capped at group order {SWEEP_ORDER_CAP}, got {G.order}"
                 )
-            # the test functions and their L1 norms, and the probe plan and
-            # its flag counts, once per report; then one pass per subgroup
+            # the test functions, and the probe plan and its flag counts, once
+            # per report; then one pass per subgroup
             count = config.num_test_functions
             checked = probed = None
-            if command != "conjecture-probe":
-                F = test_functions(G, config.seed, range(count))
-                checked = F, np.abs(F).sum(axis=1)
-            if command != "whittaker-check":
+            if parts.checks:
+                checked = test_functions(G, config.seed, range(count))
+            if parts.probes:
                 plan = probe_plan(table, count, config.seed)
                 probed = plan, plan.flagged.sum(axis=1).tolist()
             for U, indices, psis in _iter_subgroups(G, config):
@@ -557,7 +577,7 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
                 ):
                     if check is not None:
                         checks.append(check)
-                        worst = max(worst, *errors)
+                        worst = _worst(worst, *errors)
                         all_pass = all_pass and check["pass"]
                     if probe is not None:
                         probes.append(probe)
@@ -572,7 +592,6 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
     payload["verdict"] = "pass" if all_pass else "fail"
     payload["max_abs_error"] = fmt_real(worst)
     report = SweepReport(
-        config=config,
         payload=payload,
         digest=_payload_digest(payload),
         wall_time=time.perf_counter() - start,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -271,6 +272,20 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate", "cyclic:2"])
     assert err.value.code == 2
+
+
+def test_subcommands_are_the_command_table():
+    # the parser's subcommands, and those taking pair selectors, are COMMANDS'
+    parser = finharm.cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(finharm.reports.COMMANDS)
+    selectors = {"--subgroup", "--psi-index"}
+    for name, sp in sub.choices.items():
+        options = {opt for action in sp._actions for opt in action.option_strings}
+        expected = selectors if finharm.reports.COMMANDS[name].pairs else set()
+        assert options & selectors == expected, name
+    selecting = [name for name, command in finharm.reports.COMMANDS.items() if command.pairs]
+    assert selecting == ["whittaker-check", "conjecture-probe", "sweep"]
 
 
 def test_lapack_failure_exits_2_without_traceback(monkeypatch, capsys):

@@ -52,6 +52,16 @@ CASES = [
     # one conjugacy class: the table of a 1 x 1 class algebra
     (["chartable", "cyclic:1", "--format", "csv"], 0,
      "b763574bf37a3ba7c86b6f535c7e6e24a59c1e28887fbd4714589ff67e220503"),
+    # each CSV row section: the inversion row, one pair check, probe records;
+    # and the tail of a sweep refused at its first pair
+    (["plancherel-check", "quaternion", "--seed", "11", "--format", "csv"], 0,
+     "60bfa82cd79851d32bd97acc4c1b41f170e914e85bc6a01982290cb7e12bf104"),
+    (["whittaker-check", "cyclic:4", "--subgroup", "1", "--psi-index", "1", "--format", "csv"], 0,
+     "7bc5bafdcd35956a63397ba73f52b425a5f19f3c88acd6c3b903f9330371f933"),
+    (["conjecture-probe", "quaternion", "--subgroup", "1", "--format", "csv"], 0,
+     "9455eae65ea20b6e797c8e197daaafb173a2ac2eaaa73da2ed9994be41e598a0"),
+    (["sweep", "symmetric:3", "--psi-index", "1", "--format", "csv"], 2,
+     "4b1e80d4ec54d1b4138c82214c686bb1458048f305243fdf792eabbe580ae20d"),
 ]
 
 # Recorded when the one-class groups had a table path of their own, at seeds

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -144,7 +145,6 @@ _RENDERINGS = [
 @pytest.mark.parametrize("real_digest", [False, True], ids=["wrong digest", "real digest"])
 def test_to_json_matches_json_dumps_byte_for_byte(monkeypatch, awkward, by_orjson, real_digest):
     report = SweepReport(
-        config=RunConfig(group_spec="cyclic:1"),
         payload=awkward,
         digest=json_digest(awkward) if real_digest else "0" * 64,
         wall_time=2.5e-05,
@@ -245,6 +245,36 @@ def test_runconfig_validation():
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("group_spec", b"cyclic:3"),
+        ("group_spec", 3),
+        ("subgroup_selector", 5),
+        ("subgroup_selector", "1,2"),
+        ("subgroup_selector", ""),
+        ("tol", None),
+    ],
+)
+def test_runconfig_rejects_wrongly_typed_fields(field, value):
+    kwargs = {"group_spec": "cyclic:3", field: value}
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**kwargs)
+
+
+def test_config_block_is_every_runconfig_field():
+    cfg = RunConfig(group_spec="cyclic:4", subgroup_selector=(1,), character_selector=1)
+    config = build_report("whittaker-check", cfg).payload["config"]
+    assert set(config) == {f.name for f in dataclasses.fields(RunConfig)} | {"command"}
+    assert config["subgroup_selector"] == [1]
+    assert config["tol"] == fmt_real(cfg.tol)
+
+
+def test_unknown_command_raises():
+    with pytest.raises(ValueError, match="bogus"):
+        build_report("bogus", RunConfig(group_spec="cyclic:3"))
+
+
+@pytest.mark.parametrize(
     "field, value, stored",
     [
         ("num_test_functions", np.int64(3), 3),
@@ -318,6 +348,72 @@ def test_plancherel_verdict_bounds_each_row_by_its_l1_norm(monkeypatch, s3, fact
         finharm.reports, "plancherel_invert_at_identity", lambda table, F: F[:, 0] - shift
     )
     report = build_report("plancherel-check", cfg)
+    assert report.payload["checks"][0]["pass"] is passed
+    assert report.passed is passed
+
+
+def test_nan_inversion_error_fails_and_carries(monkeypatch):
+    # the first function's error is NaN; the finite errors after it must not
+    # hide it from the check or from the report
+    cfg = RunConfig(group_spec="symmetric:3", num_test_functions=5)
+    real = finharm.reports.plancherel_invert_at_identity
+
+    def nan_first_row(table, F):
+        values = real(table, F).copy()
+        values[0] = np.nan
+        return values
+
+    monkeypatch.setattr(finharm.reports, "plancherel_invert_at_identity", nan_first_row)
+    report = build_report("plancherel-check", cfg)
+    (check,) = report.payload["checks"]
+    assert check["pass"] is False
+    assert check["max_abs_error"] == "nan"
+    assert report.payload["max_abs_error"] == "nan"
+    assert report.passed is False
+
+
+def test_nan_pair_error_fails_and_carries(monkeypatch):
+    # one NaN error in the run's first pair; the pairs after it are finite
+    real = finharm.reports.generalized_plancherel_check_batch
+    calls = []
+
+    def nan_once(spectrum, F):
+        rec = real(spectrum, F)
+        if calls:
+            return rec
+        calls.append(1)
+        abs_error = rec.abs_error.copy()
+        abs_error[0, 0] = np.nan
+        return dataclasses.replace(rec, abs_error=abs_error)
+
+    monkeypatch.setattr(finharm.reports, "generalized_plancherel_check_batch", nan_once)
+    report = build_report("whittaker-check", RunConfig(group_spec="symmetric:3"))
+    checks = report.payload["checks"]
+    assert len(checks) > 1
+    assert checks[0]["pass"] is False and checks[0]["max_abs_error"] == "nan"
+    assert all(c["pass"] for c in checks[1:])
+    assert report.payload["max_abs_error"] == "nan"
+    assert report.passed is False
+
+
+@pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
+def test_pair_verdict_bounds_each_error_by_its_l1_norm(monkeypatch, s3, factor, passed):
+    # every error of the first pair lies above tol; that of its last function
+    # is `factor` times its bound
+    cfg = RunConfig(group_spec="symmetric:3", num_test_functions=5)
+    bound = cfg.tol * (1.0 + np.abs(draw_test_functions(s3, cfg.seed, range(5))).sum(axis=1))
+    shift = np.where(np.arange(5) == 4, factor, 0.5) * bound
+    assert (shift > 2 * cfg.tol).all()
+    real = finharm.reports.generalized_plancherel_check_batch
+
+    def shifted(spectrum, F):
+        rec = real(spectrum, F)
+        abs_error = rec.abs_error.copy()
+        abs_error[0] = shift
+        return dataclasses.replace(rec, abs_error=abs_error)
+
+    monkeypatch.setattr(finharm.reports, "generalized_plancherel_check_batch", shifted)
+    report = build_report("whittaker-check", cfg)
     assert report.payload["checks"][0]["pass"] is passed
     assert report.passed is passed
 
