@@ -126,8 +126,8 @@ class CharacterTable:
 
     @cached_property
     def value_strings(self) -> tuple[tuple[str, ...], ...]:
-        """fmt_complex of every table value, formatted once and shared by
-        the CSV form and the report's rows block."""
+        """fmt_complex_rows of the table values, formatted once and shared
+        by the CSV form and the report's rows block."""
         return fmt_complex_rows(self.values)
 
     def to_csv(self) -> str:

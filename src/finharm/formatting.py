@@ -24,17 +24,10 @@ def _signed_join(re: str, im: str) -> str:
     return f"{re}+{im}i"
 
 
-def fmt_complex(z: complex) -> str:
-    """Format ``a+bi`` with both parts always present.
-
-    Examples: ``1+0i``, ``0-1i``, ``-0.5+0.866025403784i``.
-    """
-    z = complex(z)
-    return _signed_join(fmt_real(z.real), fmt_real(z.imag))
-
-
 def fmt_complex_rows(values: np.ndarray) -> tuple[tuple[str, ...], ...]:
-    """fmt_complex of every entry of a 2-D complex array, one tuple per row.
+    """Each entry of a 2-D complex array as ``a+bi``, both parts fmt_real and
+    always present (``1+0i``, ``0-1i``, ``-0.5+0.866025403784i``), one tuple
+    per row.
 
     The distinct real and imaginary parts are sorted and cut into runs that
     share a decimal exponent and a 12-digit scaled mantissa; zeros,

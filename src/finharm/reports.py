@@ -9,16 +9,27 @@ floats are serialized through the 12-significant-digit formatter, so
 identical configurations produce byte-identical digest-bearing sections on
 every platform.
 
+The (U, psi) pairs are held as per-pair arrays, one record per spectrum
+block, and each pair's check and probe records are written once from them
+after the run, finished or aborted, with all their complex strings from one
+fmt_complex_rows call. The verdict and max_abs_error are folded from the same
+arrays, the table's orthogonality and the inversion: the verdict passes when
+the run finished and every pass flag holds, and max_abs_error is the largest
+of the orthogonality deviation, the inversion's error, and each checked
+pair's error and identity residual (a NaN carries). A probe-only report's
+residuals stay out of it.
+
 The digest is the sha256 of json.dumps(payload, sort_keys=True,
 separators=(",", ":")), and orjson computes it. Every leaf build_report puts
-in a payload is a str (each number goes through fmt_real or fmt_complex), a
-Python int, a bool or None, under str-keyed dicts and lists; orjson's compact
-sorted text of such a payload, with DEL and every character beyond ASCII
-escaped as json's ensure_ascii escapes them, is json's text byte for byte.
-json computes it where orjson refuses the payload: ints beyond 64 bits, lone
-surrogates, keys that are not str. The JSON rendering is json.dumps(document,
-sort_keys=True, indent=2) byte for byte, written by orjson when its compact
-text proves canonical by hashing to the digest. CSV is not digested; a cell
+in a payload is a str (each number goes through fmt_real or
+fmt_complex_rows), a Python int, a bool or None, under str-keyed dicts and
+lists; orjson's compact sorted text of such a payload, with DEL and every
+character beyond ASCII escaped as json's ensure_ascii escapes them, is json's
+text byte for byte. json computes it where orjson refuses the payload: ints
+beyond 64 bits, lone surrogates, keys that are not str. The JSON rendering is
+json.dumps(document, sort_keys=True, indent=2) byte for byte, written by
+orjson when its compact text proves canonical by hashing to the digest. CSV
+is not digested; each row section starts with its header line, and a cell
 holds no comma or line break.
 """
 
@@ -26,13 +37,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import operator
 import re
 import time
 from dataclasses import asdict, dataclass
 from functools import reduce
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,8 +59,6 @@ from .groups import FiniteGroup, Subgroup, enumerate_subgroups, make_named_group
 from .harmonic import plancherel_invert_at_identity, generalized_plancherel_check_batch
 from .induction import (
     ProbePlan,
-    ProbeRecord,
-    SubgroupSpectrum,
     conjecture_probe,
     kernel_multiplicity_identity_check,
     probe_plan,
@@ -210,17 +218,12 @@ class SweepReport:
             lines.append("# table")
             lines.extend(table_csv_lines(p["table"]["degrees"], p["table"]["rows"]))
         if p.get("checks"):
-            lines.append("# checks")
-            if any("subgroup" in blk for blk in p["checks"]):
-                lines.append(",".join(header for header, _ in _CHECK_COLUMNS))
-            for blk in p["checks"]:
-                columns = _CHECK_COLUMNS if "subgroup" in blk else _INVERSION_COLUMNS
-                lines.append(_csv_row(columns, blk))
+            # a command has either the inversion row or pair checks
+            columns = _CHECK_COLUMNS if "subgroup" in p["checks"][0] else _INVERSION_COLUMNS
+            _csv_section(lines, "checks", columns, p["checks"])
         if p.get("probes"):
-            lines.append("# probes")
-            lines.append(",".join(header for header, _ in _PROBE_COLUMNS))
-            for blk in p["probes"]:
-                lines.extend(_csv_row(_PROBE_COLUMNS, {**blk, **rec}) for rec in blk["per_pi"])
+            rows = ({**blk, **rec} for blk in p["probes"] for rec in blk["per_pi"])
+            _csv_section(lines, "probes", _PROBE_COLUMNS, rows)
         lines.append("# verdict")
         lines.append(f"verdict,{p['verdict']}")
         lines.append(f"max_abs_error,{p['max_abs_error']}")
@@ -261,8 +264,8 @@ def _csv_scalar(value: Any) -> str:
 
 
 # (header, key path) of each column of a CSV row section: a pair check, the
-# inversion row (written without its header), and a probe record, whose
-# paths read its pair's keys beside its own
+# inversion row, and a probe record, whose paths read its pair's keys beside
+# its own
 _CHECK_COLUMNS = (
     ("subgroup", "subgroup.members"), ("psi_index", "psi_index"),
     ("num_functions", "num_functions"), ("max_abs_error", "max_abs_error"),
@@ -279,6 +282,15 @@ _PROBE_COLUMNS = (
     ("kernel_at_identity", "kernel_at_identity"), ("ratio_constant", "ratio_constant"),
     ("num_flagged", "num_flagged"),
 )
+
+
+def _csv_section(
+    lines: list[str], name: str, columns: Sequence[tuple[str, str]], rows: Iterable[dict[str, Any]]
+) -> None:
+    """Append a CSV row section: its name, its header line, then its rows."""
+    lines.append(f"# {name}")
+    lines.append(",".join(header for header, _ in columns))
+    lines.extend(_csv_row(columns, row) for row in rows)
 
 
 def _csv_row(columns: Sequence[tuple[str, str]], block: dict[str, Any]) -> str:
@@ -346,75 +358,6 @@ def _iter_subgroups(
         yield U, [k], psis[k : k + 1]
 
 
-def _probe_per_pi(
-    spectrum: SubgroupSpectrum, probe: ProbeRecord, i: int, num_flagged: list[int]
-) -> list[dict[str, Any]]:
-    """The per-irrep records of pair i; _fill_strings sets their
-    kernel_at_identity, and their first_ratio unless every sample of the
-    irrep was flagged."""
-    return [
-        {
-            "pi": pi,
-            "degree": degree,
-            "multiplicity": m,
-            "conjugate_multiplicity": m_bar,
-            "kernel_at_identity": None,
-            "ratio_constant": constant,
-            "num_flagged": num_flagged[pi],
-            "first_ratio": None,
-            "max_ratio_spread": fmt_real(spread),
-        }
-        for pi, (degree, m, m_bar, constant, spread) in enumerate(
-            zip(
-                spectrum.table.degrees,
-                spectrum.multiplicities[i].tolist(),
-                spectrum.conjugate_multiplicities[i].tolist(),
-                probe.constant[i].tolist(),
-                probe.spread[i].tolist(),
-            )
-        )
-    ]
-
-
-@dataclass
-class _StringBlock:
-    """A block of pairs whose complex strings wait for the end of the report.
-
-    values holds one row per pair: the kernels at the identity, psi on U when
-    checked, then the probe's first ratios when probed; psi_at and ratio_at
-    are where the last two parts start. pairs holds each pair's check block
-    and probe block, None where the command skips that part.
-    """
-
-    values: np.ndarray
-    psi_at: int
-    ratio_at: int
-    pairs: list[tuple[dict[str, Any] | None, dict[str, Any] | None]]
-
-
-def _fill_strings(blocks: list[_StringBlock], count: int) -> None:
-    """Hand every pair of blocks its strings, formatted in one
-    fmt_complex_rows call: per call its fixed numpy cost outweighs a block's
-    few dozen values."""
-    if not blocks:
-        return
-    (strings,) = fmt_complex_rows(np.concatenate([b.values.ravel() for b in blocks])[None])
-    at = 0
-    for b in blocks:
-        width = b.values.shape[1]
-        for i, (check, probe) in enumerate(b.pairs):
-            row = strings[at + i * width : at + (i + 1) * width]
-            if check is not None:
-                check["identity"]["kernel_at_identity"] = list(row[: b.psi_at])
-                check["psi_on_members"] = list(row[b.psi_at : b.ratio_at])
-            if probe is not None:
-                for rec, k, ratio in zip(probe["per_pi"], row, row[b.ratio_at :]):
-                    rec["kernel_at_identity"] = k
-                    if rec["num_flagged"] != count:
-                        rec["first_ratio"] = ratio
-        at += b.values.size
-
-
 def _within_tolerance(errors: np.ndarray, F: np.ndarray, tol: float) -> np.ndarray:
     """Whether each error lies within tol * (1 + ||f||_1), f the row of F its
     last index names: the bound of every transform certificate. An error
@@ -426,9 +369,27 @@ def _within_tolerance(errors: np.ndarray, F: np.ndarray, tol: float) -> np.ndarr
     return ok
 
 
-def _worst(*errors: float) -> float:
-    """The fold of a report's max_abs_error: the largest error, NaN once one is."""
-    return max(errors) if all(e == e for e in errors) else math.nan
+class _Pairs(NamedTuple):
+    """The selected (U, psi) of one spectrum block as per-pair arrays, one
+    row per psi: all that their check and probe records are written from.
+
+    errors (each check's largest error) and theorem_ok are None when the
+    command skips the check, constant and spread when it skips the probe.
+    values holds each pair's complex values: the kernels at the identity,
+    psi on U when checked, then the probe's first ratios when probed.
+    """
+
+    subgroup: dict[str, Any]
+    psi_indices: Sequence[int]
+    multiplicities: np.ndarray
+    conjugate_multiplicities: np.ndarray
+    residuals: np.ndarray
+    identity_ok: np.ndarray
+    errors: np.ndarray | None
+    theorem_ok: np.ndarray | None
+    constant: np.ndarray | None
+    spread: np.ndarray | None
+    values: np.ndarray
 
 
 def _pair_blocks(
@@ -438,69 +399,111 @@ def _pair_blocks(
     psis: np.ndarray,
     config: RunConfig,
     checked: np.ndarray | None,
-    probed: tuple[ProbePlan, list[int]] | None,
-    string_blocks: list[_StringBlock],
-) -> Iterator[tuple[dict[str, Any] | None, dict[str, Any] | None, tuple[float, float] | None]]:
-    """The check block, the probe block and the check's (max_abs_error,
-    max_residual) of each selected (U, psi) in order, one spectrum per block
-    of characters.
-
-    checked holds the test functions F, one per row, and probed the probe
-    plan and its flag count per irrep; either is None when the command skips
-    that part. Each block of characters appends its complex values and its
-    pairs to string_blocks; the pairs' strings are None until _fill_strings.
-    A pair whose spectrum fails raises after the pairs before it.
-    """
+    plan: ProbePlan | None,
+) -> Iterator[_Pairs]:
+    """The pairs of each spectrum block of the selected characters of U, in
+    order. checked holds the test functions F, one per row, and plan the
+    probe plan; either is None when the command skips that part. A pair
+    whose spectrum fails raises after the blocks before it."""
     members = [int(m) for m in U.members]
     subgroup = {"members": members, "order": U.order, "num_cosets": U.num_cosets}
-    r, count = table.num_irreps, config.num_test_functions
-    ratio_at = r + (0 if checked is None else U.order)
     done = 0
-    for spectrum in subgroup_spectra(table, U, psis, count):
-        js = indices[done : done + len(spectrum.psi_values)]
-        done += len(js)
-        identity_ok = kernel_multiplicity_identity_check(spectrum, config.tol).tolist()
-        residuals = spectrum.residuals.max(axis=1).tolist()
-        parts = [spectrum.kernels[:, :, 0]]
+    for spectrum in subgroup_spectra(table, U, psis, config.num_test_functions):
+        values = [spectrum.kernels[:, :, 0]]
+        errors = theorem_ok = constant = spread = None
         if checked is not None:
             rec = generalized_plancherel_check_batch(spectrum, checked)
-            theorem_ok = _within_tolerance(rec.abs_error, checked, config.tol).all(axis=1).tolist()
-            max_errs = rec.abs_error.max(axis=1).tolist()
-            parts.append(spectrum.psi_values)
-        probe = None if probed is None else conjecture_probe(spectrum, probed[0])
-        if probe is not None:
-            parts.append(probe.first_ratio)
-        block = _StringBlock(np.hstack(parts), r, ratio_at, [])
-        string_blocks.append(block)
-        for i, j in enumerate(js):
-            check = probe_block = errors = None
-            if checked is not None:
-                check = {
-                    "subgroup": subgroup,
-                    "psi_index": j,
-                    "psi_on_members": None,
-                    "num_functions": count,
-                    "max_abs_error": fmt_real(max_errs[i]),
-                    "identity": {
-                        "max_residual": fmt_real(residuals[i]),
-                        "pass": identity_ok[i],
-                        "kernel_at_identity": None,
-                        "multiplicities": spectrum.multiplicities[i].tolist(),
-                        "conjugate_multiplicities": spectrum.conjugate_multiplicities[i].tolist(),
-                    },
-                    "pass": theorem_ok[i] and identity_ok[i],
-                }
-                errors = max_errs[i], residuals[i]
-            if probe is not None:
-                probe_block = {
-                    "subgroup": subgroup,
-                    "psi_index": j,
-                    "identity_check": identity_ok[i],
-                    "per_pi": _probe_per_pi(spectrum, probe, i, probed[1]),
-                }
-            block.pairs.append((check, probe_block))
-            yield check, probe_block, errors
+            errors = rec.abs_error.max(axis=1)
+            theorem_ok = _within_tolerance(rec.abs_error, checked, config.tol).all(axis=1)
+            values.append(spectrum.psi_values)
+        if plan is not None:
+            probe = conjecture_probe(spectrum, plan)
+            constant, spread = probe.constant, probe.spread
+            values.append(probe.first_ratio)
+        js = indices[done : done + len(spectrum.psi_values)]
+        done += len(js)
+        identity_ok = kernel_multiplicity_identity_check(spectrum, config.tol)
+        yield _Pairs(
+            subgroup, js, spectrum.multiplicities, spectrum.conjugate_multiplicities,
+            spectrum.residuals.max(axis=1), identity_ok, errors, theorem_ok, constant, spread,
+            np.hstack(values),
+        )
         spectrum = probe = rec = None  # let this block go before the next is built
+
+
+def _write_pairs(
+    payload: dict[str, Any], blocks: list[_Pairs], num_flagged: list[int] | None
+) -> None:
+    """Append the check and the probe record of every pair of blocks to the
+    payload, their complex strings formatted in one fmt_complex_rows call:
+    per call its fixed numpy cost outweighs a block's few dozen values.
+    num_flagged counts the probe plan's flagged samples per irrep."""
+    if not blocks:
+        return
+    (strings,) = fmt_complex_rows(np.concatenate([b.values.ravel() for b in blocks])[None])
+    degrees = payload["table"]["degrees"]
+    count = payload["config"]["num_test_functions"]
+    r, at = len(degrees), 0
+    for b in blocks:
+        width = b.values.shape[1]
+        mults = b.multiplicities.tolist()
+        conj_mults = b.conjugate_multiplicities.tolist()
+        identity_ok = b.identity_ok.tolist()
+        if b.errors is not None:
+            errors = [fmt_real(e) for e in b.errors.tolist()]
+            residuals = [fmt_real(e) for e in b.residuals.tolist()]
+            passed = (b.theorem_ok & b.identity_ok).tolist()
+        if b.spread is not None:
+            constant = b.constant.tolist()
+            spread = [[fmt_real(s) for s in row] for row in b.spread.tolist()]
+        for i, j in enumerate(b.psi_indices):
+            row = strings[at : at + width]
+            at += width
+            if b.errors is not None:
+                payload["checks"].append(
+                    {
+                        "subgroup": b.subgroup,
+                        "psi_index": j,
+                        "psi_on_members": list(row[r : r + b.subgroup["order"]]),
+                        "num_functions": count,
+                        "max_abs_error": errors[i],
+                        "identity": {
+                            "max_residual": residuals[i],
+                            "pass": identity_ok[i],
+                            "kernel_at_identity": list(row[:r]),
+                            "multiplicities": mults[i],
+                            "conjugate_multiplicities": conj_mults[i],
+                        },
+                        "pass": passed[i],
+                    }
+                )
+            if b.spread is not None:
+                columns = zip(
+                    degrees, mults[i], conj_mults[i], row, constant[i], num_flagged,
+                    row[width - r :], spread[i],
+                )
+                per_pi = [
+                    {
+                        "pi": pi,
+                        "degree": degree,
+                        "multiplicity": m,
+                        "conjugate_multiplicity": m_bar,
+                        "kernel_at_identity": k,
+                        "ratio_constant": c,
+                        "num_flagged": flagged,
+                        "first_ratio": None if flagged == count else ratio,
+                        "max_ratio_spread": s,
+                    }
+                    for pi, (degree, m, m_bar, k, c, flagged, ratio, s) in enumerate(columns)
+                ]
+                payload["probes"].append(
+                    {
+                        "subgroup": b.subgroup,
+                        "psi_index": j,
+                        "identity_check": identity_ok[i],
+                        "per_pi": per_pi,
+                    }
+                )
 
 
 def build_report(command: str, config: RunConfig) -> SweepReport:
@@ -516,81 +519,79 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
         raise ValueError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
     parts = COMMANDS[command]
     start = time.perf_counter()
-    checks: list[dict[str, Any]] = []
-    probes: list[dict[str, Any]] = []
-    string_blocks: list[_StringBlock] = []
     payload: dict[str, Any] = {
         "config": _config_block(command, config),
-        "checks": checks,
-        "probes": probes,
+        "checks": [],
+        "probes": [],
     }
-    worst = 0.0
-    all_pass = True
+    # what the verdict and max_abs_error are folded from: the table, the
+    # inversion's (largest error, pass) and the blocks of pairs
+    table = inversion = num_flagged = None
+    blocks: list[_Pairs] = []
     aborted = None
     try:
         G = make_named_group(config.group_spec)
         table = character_table(G, seed=config.seed, tol=config.tol)
         payload["group"] = _group_block(config, G, table)
         payload["table"] = _table_block(table)
-        worst = _worst(worst, table.orthogonality.max_deviation)
-        all_pass = all_pass and table.orthogonality.passed
 
         if parts.inversion:
             # the functions are drawn, inverted and judged one block of rows
             # at a time, so memory does not grow with the count; each row is
             # keyed by its index and keeps its bits
             count = config.num_test_functions
-            ok, max_err = True, 0.0
+            maxima, passes = [], []
             for rows in row_blocks(count, G.order):
                 F = test_functions(G, config.seed, range(count)[rows])
                 errors = np.abs(F[:, 0] - plancherel_invert_at_identity(table, F))
-                ok = ok and bool(_within_tolerance(errors, F, config.tol).all())
-                max_err = _worst(max_err, float(errors.max()))
-            checks.append(
+                maxima.append(errors.max())
+                passes.append(_within_tolerance(errors, F, config.tol).all())
+            inversion = float(np.max(maxima)), bool(np.all(passes))
+            payload["checks"].append(
                 {
                     "kind": "plancherel-inversion",
-                    "num_functions": config.num_test_functions,
-                    "max_abs_error": fmt_real(max_err),
-                    "pass": ok,
+                    "num_functions": count,
+                    "max_abs_error": fmt_real(inversion[0]),
+                    "pass": inversion[1],
                 }
             )
-            worst = _worst(worst, max_err)
-            all_pass = all_pass and ok
 
         if parts.pairs:
             if G.order > SWEEP_ORDER_CAP:
                 raise OrderTooLarge(
                     f"sweeps are capped at group order {SWEEP_ORDER_CAP}, got {G.order}"
                 )
-            # the test functions, and the probe plan and its flag counts, once
-            # per report; then one pass per subgroup
+            # the test functions, and the probe plan, once per report; then
+            # one pass per subgroup
             count = config.num_test_functions
-            checked = probed = None
+            checked = plan = None
             if parts.checks:
                 checked = test_functions(G, config.seed, range(count))
             if parts.probes:
                 plan = probe_plan(table, count, config.seed)
-                probed = plan, plan.flagged.sum(axis=1).tolist()
+                num_flagged = plan.flagged.sum(axis=1).tolist()
             for U, indices, psis in _iter_subgroups(G, config):
-                for check, probe, errors in _pair_blocks(
-                    table, U, indices, psis, config, checked, probed, string_blocks
-                ):
-                    if check is not None:
-                        checks.append(check)
-                        worst = _worst(worst, *errors)
-                        all_pass = all_pass and check["pass"]
-                    if probe is not None:
-                        probes.append(probe)
-                        all_pass = all_pass and probe["identity_check"]
+                for block in _pair_blocks(table, U, indices, psis, config, checked, plan):
+                    blocks.append(block)
     except (FinharmError, MemoryError, RecursionError) as exc:
         aborted = exc
         payload["incomplete"] = True
         payload["error"] = str(exc) or type(exc).__name__
-        all_pass = False
 
-    _fill_strings(string_blocks, config.num_test_functions)
-    payload["verdict"] = "pass" if all_pass else "fail"
-    payload["max_abs_error"] = fmt_real(worst)
+    _write_pairs(payload, blocks, num_flagged)
+    # identity residuals count only where a check record carries them
+    checked_blocks = [b for b in blocks if b.errors is not None]
+    all_errors = [0.0, *(b.errors for b in checked_blocks), *(b.residuals for b in checked_blocks)]
+    all_passes = [aborted is None, *(b.identity_ok for b in blocks)]
+    all_passes += [b.theorem_ok for b in checked_blocks]
+    if table is not None:
+        all_errors.append(table.orthogonality.max_deviation)
+        all_passes.append(table.orthogonality.passed)
+    if inversion is not None:
+        all_errors.append(inversion[0])
+        all_passes.append(inversion[1])
+    payload["verdict"] = "pass" if all(np.all(p) for p in all_passes) else "fail"
+    payload["max_abs_error"] = fmt_real(np.max(np.hstack(all_errors)))
     report = SweepReport(
         payload=payload,
         digest=_payload_digest(payload),

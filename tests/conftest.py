@@ -3,6 +3,7 @@ watcher of the payloads build_report makes."""
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -13,8 +14,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import finharm.reports
 from finharm import CharacterTable, FiniteGroup, character_table, make_named_group
-from finharm.formatting import fmt_complex
-from oracle_helpers import json_digest
+from finharm.formatting import fmt_real
+from oracle_helpers import fmt_complex_scalar, json_digest
 
 CORPUS_SPECS: tuple[str, ...] = (
     tuple(f"cyclic:{n}" for n in range(1, 13))
@@ -79,6 +80,26 @@ def _assert_canonical(node, path: str = "payload") -> None:
         assert type(node) in (str, int, bool, type(None)), f"{path}: {type(node).__name__}"
 
 
+def _assert_summary(payload: dict) -> None:
+    """verdict is pass exactly when the run finished and every pass flag of
+    the payload holds; max_abs_error is fmt_real of the largest of the
+    orthogonality deviation, each check's error and each check's identity
+    residual, read back as floats, and nan when one of them is. Exact, since
+    %.12g rounds monotonically and fmt_real(float(s)) == s. A report aborted
+    before its table has none of these and reads 0."""
+    table = payload.get("table")
+    checks, probes = payload["checks"], payload["probes"]
+    flags = [table["orthogonality"]["pass"]] if table else []
+    flags += [check["pass"] for check in checks] + [probe["identity_check"] for probe in probes]
+    assert (payload["verdict"] == "pass") == ("error" not in payload and all(flags))
+    errors = [table["orthogonality"]["max_deviation"]] if table else []
+    errors += [check["max_abs_error"] for check in checks]
+    errors += [check["identity"]["max_residual"] for check in checks if "identity" in check]
+    values = [float(e) for e in errors]
+    worst = math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+    assert payload["max_abs_error"] == fmt_real(worst)
+
+
 class PayloadWatch:
     """Records, per report built while installed, the complex values of its
     pairs as build_report's spectra and probes held them, its
@@ -121,29 +142,32 @@ class PayloadWatch:
 
     def check(self) -> None:
         """Every report recorded holds only canonical types, its digest is
-        json's, its pairs' strings are fmt_complex of their values, and they
-        took one fmt_complex_rows call, or none when it has no pairs."""
+        json's, its pairs' strings are fmt_complex_scalar of their values,
+        and they took one fmt_complex_rows call, or none when it has no
+        pairs. Its summary is the fold of its records: see _assert_summary."""
         assert self.reports
         for payload, digest, spectra, ratios, calls in self.reports:
             _assert_canonical(payload)
             assert digest == json_digest(payload)
+            _assert_summary(payload)
             command = payload["config"]["command"]
             rows = [pair for kernels, psis in spectra for pair in zip(kernels, psis)]
             assert calls == (1 if rows else 0)
             if command in ("whittaker-check", "sweep"):
                 assert len(payload["checks"]) == len(rows)
                 for check, (kernel, psi) in zip(payload["checks"], rows):
-                    assert check["identity"]["kernel_at_identity"] == list(map(fmt_complex, kernel))
-                    assert check["psi_on_members"] == list(map(fmt_complex, psi))
+                    kernel_strings = list(map(fmt_complex_scalar, kernel))
+                    assert check["identity"]["kernel_at_identity"] == kernel_strings
+                    assert check["psi_on_members"] == list(map(fmt_complex_scalar, psi))
             if command in ("conjecture-probe", "sweep"):
                 count = payload["config"]["num_test_functions"]
                 first_ratios = [row for block in ratios for row in block]
                 assert len(payload["probes"]) == len(rows) == len(first_ratios)
                 for probe, (kernel, _), first in zip(payload["probes"], rows, first_ratios):
                     for rec, k, f in zip(probe["per_pi"], kernel, first, strict=True):
-                        assert rec["kernel_at_identity"] == fmt_complex(k)
+                        assert rec["kernel_at_identity"] == fmt_complex_scalar(k)
                         assert rec["first_ratio"] == (
-                            None if rec["num_flagged"] == count else fmt_complex(f)
+                            None if rec["num_flagged"] == count else fmt_complex_scalar(f)
                         )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -24,8 +25,8 @@ from finharm import (
 )
 from finharm.cli import main
 from finharm import test_functions as draw_test_functions
-from finharm.formatting import fmt_complex, fmt_complex_rows, fmt_real
-from finharm.reports import RunConfig, SweepReport
+from finharm.formatting import fmt_complex_rows, fmt_real
+from finharm.reports import COMMANDS, RunConfig, SweepReport
 from oracle_helpers import fmt_complex_scalar, json_digest
 
 TOP_LEVEL_KEYS = {"config", "group", "table", "checks", "probes", "verdict", "max_abs_error"}
@@ -39,19 +40,16 @@ def test_fmt_real():
     assert fmt_real(2) == "2"
 
 
-def test_fmt_complex():
-    assert fmt_complex(1 + 0j) == "1+0i"
-    assert fmt_complex(-1.0 + 0j) == "-1+0i"
-    assert fmt_complex(0.5 - 2j) == "0.5-2i"
-    assert fmt_complex(complex(-0.0, -0.0)) == "0+0i"
-
-
 def test_fmt_complex_rows_match_scalar_oracle():
     parts = [0.0, -0.0, 1e-13, -1e-13, -1e-20, 1e16, np.nan, np.inf, -np.inf, 0.5, -2.0]
     values = np.array([[complex(a, b) for b in parts] for a in parts])
     expected = [[fmt_complex_scalar(v) for v in row] for row in values]
     assert [list(row) for row in fmt_complex_rows(values)] == expected
-    assert [[fmt_complex(v) for v in row] for row in values] == expected
+    # both parts always present, and -0 written 0
+    examples = np.array([[1 + 0j, -1.0 + 0j, 0.5 - 2j, complex(-0.0, -0.0)]])
+    (strings,) = fmt_complex_rows(examples)
+    assert list(strings) == [fmt_complex_scalar(v) for v in examples[0]]
+    assert strings == ("1+0i", "-1+0i", "0.5-2i", "0+0i")
 
 
 def _nextafter_run(x: float, count: int) -> list[float]:
@@ -338,7 +336,9 @@ def test_plancherel_report(s3):
 
 
 @pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
-def test_plancherel_verdict_bounds_each_row_by_its_l1_norm(monkeypatch, s3, factor, passed):
+def test_plancherel_verdict_bounds_each_row_by_its_l1_norm(
+    monkeypatch, payload_watch, s3, factor, passed
+):
     # every error lies above tol; the last row's is `factor` times its bound
     cfg = RunConfig(group_spec="symmetric:3", num_test_functions=5)
     bound = cfg.tol * (1.0 + np.abs(draw_test_functions(s3, cfg.seed, range(5))).sum(axis=1))
@@ -350,9 +350,10 @@ def test_plancherel_verdict_bounds_each_row_by_its_l1_norm(monkeypatch, s3, fact
     report = build_report("plancherel-check", cfg)
     assert report.payload["checks"][0]["pass"] is passed
     assert report.passed is passed
+    payload_watch.check()
 
 
-def test_nan_inversion_error_fails_and_carries(monkeypatch):
+def test_nan_inversion_error_fails_and_carries(monkeypatch, payload_watch):
     # the first function's error is NaN; the finite errors after it must not
     # hide it from the check or from the report
     cfg = RunConfig(group_spec="symmetric:3", num_test_functions=5)
@@ -370,9 +371,10 @@ def test_nan_inversion_error_fails_and_carries(monkeypatch):
     assert check["max_abs_error"] == "nan"
     assert report.payload["max_abs_error"] == "nan"
     assert report.passed is False
+    payload_watch.check()
 
 
-def test_nan_pair_error_fails_and_carries(monkeypatch):
+def test_nan_pair_error_fails_and_carries(monkeypatch, payload_watch):
     # one NaN error in the run's first pair; the pairs after it are finite
     real = finharm.reports.generalized_plancherel_check_batch
     calls = []
@@ -394,10 +396,32 @@ def test_nan_pair_error_fails_and_carries(monkeypatch):
     assert all(c["pass"] for c in checks[1:])
     assert report.payload["max_abs_error"] == "nan"
     assert report.passed is False
+    payload_watch.check()
+
+
+@pytest.mark.parametrize("command", ["whittaker-check", "conjecture-probe", "sweep"])
+def test_failed_identity_check_fails_the_report(monkeypatch, payload_watch, command):
+    # the first pair of each block fails its kernel identity check
+    real = finharm.reports.kernel_multiplicity_identity_check
+
+    def first_fails(spectrum, tol):
+        ok = real(spectrum, tol).copy()
+        ok[0] = False
+        return ok
+
+    monkeypatch.setattr(finharm.reports, "kernel_multiplicity_identity_check", first_fails)
+    report = build_report(command, RunConfig(group_spec="symmetric:3", num_test_functions=2))
+    checks, probes = report.payload["checks"], report.payload["probes"]
+    assert all(check["identity"]["pass"] is check["pass"] is False for check in checks[:1])
+    assert all(probe["identity_check"] is False for probe in probes[:1])
+    assert report.passed is False
+    payload_watch.check()
 
 
 @pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
-def test_pair_verdict_bounds_each_error_by_its_l1_norm(monkeypatch, s3, factor, passed):
+def test_pair_verdict_bounds_each_error_by_its_l1_norm(
+    monkeypatch, payload_watch, s3, factor, passed
+):
     # every error of the first pair lies above tol; that of its last function
     # is `factor` times its bound
     cfg = RunConfig(group_spec="symmetric:3", num_test_functions=5)
@@ -416,6 +440,7 @@ def test_pair_verdict_bounds_each_error_by_its_l1_norm(monkeypatch, s3, factor, 
     report = build_report("whittaker-check", cfg)
     assert report.payload["checks"][0]["pass"] is passed
     assert report.passed is passed
+    payload_watch.check()
 
 
 def _plancherel_peak(count):
@@ -538,6 +563,20 @@ def test_csv_rendering(s3):
     # class size list must not smuggle commas into a cell
     group_lines = [ln for ln in lines if ln.startswith("class_sizes,")]
     assert group_lines == ["class_sizes,1;2;3"]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_csv_row_sections_start_with_their_header(capsys, command):
+    # each row of # checks and # probes has as many cells as the header line
+    # under its section's name
+    assert main([command, "symmetric:3", "--count", "2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for at, line in enumerate(lines):
+        if line in ("# checks", "# probes"):
+            header = lines[at + 1].split(",")
+            assert all(cell.isidentifier() for cell in header), lines[at + 1]
+            rows = list(itertools.takewhile(lambda ln: not ln.startswith("# "), lines[at + 2 :]))
+            assert rows and all(len(row.split(",")) == len(header) for row in rows)
 
 
 def _assert_aborted(err, cause: type[Exception]) -> None:
