@@ -25,16 +25,22 @@ _KEY2 = np.uint64(0x8CB92BA72F3D8DD7)
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _mix_u64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; x must be uint64. It wraps mod 2^64:
-    arrays silently, numpy scalars with a warning that callers silence."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+def _mix_in_place(x: np.ndarray, shift: np.ndarray) -> None:
+    """splitmix64 finalizer of the uint64 array x, in place and wrapping mod
+    2^64; shift is a uint64 buffer of x's shape."""
+    x ^= np.right_shift(x, np.uint64(30), out=shift)
     x *= _MIX1
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shift)
     x *= _MIX2
-    x ^= x >> np.uint64(31)
-    return x
+    x ^= np.right_shift(x, np.uint64(31), out=shift)
+
+
+def _mix_u64(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer of a copy of x, which must be uint64;
+    a numpy scalar gives a numpy scalar."""
+    x = np.array(x, dtype=np.uint64)
+    _mix_in_place(x, np.empty_like(x))
+    return x[()]
 
 
 def derive_stream_seed(
@@ -61,10 +67,25 @@ def unit_uniforms(stream_seed: int | np.ndarray, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    ctr = np.arange(1, count + 1, dtype=np.uint64)
-    x = _mix_u64(ctr * _GOLDEN + np.asarray(stream_seed, dtype=np.uint64)[..., None])
-    # top 53 bits give a dyadic rational in [0, 2), shifted to [-1, 1)
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
+    seeds = np.asarray(stream_seed, dtype=np.uint64)[..., None]
+    out = np.empty(seeds.shape[:-1] + (count,))
+    x = np.empty(out.shape, dtype=np.uint64)
+    _uniforms_into(out, seeds, x, np.empty_like(x))
+    return out
+
+
+def _uniforms_into(out: np.ndarray, seeds: np.ndarray, x: np.ndarray, shift: np.ndarray) -> None:
+    """unit_uniforms(seeds[..., 0], n), written into the float64 array out
+    whose last axis has length n; x and shift are uint64 buffers of out's
+    shape."""
+    np.multiply(np.arange(1, out.shape[-1] + 1, dtype=np.uint64), _GOLDEN, out=x)
+    x += seeds
+    _mix_in_place(x, shift)
+    # top 53 bits give a dyadic rational in [0, 2), shifted to [-1, 1); both
+    # float steps are exact
+    x >>= np.uint64(11)
+    np.multiply(x, 2.0**-52, out=out)
+    out -= 1.0
 
 
 def row_blocks(num_rows: int, n: int) -> Iterator[slice]:
@@ -86,10 +107,16 @@ def test_functions(
     seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), idx.shape)
     n = G.order
     F = np.empty((len(idx), n), dtype=np.complex128)
+    # each part is written straight into F, one after the other, through two
+    # uint64 buffers of the first (largest) block
+    buffers = None
     for rows in row_blocks(len(idx), n):
-        keys = derive_stream_seed(seeds[rows, None], idx[rows, None], np.arange(2))
-        parts = unit_uniforms(keys, n)
-        F[rows].real = parts[:, 0]
-        F[rows].imag = parts[:, 1]
+        block = F[rows]
+        if buffers is None:
+            buffers = np.empty((2,) + block.shape, dtype=np.uint64)
+        x, shift = buffers[:, :len(block)]
+        for part, out in enumerate((block.real, block.imag)):
+            keys = derive_stream_seed(seeds[rows], idx[rows], part)
+            _uniforms_into(out, keys[:, None], x, shift)
     F.setflags(write=False)
     return F

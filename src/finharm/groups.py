@@ -29,15 +29,15 @@ from .errors import (
 # their subgroups explicitly.
 SUBGROUP_ENUMERATION_CAP = 48
 
-# Dense Cayley tables are the memory bound: 4096^2 int64 entries is ~134 MB.
+# Dense Cayley tables are the memory bound: 4096^2 int16 entries is 32 MiB.
 MAX_NAMED_ORDER = 4096
 
 # Default closure cap for perm:... specs and direct permutation builds.
 DEFAULT_PERM_ORDER_CAP = 2048
 
-# Table entries per block of rows, or per square tile, when a pass over a
-# Cayley table needs an index temporary (bijectivity in _adopt, coset minima
-# in Subgroup); an int64 temporary of a block is 256 KiB.
+# Table entries per block of rows or columns when a pass over a Cayley table
+# needs a temporary (the bijectivity mask and its index in _adopt, coset
+# minima in Subgroup); an int64 temporary of a block is 256 KiB.
 _BLOCK_ENTRIES = 1 << 15
 
 # Deepest nesting of product: in a spec. Every tree of 13 nontrivial factors
@@ -47,6 +47,12 @@ _MAX_PRODUCT_DEPTH = 12
 # Longest digit run in a spec. Every number of up to 18 digits fits an int64
 # index, far beyond what any cap admits; longer runs are refused unparsed.
 _MAX_SPEC_DIGITS = 18
+
+
+def _index_dtype(n: int) -> np.dtype:
+    """Entry type of a Cayley table of order n: int16 while every index
+    0..n-1 fits in it, int32 above."""
+    return np.dtype(np.int16 if n <= 1 << 15 else np.int32)
 
 
 class FiniteGroup:
@@ -59,8 +65,9 @@ class FiniteGroup:
     ``verify_group_axioms`` in ``tests/oracle_helpers.py``. The group keeps a
     read-only copy of the table it is given.
 
-    Elements are read through the read-only int64 arrays ``mul_table`` and
-    ``inv_table``. The conjugacy classes are held once, as three read-only
+    Elements are read through the read-only arrays ``mul_table``, of
+    ``_index_dtype(order)`` (int16 up to order 2^15), and ``inv_table``, of
+    int64. The conjugacy classes are held once, as three read-only
     int64 arrays in the canonical class order: ``class_of[x]`` is the class
     of element x, ``class_sizes[k]`` the size of class k and
     ``class_reps[k]`` its smallest member.
@@ -76,8 +83,9 @@ class FiniteGroup:
         self._adopt(np.array(mul_table, dtype=np.int64), label, generators)
 
     def _adopt(self, mul: np.ndarray, label: str, generators: Sequence[int]) -> None:
-        """Validate mul, an int64 table nothing else writes to, and freeze it
-        as this group's table."""
+        """Validate mul, an integer table nothing else writes to, and freeze
+        it as this group's table, narrowed to _index_dtype once its entries
+        are known to be indices (a table of that type is kept uncopied)."""
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         n = mul.shape[0]
@@ -85,24 +93,24 @@ class FiniteGroup:
             raise ValueError("a group has at least one element")
         if mul.min() < 0 or mul.max() >= n:
             raise ValueError("table entries must be element indices")
+        mul = mul.astype(_index_dtype(n), copy=False)
         ar = np.arange(n)
         if not np.array_equal(mul[0], ar) or not np.array_equal(mul[:, 0], ar):
             raise ValueError("element 0 must act as the identity")
         # with entries in range, a row or column is bijective iff it hits every
-        # index. The cells hit are marked in one n^2 mask, by blocks of rows,
-        # then by square tiles, whose columns write only their own rows of it
-        rows, side = max(1, _BLOCK_ENTRIES // n), max(1, int(_BLOCK_ENTRIES**0.5))
-        hit = np.zeros(n * n, dtype=bool)
-        for i in range(0, n, rows):
-            hit[ar[i:i + rows, None] * n + mul[i:i + rows]] = True  # (row, entry)
-        if not hit.all():
-            raise ValueError("left translations must be bijective")
-        hit[:] = False
-        for j in range(0, n, side):
-            for i in range(0, n, side):
-                hit[ar[j:j + side] * n + mul[i:i + side, j:j + side]] = True  # (column, entry)
-        if not hit.all():
-            raise ValueError("right translations must be bijective")
+        # index. The cells a block of rows, then of columns, hits are marked in
+        # one mask of a block's cells by one flat-index scatter
+        width = max(1, _BLOCK_ENTRIES // n)
+        offsets = ar[:width, None] * n
+        hit = np.empty(width * n, dtype=bool)
+        for side, lines in (("left", mul), ("right", mul.T)):
+            for i in range(0, n, width):
+                block = lines[i:i + width]
+                cells = hit[:block.size]
+                cells[:] = False
+                cells[offsets[:len(block)] + block] = True  # (line, entry)
+                if not cells.all():
+                    raise ValueError(f"{side} translations must be bijective")
 
         # each row holds 0 exactly once, as its minimum; argmin before the
         # table is frozen, since numpy copies a read-only array to take it
@@ -122,12 +130,18 @@ class FiniteGroup:
 
         # one orbit g*x*g^-1 per element x not yet placed, numbered as found;
         # x is the smallest member of its orbit, since every smaller element
-        # was placed with its whole orbit before it
+        # was placed with its whole orbit before it. An orbit is one gather
+        # from the flat table at (g*x)*n + g^-1 by intp indices, which spares
+        # numpy's slower implicit cast of each gathered int16 index array
         class_of = np.full(n, -1, dtype=np.int64)
         smallest: list[int] = []
+        flat = mul.reshape(-1)
+        at = np.empty(n, dtype=np.intp)
         for x in range(n):
             if class_of[x] < 0:
-                class_of[mul[mul[:, x], inv]] = len(smallest)
+                np.multiply(mul[:, x], n, out=at, dtype=np.intp)
+                at += inv
+                class_of[flat[at].astype(np.intp)] = len(smallest)
                 smallest.append(x)
         reps = np.array(smallest, dtype=np.int64)
         sizes = np.bincount(class_of)
@@ -297,7 +311,9 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
             f"subgroup enumeration is capped at order {SUBGROUP_ENUMERATION_CAP}, "
             f"got {G.order}; pass explicit generators instead"
         )
-    mul = G.mul_table
+    # every closure round indexes with gathered entries: an intp copy of the
+    # table (at most 48^2 entries) spares a cast on each
+    mul = G.mul_table.astype(np.intp)
     generators, cyclic = _cyclic_subgroups(mul)
     trivial = np.zeros(G.order, dtype=bool)
     trivial[0] = True
@@ -353,9 +369,9 @@ def _mul_table_from_perms(
     pos = np.minimum(np.searchsorted(sorted_keys, composed_keys), n - 1)
     if not np.array_equal(sorted_keys[pos], composed_keys):
         raise ValueError("permutations are not closed under composition")
-    left = order[pos]
+    left = order[pos].astype(_index_dtype(n))
     steps = left.tolist()
-    mul = np.empty((n, n), dtype=np.int64)
+    mul = np.empty((n, n), dtype=left.dtype)
     mul[0] = np.arange(n)
     filled = [True] + [False] * (n - 1)
     queue = [0]
@@ -422,8 +438,9 @@ def _cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise UnsupportedParameter("cyclic:n needs n >= 1")
     _check_named_order(n, f"cyclic:{n}")
-    idx = np.arange(n, dtype=np.int64)
-    mul = idx[:, None] + idx[None, :]
+    idx = np.arange(n, dtype=_index_dtype(n))
+    # i + j - n lies in -n..n-2, so it cannot wrap in the table's type
+    mul = idx[:, None] - (n - idx)[None, :]
     mul %= n  # in place: the table is the only n x n allocation
     gens = (1,) if n > 1 else ()
     return _owning(mul, f"cyclic:{n}", gens)
@@ -435,11 +452,12 @@ def _dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise UnsupportedParameter("dihedral:n needs n >= 1")
     _check_named_order(2 * n, f"dihedral:{n}")
-    a = np.arange(n, dtype=np.int64)
-    # each quadrant is filled in place, so the table is the only large array
-    mul = np.empty((2 * n, 2 * n), dtype=np.int64)
+    a = np.arange(n, dtype=_index_dtype(2 * n))
+    # each quadrant is filled in place, so the table is the only large array;
+    # a + b - n and b - a lie in -n..n-1, so neither wraps in the table's type
+    mul = np.empty((2 * n, 2 * n), dtype=a.dtype)
     rr, diff = mul[:n, :n], mul[n:, n:]
-    np.add(a[:, None], a[None, :], out=rr)
+    np.subtract(a[:, None], (n - a)[None, :], out=rr)
     rr %= n                                     # r^a * r^b = r^(a+b)
     np.subtract(a[None, :], a[:, None], out=diff)
     diff %= n                                   # (s r^a)(s r^b) = r^(b-a)
@@ -457,7 +475,7 @@ def _quaternion() -> FiniteGroup:
     sign = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.int64)
     t, s = np.divmod(np.arange(8, dtype=np.int64), 2)
     mul = 2 * (t[:, None] ^ t) + (s[:, None] ^ s ^ sign[t[:, None], t])
-    return _owning(mul, "quaternion", (2, 4))
+    return _owning(mul.astype(_index_dtype(8)), "quaternion", (2, 4))
 
 
 def _is_prime(p: int) -> bool:
@@ -484,10 +502,11 @@ def _heisenberg(p: int) -> FiniteGroup:
     n = p**3
     # (a1, b1, c1)(a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1*b2); the
     # table is filled one index component at a time through a 6-axis view
-    # [a1, b1, c1, a2, b2, c2], so no n x n temporary is built
-    r = np.arange(p, dtype=np.int64)
+    # [a1, b1, c1, a2, b2, c2], so no n x n temporary is built. No value
+    # reaches n, so none wraps in the table's type: c1 + c2 + a1*b2 < p^2
+    r = np.arange(p, dtype=_index_dtype(n))
     add = (r[:, None] + r[None, :]) % p
-    mul = np.empty((n, n), dtype=np.int64)
+    mul = np.empty((n, n), dtype=r.dtype)
     view = mul.reshape(p, p, p, p, p, p)
     view[...] = (add * (p * p))[:, None, None, :, None, None]
     view += (add * p)[None, :, None, None, :, None]
@@ -504,9 +523,9 @@ def _product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     na, nb = A.order, B.order
     # filled in place through a 4-axis view [a1, b1, a2, b2]: the table is the
     # only large array
-    mul = np.empty((na * nb, na * nb), dtype=np.int64)
+    mul = np.empty((na * nb, na * nb), dtype=_index_dtype(na * nb))
     view = mul.reshape(na, nb, na, nb)
-    np.multiply(A.mul_table[:, None, :, None], nb, out=view)
+    np.multiply(A.mul_table[:, None, :, None], nb, out=view, dtype=mul.dtype)
     view += B.mul_table[None, :, None, :]
     gens = tuple(g * nb for g in A.generators) + tuple(B.generators)
     return _owning(mul, f"product:{A.label}*{B.label}", gens)

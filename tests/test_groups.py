@@ -139,7 +139,7 @@ def test_heisenberg_table_matches_broadcast_formula(p):
     a2, b2, c2 = a[None, :], b[None, :], c[None, :]
     expected = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + ((c1 + c2 + a1 * b2) % p)
     table = _heisenberg(p).mul_table
-    assert table.dtype == np.int64
+    assert table.dtype == np.int16
     assert np.array_equal(table, expected)
 
 
@@ -151,8 +151,47 @@ def test_cyclic_and_dihedral_tables_match_broadcast_formula(n):
     assert np.array_equal(_cyclic(n).mul_table, rr)
     expected = np.block([[rr, n + diff], [n + rr, diff]])
     table = _dihedral(n).mul_table
-    assert table.dtype == np.int64
+    assert table.dtype == np.int16
     assert np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclic:1",
+        "cyclic:4096",
+        "dihedral:6",
+        "dihedral:2048",
+        "quaternion",
+        "heisenberg:3",
+        "heisenberg:13",
+        "symmetric:5",
+        "perm:6:(1 3 5);(0 4)",
+        "product:quaternion*cyclic:3",
+        "product:dihedral:32*cyclic:64",
+    ],
+)
+def test_every_builder_holds_an_int16_table(spec):
+    G = make_named_group(spec)
+    assert G.mul_table.dtype == np.int16
+    for name in ("inv_table", "class_of", "class_sizes", "class_reps"):
+        assert getattr(G, name).dtype == np.int64, name
+
+
+def test_table_type_widens_above_two_bytes():
+    assert finharm.groups._index_dtype(1) == np.int16
+    assert finharm.groups._index_dtype(1 << 15) == np.int16
+    assert finharm.groups._index_dtype((1 << 15) + 1) == np.int32
+
+
+def test_table_from_lists_is_narrowed_only_after_its_range_check():
+    G = FiniteGroup([[0, 1], [1, 0]])
+    assert G.mul_table.dtype == np.int16
+    assert G.mul_table.tolist() == [[0, 1], [1, 0]]
+    # both would read as 1 once wrapped to int16, which passes every other check
+    for entry in (65537, -65535):
+        with pytest.raises(ValueError, match="table entries must be element indices"):
+            FiniteGroup([[0, 1], [1, entry]])
 
 
 @pytest.mark.parametrize("build, n", [(_cyclic, 1024), (_dihedral, 512)])
@@ -403,6 +442,19 @@ def test_constructor_rejects_malformed_tables():
         FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # column 1 not a bijection
     with pytest.raises(ValueError):
         FiniteGroup(ONE_SIDED5)  # left inverse of 3 is 2, right inverse is 4
+
+
+def test_bijectivity_is_checked_in_the_last_partial_block():
+    # order 200 gives blocks of 163 rows or columns; both swaps land in the
+    # second, partial one, and leave the other kind of translation bijective
+    table = np.array(make_named_group("cyclic:200").mul_table)
+    table[150, [170, 190]] = table[150, [190, 170]]
+    with pytest.raises(ValueError, match="right translations must be bijective"):
+        FiniteGroup(table)
+    table = np.array(make_named_group("cyclic:200").mul_table)
+    table[[170, 190], 150] = table[[190, 170], 150]
+    with pytest.raises(ValueError, match="left translations must be bijective"):
+        FiniteGroup(table)
 
 
 def test_axiom_checker_accepts_corpus(corpus_groups):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import finharm._rng
+from finharm import make_named_group
 from finharm import test_functions as draw_test_functions
 from finharm._rng import derive_stream_seed, unit_uniforms
 
@@ -122,3 +125,29 @@ def test_test_function_rows_frozen(s3):
     }
     for (seed, index), values in expected.items():
         assert draw_test_functions(s3, seed, [index])[0, :3].tolist() == values
+
+
+@pytest.mark.parametrize("block_elements", [1, 12, 1 << 16])
+def test_test_functions_are_unit_uniforms_of_each_part(s3, monkeypatch, block_elements):
+    # the in-place mixing reproduces unit_uniforms bit for bit, the last
+    # partial block included
+    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", block_elements)
+    for seed in (0, 7, 2**63 + 5):
+        F = draw_test_functions(s3, seed, range(5))
+        parts = unit_uniforms(derive_stream_seed(seed, np.arange(5)[:, None], np.arange(2)), 6)
+        assert F.real.tobytes() == np.ascontiguousarray(parts[:, 0]).tobytes()
+        assert F.imag.tobytes() == np.ascontiguousarray(parts[:, 1]).tobytes()
+
+
+def test_test_functions_peak_near_the_block_they_return():
+    # 512 functions on 128 elements are one block of 1.05 MB of complex128;
+    # the counter and shift buffers add one more, and no float temporaries
+    G = make_named_group("dihedral:64")
+    draw_test_functions(G, 0, range(512))
+    tracemalloc.start()
+    try:
+        draw_test_functions(G, 0, range(512))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
