@@ -9,20 +9,17 @@ out here and pinned by a regression test.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, row_blocks
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _KEY1 = np.uint64(0xD1B54A32D192ED03)
 _KEY2 = np.uint64(0x8CB92BA72F3D8DD7)
-
-# elements drawn per block of test functions; bounds the uint64 temporaries
-_BLOCK_ELEMENTS = 1 << 16
 
 
 def _mix_in_place(x: np.ndarray, shift: np.ndarray) -> None:
@@ -88,12 +85,6 @@ def _uniforms_into(out: np.ndarray, seeds: np.ndarray, x: np.ndarray, shift: np.
     out -= 1.0
 
 
-def row_blocks(num_rows: int, n: int) -> Iterator[slice]:
-    """Consecutive row slices of about _BLOCK_ELEMENTS entries of length n."""
-    step = max(1, _BLOCK_ELEMENTS // n)
-    return (slice(start, start + step) for start in range(0, num_rows, step))
-
-
 def test_functions(
     G: FiniteGroup, seed: int | np.ndarray, indices: Sequence[int] | np.ndarray
 ) -> np.ndarray:
@@ -102,9 +93,14 @@ def test_functions(
     uniform in [-1, 1), keyed by (seed, index, 0) and (seed, index, 1). seed
     may also be an array holding one stream seed per index."""
     idx = np.asarray(indices)
+    if idx.size == 0:  # numpy gives an empty sequence a float type
+        idx = idx.astype(np.int64)
     if idx.ndim != 1 or idx.dtype.kind not in "iu" or (idx < 0).any():
         raise ValueError("indices must be a 1-D sequence of nonnegative integers")
-    seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), idx.shape)
+    seeds = np.asarray(seed)  # a Python int of 2^64 or more gives an object array
+    if seeds.dtype.kind not in "iu" or (seeds < 0).any():
+        raise ValueError("seed must be an integer in [0, 2^64) or an array of them")
+    seeds = np.broadcast_to(seeds.astype(np.uint64), idx.shape)
     n = G.order
     F = np.empty((len(idx), n), dtype=np.complex128)
     # each part is written straight into F, one after the other, through two

@@ -43,7 +43,9 @@ _RETRY_BUDGET = 16
 # O(r^3) time on r x r complex matrices: about 2 s and 150 MB at r = 512.
 _MAX_CLASSES = 512
 
-# Bytes of one slab of the class-algebra tensor (see _ClassAlgebra).
+# Bytes of one slab of the class-algebra tensor (see _ClassAlgebra). A budget
+# of its own, not groups.row_blocks: slab heights are rounded to the multiple
+# of 8 outputs that keeps the contraction's bits those of the whole tensor.
 _SLAB_BYTES = 1 << 23
 
 

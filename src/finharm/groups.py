@@ -12,7 +12,7 @@ orders so that two runs of the same spec string index elements identically.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,10 +35,11 @@ MAX_NAMED_ORDER = 4096
 # Default closure cap for perm:... specs and direct permutation builds.
 DEFAULT_PERM_ORDER_CAP = 2048
 
-# Table entries per block of rows or columns when a pass over a Cayley table
-# needs a temporary (the bijectivity mask and its index in _adopt, coset
-# minima in Subgroup); an int64 temporary of a block is 256 KiB.
-_BLOCK_ENTRIES = 1 << 15
+# Values per block of rows of length |G| in every pass that takes rows a
+# block at a time (row_blocks): the Cayley table checks and coset minima
+# here, test functions, Theta in the inversion, and the probe plan's grid.
+# A float64 or intp temporary of a block is 512 KiB.
+_BLOCK_ELEMENTS = 1 << 16
 
 # Deepest nesting of product: in a spec. Every tree of 13 nontrivial factors
 # already exceeds MAX_NAMED_ORDER, so no group within the cap is lost.
@@ -47,6 +48,12 @@ _MAX_PRODUCT_DEPTH = 12
 # Longest digit run in a spec. Every number of up to 18 digits fits an int64
 # index, far beyond what any cap admits; longer runs are refused unparsed.
 _MAX_SPEC_DIGITS = 18
+
+
+def row_blocks(num_rows: int, n: int) -> Iterator[slice]:
+    """Consecutive row slices of about _BLOCK_ELEMENTS entries of length n."""
+    step = max(1, _BLOCK_ELEMENTS // n)
+    return (slice(start, start + step) for start in range(0, num_rows, step))
 
 
 def _index_dtype(n: int) -> np.dtype:
@@ -98,18 +105,14 @@ class FiniteGroup:
         if not np.array_equal(mul[0], ar) or not np.array_equal(mul[:, 0], ar):
             raise ValueError("element 0 must act as the identity")
         # with entries in range, a row or column is bijective iff it hits every
-        # index. The cells a block of rows, then of columns, hits are marked in
-        # one mask of a block's cells by one flat-index scatter
-        width = max(1, _BLOCK_ENTRIES // n)
-        offsets = ar[:width, None] * n
-        hit = np.empty(width * n, dtype=bool)
+        # index; the cells a block of rows, then of columns, hits are marked
+        # in a mask of that block by one flat-index scatter
         for side, lines in (("left", mul), ("right", mul.T)):
-            for i in range(0, n, width):
-                block = lines[i:i + width]
-                cells = hit[:block.size]
-                cells[:] = False
-                cells[offsets[:len(block)] + block] = True  # (line, entry)
-                if not cells.all():
+            for rows in row_blocks(n, n):
+                block = lines[rows]
+                hit = np.zeros(block.size, dtype=bool)
+                hit[ar[:len(block), None] * n + block] = True  # (line, entry)
+                if not hit.all():
                     raise ValueError(f"{side} translations must be bijective")
 
         # each row holds 0 exactly once, as its minimum; argmin before the
@@ -214,9 +217,8 @@ class Subgroup:
         # the smallest element of each U*x is the running minimum of column x
         # over the rows of the members, taken one block of rows at a time
         smallest = np.arange(n)  # the identity's row
-        rows = max(1, _BLOCK_ENTRIES // n)
-        for i in range(1, len(arr), rows):
-            np.minimum(smallest, mul[arr[i:i + rows]].min(axis=0), out=smallest)
+        for rows in row_blocks(len(arr), n):
+            np.minimum(smallest, mul[arr[rows]].min(axis=0), out=smallest)
         reps, coset_of = np.unique(smallest, return_inverse=True)
         for a in (reps, coset_of):
             a.setflags(write=False)

@@ -23,10 +23,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._rng import row_blocks
 from .characters import CharacterTable
 from .errors import GroupMismatch, SubgroupMismatch
-from .groups import Subgroup
+from .groups import Subgroup, row_blocks
 
 if TYPE_CHECKING:
     from .induction import SubgroupSpectrum

@@ -27,7 +27,9 @@ stacks the characters psi of one subgroup U along that leading axis:
 their kernels come from one accumulation over U, their multiplicities from
 one stacked product, and the check and the probe pair them all at once.
 Every psi keeps the bits it would have alone. subgroup_spectra cuts the
-characters of U into blocks of about _SPECTRUM_BYTES.
+characters of U into blocks of about _SPECTRUM_BYTES. Test functions, the
+probe plan's grid and its resamples take rows a block at a time by
+groups.row_blocks, the package's one rule for blocks of length-|G| rows.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from . import _rng
-from ._rng import derive_stream_seed, row_blocks, test_functions
+from ._rng import derive_stream_seed, test_functions
 from .characters import CharacterTable
 from .errors import (
     GroupMismatch,
@@ -47,7 +48,7 @@ from .errors import (
     SubgroupMismatch,
     ToleranceViolation,
 )
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, row_blocks
 from .harmonic import _dots, _modulus, convolve_over_subgroup
 
 if TYPE_CHECKING:
@@ -247,7 +248,9 @@ def subgroup_spectrum(table: CharacterTable, U: Subgroup, psis: ArrayLike) -> Su
     return SubgroupSpectrum(table, U, psi_values, kernels, mults, conj_mults, residuals)
 
 
-_SPECTRUM_BYTES = 4 << 20  # kernels and samples of one block of characters
+# Kernels and samples of one block of characters: how many characters share a
+# pass over U (at 1 MiB, `sweep cyclic:200 --subgroup 1` takes a fifth longer).
+_SPECTRUM_BYTES = 4 << 20
 
 
 def subgroup_spectra(
@@ -283,8 +286,9 @@ def kernel_multiplicity_identity_check(
     return spectrum.residuals.max(axis=1) <= tol
 
 
-_PLAN_BYTES = 64 << 20  # cached test functions per plan; past it, blocks are re-drawn
-_RATIO_CHUNK = 1 << 12  # probe ratios divided per list of Python complex numbers
+# Test functions a plan caches, memory traded for time: past it, blocks are
+# re-drawn from their streams once per block of characters.
+_PLAN_BYTES = 64 << 20
 
 
 def _draw(G: FiniteGroup, streams: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -294,16 +298,11 @@ def _draw(G: FiniteGroup, streams: np.ndarray, indices: np.ndarray) -> np.ndarra
 
 
 def _block_grid(r: int, count: int, n: int) -> list[tuple[slice, slice]]:
-    """(irreps, slots) rectangles tiling r x count, each holding about
-    _rng._BLOCK_ELEMENTS values of length-n functions."""
-    rows = max(1, _rng._BLOCK_ELEMENTS // n)
-    width = min(count, rows)
-    height = max(1, rows // width)
-    return [
-        (slice(p, min(p + height, r)), slice(s, min(s + width, count)))
-        for p in range(0, r, height)
-        for s in range(0, count, width)
-    ]
+    """(irreps, slots) rectangles tiling r x count, irreps outermost: the
+    row_blocks of count slots of length-n functions, times the row_blocks of
+    r irreps of as many such functions as the first slot block holds."""
+    width = min(count, next(row_blocks(count, n)).stop)
+    return [(p, s) for p in row_blocks(r, width * n) for s in row_blocks(count, n)]
 
 
 def _resample(
@@ -332,10 +331,10 @@ class ProbePlan:
     j itself, or, when |Theta_pi| of that is at most 1e-6, the first usable
     of its 32 reserved indices. theta holds Theta_pi of the function used,
     and flagged marks slots whose reserve ran out; all three are read-only
-    (r, count) arrays. blocks tiles (irreps, slots) into rectangles of about
-    _rng._BLOCK_ELEMENTS values, each with its (irreps, slots, |G|)
-    functions, or None past _PLAN_BYTES, when it is re-drawn on use from the
-    same streams and indices, so the budget changes no bits.
+    (r, count) arrays. blocks tiles (irreps, slots) into the rectangles of
+    _block_grid, each with its (irreps, slots, |G|) functions, or None past
+    _PLAN_BYTES, when it is re-drawn on use from the same streams and
+    indices, so the budget changes no bits.
     """
 
     table: CharacterTable
@@ -415,25 +414,22 @@ def conjecture_probe(spectrum: SubgroupSpectrum, plan: ProbePlan) -> ProbeRecord
     if plan.table is not spectrum.table:
         raise GroupMismatch("the plan must be drawn for the spectrum's table")
     kernels = spectrum.kernels
-    ratios = np.empty((len(kernels),) + plan.theta.shape, dtype=np.complex128)
-    for p, s, F in plan.functions():
-        ratios[:, p, s] = _dots(F, kernels[:, p, None, :])
     flagged = plan.flagged
-    clean = ~flagged
-    thetas = plan.theta[clean]
+    ratios = np.empty((len(kernels),) + flagged.shape, dtype=np.complex128)
+    for p, s, F in plan.functions():
+        block = _dots(F, kernels[:, p, None, :])
+        clean = ~flagged[p, s]
+        # Python complex division, numpy's differs in the last bits
+        thetas = plan.theta[p, s][clean].tolist()
+        for row in block:
+            row[clean] = [phi / theta for phi, theta in zip(row[clean].tolist(), thetas)]
+        block[:, ~clean] = complex(float("nan"), float("nan"))
+        ratios[:, p, s] = block
     r = flagged.shape[0]
     pick = (np.arange(r), np.argmin(flagged, axis=1))
     first = np.empty(ratios.shape[:2], dtype=np.complex128)
     spread = np.empty(first.shape)
     for row, row_first, row_spread in zip(ratios, first, spread):
-        # Python complex division, numpy's differs in the last bits; in
-        # chunks, so the lists of Python complex numbers stay small
-        phis = row[clean]
-        for a in range(0, len(thetas), _RATIO_CHUNK):
-            b = a + _RATIO_CHUNK
-            phis[a:b] = [p / t for p, t in zip(phis[a:b].tolist(), thetas[a:b].tolist())]
-        row[clean] = phis
-        row[flagged] = complex(float("nan"), float("nan"))
         row_first[:] = row[pick]
         distance = np.where(flagged, 0.0, _modulus(row - row_first[:, None]))
         row_spread[:] = distance.max(axis=1)

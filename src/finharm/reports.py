@@ -46,7 +46,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._rng import row_blocks, test_functions
+from ._rng import test_functions
 from .characters import (
     CharacterTable,
     character_table,
@@ -55,7 +55,9 @@ from .characters import (
 )
 from .errors import FinharmError, IndexOutOfRange, OrderTooLarge, SweepAborted
 from .formatting import fmt_complex_rows, fmt_real
-from .groups import FiniteGroup, Subgroup, enumerate_subgroups, make_named_group, subgroup_closure
+from .groups import (
+    FiniteGroup, Subgroup, enumerate_subgroups, make_named_group, row_blocks, subgroup_closure
+)
 from .harmonic import plancherel_invert_at_identity, generalized_plancherel_check_batch
 from .induction import (
     ProbePlan,

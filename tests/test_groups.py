@@ -196,7 +196,7 @@ def test_table_from_lists_is_narrowed_only_after_its_range_check():
 
 @pytest.mark.parametrize("build, n", [(_cyclic, 1024), (_dihedral, 512)])
 def test_cyclic_and_dihedral_build_without_table_temporaries(build, n):
-    # both tables are 8 MiB; two table-sized temporaries would double the peak
+    # both tables are 2 MiB; two table-sized temporaries would double the peak
     tracemalloc.start()
     try:
         table = build(n).mul_table
@@ -207,7 +207,7 @@ def test_cyclic_and_dihedral_build_without_table_temporaries(build, n):
 
 
 def test_product_builds_without_table_temporaries():
-    # 8 MiB table from two 8 KiB factors
+    # 2 MiB table from two 2 KiB factors
     tracemalloc.start()
     try:
         table = make_named_group("product:cyclic:32*cyclic:32").mul_table
@@ -445,14 +445,15 @@ def test_constructor_rejects_malformed_tables():
 
 
 def test_bijectivity_is_checked_in_the_last_partial_block():
-    # order 200 gives blocks of 163 rows or columns; both swaps land in the
-    # second, partial one, and leave the other kind of translation bijective
-    table = np.array(make_named_group("cyclic:200").mul_table)
-    table[150, [170, 190]] = table[150, [190, 170]]
+    # order 400 gives blocks of 163 rows or columns (0-162, 163-325, 326-399);
+    # both swaps land in the third, partial one, and leave the other kind of
+    # translation bijective
+    table = np.array(make_named_group("cyclic:400").mul_table)
+    table[350, [370, 390]] = table[350, [390, 370]]
     with pytest.raises(ValueError, match="right translations must be bijective"):
         FiniteGroup(table)
-    table = np.array(make_named_group("cyclic:200").mul_table)
-    table[[170, 190], 150] = table[[190, 170], 150]
+    table = np.array(make_named_group("cyclic:400").mul_table)
+    table[[370, 390], 350] = table[[390, 370], 350]
     with pytest.raises(ValueError, match="left translations must be bijective"):
         FiniteGroup(table)
 
@@ -488,7 +489,7 @@ def test_loop_structure_matches_oracle():
 def test_row_blocks_do_not_change_the_group(spec, monkeypatch):
     G = make_named_group(spec)
     U = subgroup_closure(G, G.generators[:1])
-    monkeypatch.setattr(finharm.groups, "_BLOCK_ENTRIES", 1)  # one row per block
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", 1)  # one row per block
     H = FiniteGroup(G.mul_table)
     for name in ("inv_table", "class_of", "class_reps", "class_sizes"):
         assert np.array_equal(getattr(H, name), getattr(G, name)), name

@@ -14,7 +14,7 @@ import functools
 import numpy as np
 import pytest
 
-import finharm._rng
+import finharm.groups
 import finharm.induction
 import finharm.reports
 from finharm import (
@@ -120,8 +120,8 @@ def test_inversion_matches_scalar_oracle(monkeypatch, spec):
     expected = _bits(scalar_inversion(table, F))
     assert _bits(plancherel_invert_at_identity(table, F)) == expected
     # at one element per block, Theta is filled one irrep of element_values at a time
-    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 1)
-    assert len(list(finharm._rng.row_blocks(table.num_irreps, G.order))) == table.num_irreps >= 3
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", 1)
+    assert len(list(finharm.groups.row_blocks(table.num_irreps, G.order))) == table.num_irreps >= 3
     assert _bits(plancherel_invert_at_identity(table, F)) == expected
 
 
@@ -129,7 +129,7 @@ def test_plancherel_report_blocks_change_no_bits(monkeypatch):
     config = RunConfig(group_spec="dihedral:6", num_test_functions=7, seed=4)
     whole = build_report("plancherel-check", config)
     # blocks of two functions of D6, so the seven are drawn and judged in four
-    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 24)
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", 24)
     draw = finharm.reports.test_functions
     drawn = []
     monkeypatch.setattr(
@@ -281,6 +281,10 @@ def test_probe_matches_scalar_oracle(monkeypatch, threshold):
     # at 6.0 whole irreps exhaust their budget, and their records still hold
     if threshold == 6.0:
         assert all_flagged > 0
+    # one function per plan block, so each block's samples are divided alone,
+    # and at 6.0 some blocks have no clean slot to divide
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", 1)
+    assert _probe_matches_oracle(threshold) == all_flagged
 
 
 @pytest.mark.parametrize("cache", ["all", "one block", "none"])
@@ -288,7 +292,7 @@ def test_probe_matches_scalar_oracle(monkeypatch, threshold):
 def test_probe_plan_cache_changes_no_bits(monkeypatch, cache, threshold):
     monkeypatch.setattr(finharm.induction, "_THETA_ZERO_THRESHOLD", threshold)
     # blocks of two functions of S3 or Q8, so every plan has several blocks
-    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 16)
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", 16)
     G = make_named_group("quaternion")
     full = probe_plan(character_table(G), 5, 3)
     assert len(full.blocks) > 1 and len(_cached(full)) == len(full.blocks)
@@ -304,7 +308,7 @@ def test_probe_plan_cache_changes_no_bits(monkeypatch, cache, threshold):
 
 @pytest.mark.parametrize("block_elements", [16, 100, 1 << 16])
 def test_probe_plan_cache_stays_in_budget(monkeypatch, block_elements):
-    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", block_elements)
     table = character_table(make_named_group("dihedral:6"))
     for budget in (0, 100, 5000, 40000, 1 << 30):
         monkeypatch.setattr(finharm.induction, "_PLAN_BYTES", budget)
@@ -348,7 +352,7 @@ def _rendered(command, config):
 @pytest.mark.parametrize("command", ["sweep", "conjecture-probe"])
 def test_uncached_plan_blocks_are_redrawn_once_per_psi_block(monkeypatch, command):
     # blocks of three functions of Q8, so the plan has several blocks
-    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 24)
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", 24)
     config = RunConfig(group_spec="quaternion", num_test_functions=5, seed=2)
     cached = _rendered(command, config)
     draw = finharm.induction._draw

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import finharm._rng
+import finharm.groups
 from finharm import make_named_group
 from finharm import test_functions as draw_test_functions
 from finharm._rng import derive_stream_seed, unit_uniforms
@@ -83,7 +83,7 @@ def test_test_functions_batch(s3, monkeypatch):
     # row k matches the single function of index k
     assert np.array_equal(F[4], draw_test_functions(s3, 3, [4])[0])
     # rows drawn in blocks of two functions match rows drawn in one block
-    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 12)
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", 12)
     assert np.array_equal(draw_test_functions(s3, 3, range(7)), F)
     with pytest.raises(ValueError):
         draw_test_functions(s3, 0, [-1])
@@ -98,10 +98,32 @@ def test_test_functions_with_array_seeds(s3, monkeypatch):
     assert F.shape == (5, 6)
     for row, seed, index in zip(F, seeds, idx.tolist()):
         assert np.array_equal(row, draw_test_functions(s3, seed, [index])[0])
-    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", 12)
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", 12)
     assert np.array_equal(draw_test_functions(s3, seeds, idx), F)
     with pytest.raises(ValueError):
         draw_test_functions(s3, seeds[:2], idx)
+
+
+@pytest.mark.parametrize("indices", [range(0), []])
+def test_no_indices_give_an_empty_block(s3, indices):
+    F = draw_test_functions(s3, 0, indices)
+    assert F.shape == (0, 6) and F.dtype == np.complex128
+    assert not F.flags.writeable
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_seed_outside_uint64_is_refused(s3, seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        draw_test_functions(s3, seed, [0])
+
+
+def test_uint64_seed_arrays_draw_the_same_bits(s3):
+    # stream seeds from derive_stream_seed are uint64, those past 2^63 included
+    seeds = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
+    indices = np.array([0, 7, 2**63], dtype=np.uint64)
+    F = draw_test_functions(s3, seeds, indices)
+    for row, seed, index in zip(F, seeds.tolist(), indices.tolist()):
+        assert row.tobytes() == draw_test_functions(s3, seed, [index])[0].tobytes()
 
 
 def test_test_function_rows_frozen(s3):
@@ -131,7 +153,7 @@ def test_test_function_rows_frozen(s3):
 def test_test_functions_are_unit_uniforms_of_each_part(s3, monkeypatch, block_elements):
     # the in-place mixing reproduces unit_uniforms bit for bit, the last
     # partial block included
-    monkeypatch.setattr(finharm._rng, "_BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", block_elements)
     for seed in (0, 7, 2**63 + 5):
         F = draw_test_functions(s3, seed, range(5))
         parts = unit_uniforms(derive_stream_seed(seed, np.arange(5)[:, None], np.arange(2)), 6)
