@@ -9,11 +9,11 @@ out here and pinned by a regression test.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, row_blocks
+from .groups import FiniteGroup, _index, row_blocks
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -40,20 +40,32 @@ def _mix_u64(x: np.ndarray) -> np.ndarray:
     return x[()]
 
 
-def derive_stream_seed(
-    seed: int | np.ndarray, *indices: int | np.ndarray
-) -> np.uint64 | np.ndarray:
+def _uint64(name: str, value: Any) -> np.ndarray:
+    """value, an integer in [0, 2^64) or an integer array, range, list or
+    tuple of them, as uint64; ValueError for anything else. A list or tuple
+    is read element by element, and an integer by groups._index."""
+    if isinstance(value, (list, tuple)):  # numpy reads [0, 2**63] as float
+        return np.array([_uint64(name, v) for v in value], dtype=np.uint64)
+    if not isinstance(value, (range, np.ndarray)):
+        value = _index(name, value)
+    array = np.asarray(value)  # an int of 2^64 or more gives an object array
+    if array.size and (array.dtype.kind not in "iu" or (array < 0).any()):  # empty: of float type
+        raise ValueError(f"{name} must be an integer in [0, 2^64) or an array of them")
+    return array.astype(np.uint64)
+
+
+def derive_stream_seed(seed: Any, *indices: Any) -> np.uint64 | np.ndarray:
     """Fold integer indices into a seed, one mixing round per index.
 
     Used to key independent substreams, e.g. (seed, function index, 0) for
     real parts and (seed, function index, 1) for imaginary parts. The seed
     and the indices may be integer arrays; they broadcast, giving an array
-    of stream seeds.
+    of stream seeds. Every seed of the package is read here, by _uint64.
     """
     with np.errstate(over="ignore"):
-        h = _mix_u64(np.asarray(seed, dtype=np.uint64) + _GOLDEN)
+        h = _mix_u64(_uint64("seed", seed) + _GOLDEN)
         for ix in indices:
-            h = _mix_u64(h ^ (np.asarray(ix, dtype=np.uint64) * _KEY1 + _KEY2))
+            h = _mix_u64(h ^ (_uint64("index", ix) * _KEY1 + _KEY2))
     return h
 
 
@@ -62,10 +74,8 @@ def unit_uniforms(stream_seed: int | np.ndarray, count: int) -> np.ndarray:
 
     An array of stream seeds gives one row of `count` values per seed.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    seeds = np.asarray(stream_seed, dtype=np.uint64)[..., None]
-    out = np.empty(seeds.shape[:-1] + (count,))
+    seeds = _uint64("stream seed", stream_seed)[..., None]
+    out = np.empty(seeds.shape[:-1] + (_index("count", count),))  # ValueError below 0
     x = np.empty(out.shape, dtype=np.uint64)
     _uniforms_into(out, seeds, x, np.empty_like(x))
     return out
@@ -91,16 +101,12 @@ def test_functions(
     """Test functions number `indices` of stream `seed`, one per row of a
     read-only (len(indices), |G|) complex array. Real and imaginary parts are
     uniform in [-1, 1), keyed by (seed, index, 0) and (seed, index, 1). seed
-    may also be an array holding one stream seed per index."""
-    idx = np.asarray(indices)
-    if idx.size == 0:  # numpy gives an empty sequence a float type
-        idx = idx.astype(np.int64)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu" or (idx < 0).any():
+    may also be an array holding one stream seed per index. Both must be
+    integers in [0, 2^64), read as derive_stream_seed reads them."""
+    idx = _uint64("index", indices)
+    if idx.ndim != 1:
         raise ValueError("indices must be a 1-D sequence of nonnegative integers")
-    seeds = np.asarray(seed)  # a Python int of 2^64 or more gives an object array
-    if seeds.dtype.kind not in "iu" or (seeds < 0).any():
-        raise ValueError("seed must be an integer in [0, 2^64) or an array of them")
-    seeds = np.broadcast_to(seeds.astype(np.uint64), idx.shape)
+    keys = [np.broadcast_to(derive_stream_seed(seed, idx, part), idx.shape) for part in (0, 1)]
     n = G.order
     F = np.empty((len(idx), n), dtype=np.complex128)
     # each part is written straight into F, one after the other, through two
@@ -111,8 +117,7 @@ def test_functions(
         if buffers is None:
             buffers = np.empty((2,) + block.shape, dtype=np.uint64)
         x, shift = buffers[:, :len(block)]
-        for part, out in enumerate((block.real, block.imag)):
-            keys = derive_stream_seed(seeds[rows], idx[rows], part)
-            _uniforms_into(out, keys[:, None], x, shift)
+        for out, part_keys in zip((block.real, block.imag), keys):
+            _uniforms_into(out, part_keys[rows, None], x, shift)
     F.setflags(write=False)
     return F

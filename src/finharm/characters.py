@@ -35,7 +35,7 @@ from .errors import (
     ToleranceViolation,
 )
 from .formatting import fmt_complex_rows
-from .groups import FiniteGroup, Subgroup, _close_mask
+from .groups import FiniteGroup, Subgroup, _close_mask, _index
 
 _RETRY_BUDGET = 16
 
@@ -112,7 +112,7 @@ class CharacterTable:
     orthogonality: OrthogonalityReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.degrees = tuple(int(d) for d in self.degrees)
+        self.degrees = tuple(_index("degree", d) for d in self.degrees)
         self.num_irreps = len(self.degrees)
         vals = np.asarray(self.values, dtype=np.complex128).copy()
         if vals.shape != (self.num_irreps, len(self.group.class_reps)):
@@ -242,8 +242,8 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
     sq = np.sqrt(sizes)
     split_ok = False
     orth_report: OrthogonalityReport | None = None
-    for attempt in range(_RETRY_BUDGET):
-        coeffs = unit_uniforms(derive_stream_seed(int(seed), attempt), r)
+    for stream in derive_stream_seed(seed, np.arange(_RETRY_BUDGET)):  # one per attempt
+        coeffs = unit_uniforms(stream, r)
         M = algebra.combination(coeffs)
         B = (M * (sq[None, :] / sq[:, None])).astype(np.complex128, order="F")
         if (schur := _schur(B)) is None:

@@ -12,7 +12,8 @@ orders so that two runs of the same spec string index elements identically.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+import operator
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +57,19 @@ def row_blocks(num_rows: int, n: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, num_rows, step))
 
 
+def _index(name: str, value: Any, order: int | None = None) -> int:
+    """value as an int by operator.index, the package's one integer rule:
+    ValueError for 1.5, 2.0 or "1"; given an order, IndexOutOfRange unless
+    value is an element index."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if order is not None and not 0 <= value < order:
+        raise IndexOutOfRange(f"{name} {value} out of range for order {order}")
+    return value
+
+
 def _index_dtype(n: int) -> np.dtype:
     """Entry type of a Cayley table of order n: int16 while every index
     0..n-1 fits in it, int32 above."""
@@ -77,7 +91,8 @@ class FiniteGroup:
     int64. The conjugacy classes are held once, as three read-only
     int64 arrays in the canonical class order: ``class_of[x]`` is the class
     of element x, ``class_sizes[k]`` the size of class k and
-    ``class_reps[k]`` its smallest member.
+    ``class_reps[k]`` its smallest member. A table of any integer type is
+    checked in that type, then narrowed (never widened); any other is refused.
     """
 
     def __init__(
@@ -87,18 +102,18 @@ class FiniteGroup:
         generators: Sequence[int] = (),
     ) -> None:
         # the caller may still write to its array, so the group keeps a copy
-        self._adopt(np.array(mul_table, dtype=np.int64), label, generators)
+        self._adopt(np.array(mul_table), label, generators)
 
     def _adopt(self, mul: np.ndarray, label: str, generators: Sequence[int]) -> None:
-        """Validate mul, an integer table nothing else writes to, and freeze
-        it as this group's table, narrowed to _index_dtype once its entries
-        are known to be indices (a table of that type is kept uncopied)."""
+        """Validate mul, a table nothing else writes to, and freeze it as this
+        group's table, narrowed to _index_dtype once its entries are known to
+        be indices (a table of that type is kept uncopied)."""
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         n = mul.shape[0]
         if n < 1:
             raise ValueError("a group has at least one element")
-        if mul.min() < 0 or mul.max() >= n:
+        if mul.dtype.kind not in "iu" or mul.min() < 0 or mul.max() >= n:
             raise ValueError("table entries must be element indices")
         mul = mul.astype(_index_dtype(n), copy=False)
         ar = np.arange(n)
@@ -126,10 +141,7 @@ class FiniteGroup:
         inv.setflags(write=False)
         self._inv = inv
         self.label = str(label)
-        for g in generators:
-            if not 0 <= int(g) < n:
-                raise IndexOutOfRange(f"generator index {g} out of range for order {n}")
-        self.generators = tuple(int(g) for g in generators)
+        self.generators = tuple(_index("generator index", g, n) for g in generators)
 
         # one orbit g*x*g^-1 per element x not yet placed, numbered as found;
         # x is the smallest member of its orbit, since every smaller element
@@ -192,12 +204,10 @@ class Subgroup:
     """
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]) -> None:
-        mem = sorted({int(m) for m in members})
         n = parent.order
+        mem = sorted({_index("member index", m, n) for m in members})
         if not mem:
             raise ValueError("a subgroup is nonempty")
-        if mem[0] < 0 or mem[-1] >= n:
-            raise IndexOutOfRange(f"member index out of range for order {n}")
         if mem[0] != 0:
             raise ValueError("a subgroup contains the identity")
         arr = np.array(mem, dtype=np.int64)
@@ -263,11 +273,7 @@ def _close_mask(mul: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the generator elements."""
     mask = np.zeros(G.order, dtype=bool)
-    for g in generators:
-        g = int(g)
-        if not 0 <= g < G.order:
-            raise IndexOutOfRange(f"generator index {g} out of range for order {G.order}")
-        mask[g] = True
+    mask[[_index("generator index", g, G.order) for g in generators]] = True
     return Subgroup(G, np.flatnonzero(_close_mask(G.mul_table, mask)).tolist())
 
 
@@ -339,7 +345,7 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 
 def _validated_perm(perm: Sequence[int], degree: int) -> tuple[int, ...]:
-    p = tuple(int(v) for v in perm)
+    p = tuple(_index("permutation entry", v) for v in perm)
     if len(p) != degree or sorted(p) != list(range(degree)):
         raise InvalidPermutation(f"{perm!r} is not a permutation of 0..{degree - 1}")
     return p
@@ -401,9 +407,9 @@ def build_from_permutations(
     Elements are indexed in breadth-first discovery order from the identity,
     multiplying by generators on the right; index 0 is the identity.
     """
-    if degree < 1:
+    if (degree := _index("degree", degree)) < 1:
         raise UnsupportedParameter("degree must be at least 1")
-    if order_cap < 1:
+    if (order_cap := _index("order_cap", order_cap)) < 1:
         raise ValueError("order_cap must be at least 1")
     gens = [_validated_perm(g, degree) for g in generators]
     identity = tuple(range(degree))

@@ -43,18 +43,18 @@ from ._rng import derive_stream_seed, test_functions
 from .characters import CharacterTable
 from .errors import (
     GroupMismatch,
-    IndexOutOfRange,
     NonIntegralMultiplicity,
     SubgroupMismatch,
     ToleranceViolation,
 )
-from .groups import FiniteGroup, Subgroup, row_blocks
+from .groups import FiniteGroup, Subgroup, _index, row_blocks
 from .harmonic import _dots, _modulus, convolve_over_subgroup
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 _THETA_ZERO_THRESHOLD = 1e-6
+_SNAP_TOL = 1e-6  # farthest a multiplicity may lie from the integer it snaps to
 _RESAMPLE_BUDGET = 32
 
 
@@ -74,9 +74,9 @@ def _psi_values(U: Subgroup, psis: ArrayLike, ndim: int) -> np.ndarray:
         raise SubgroupMismatch("character values must cover exactly the members") from exc
     if values.ndim != ndim or values.shape[-1] != U.order:
         raise SubgroupMismatch("character values must cover exactly the members")
-    if float(np.max(np.abs(np.abs(values) - 1.0))) > 1e-6:
+    if not (np.abs(np.abs(values) - 1.0) <= 1e-6).all():  # so that a NaN fails
         raise ValueError("character values must have modulus 1")
-    if (np.abs(values[..., 0] - 1.0) > 1e-6).any():
+    if not (np.abs(values[..., 0] - 1.0) <= 1e-6).all():
         raise ValueError("character value at the identity must be 1")
     owner = values
     while isinstance(owner, np.ndarray) and not owner.flags.writeable:
@@ -94,14 +94,14 @@ def _on_parent(U: Subgroup, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _snap(inner: np.ndarray, order: int, tol: float, what: str) -> np.ndarray:
+def _snap(inner: np.ndarray, order: int, what: str) -> np.ndarray:
     """Each inner / order as a nonnegative integer, entry by entry as
     Python's complex(v) / order, round and abs would take it. Raises
-    NonIntegralMultiplicity at the first entry not within tol of one, naming
-    what, with {pi} standing for the entry's index along the last axis."""
+    NonIntegralMultiplicity at the first entry not within _SNAP_TOL of one,
+    naming what, {pi} standing for the entry's index along the last axis."""
     real, imag = inner.real / order, inner.imag / order
     rounded = np.rint(real)
-    bad = ~((rounded >= 0) & (np.hypot(real - rounded, imag) <= tol))
+    bad = ~((rounded >= 0) & (np.hypot(real - rounded, imag) <= _SNAP_TOL))
     if bad.any():
         at = np.unravel_index(bad.argmax(), bad.shape)
         value = complex(inner[at]) / order
@@ -111,13 +111,13 @@ def _snap(inner: np.ndarray, order: int, tol: float, what: str) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def _frobenius(table: CharacterTable, U: Subgroup, coeffs: np.ndarray, tol: float) -> np.ndarray:
+def _frobenius(table: CharacterTable, U: Subgroup, coeffs: np.ndarray) -> np.ndarray:
     """Multiplicity of every irrep pi in the representation induced from
     conj(c), for each member-aligned row c of coeffs: the snapped
     (1/|U|) sum_{u in U} chi_pi(u) * c(u)."""
     restricted = table.element_values[:, U.members_array]
     inner = _dots(restricted, coeffs[..., None, :])
-    return _snap(inner, U.order, tol, "Frobenius inner product")
+    return _snap(inner, U.order, "Frobenius inner product")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +132,7 @@ class InducedCharacter:
         return int(round(self.values[0].real))
 
 
-def induced_character(
-    U: Subgroup, psi: ArrayLike, table: CharacterTable, tol: float = 1e-6
-) -> InducedCharacter:
+def induced_character(U: Subgroup, psi: ArrayLike, table: CharacterTable) -> InducedCharacter:
     """chi(g) = (1/|U|) * sum over x in G with x^-1 g x in U of psi(x^-1 g x),
     for psi one row of values on U.members, together with its expansion
     coefficients in the irreducible rows, which must equal the restriction
@@ -146,8 +144,8 @@ def induced_character(
     conjugated = mul[mul[G.inv_table, G.class_reps[:, None]], np.arange(G.order)]  # x^-1 c x
     values = _on_parent(U, psi)[conjugated].sum(axis=1) / U.order
     inner = (G.class_sizes * values * np.conj(table.values)).sum(axis=1)
-    mults = tuple(_snap(inner, G.order, tol, "coefficient of irrep {pi}").tolist())
-    if mults != tuple(_frobenius(table, U, np.conj(psi), tol).tolist()):
+    mults = tuple(_snap(inner, G.order, "coefficient of irrep {pi}").tolist())
+    if mults != tuple(_frobenius(table, U, np.conj(psi)).tolist()):
         raise ToleranceViolation(
             "induced-character coefficients disagree with the restriction inner product"
         )
@@ -186,8 +184,7 @@ class InducedRep:
         """M(g)[i, j] = psi(u) where r_i * g = u * r_j, zero elsewhere: one
         unit-modulus entry per row and column, and g -> M(g) is a
         homomorphism."""
-        if not 0 <= g < self.U.parent.order:
-            raise IndexOutOfRange(f"element index {g} out of range")
+        g = _index("element index", g, self.U.parent.order)
         target, phase = _monomial_action(self.U, self.psi, np.array([g]))
         M = np.zeros((self.dimension, self.dimension), dtype=np.complex128)
         M[np.arange(self.dimension), target[0]] = phase[0]
@@ -239,8 +236,9 @@ def subgroup_spectrum(table: CharacterTable, U: Subgroup, psis: ArrayLike) -> Su
         raise ValueError("a spectrum needs at least one character")
     _check_wiring(table, U)
     psi_values = _psi_values(U, psis, 2)
-    mults = _frobenius(table, U, np.conj(psi_values), 1e-6)
-    conj_mults = _frobenius(table, U, psi_values, 1e-6)
+    # one gather and one snap; conj(psi) rows first, whose failures raised first
+    both = _frobenius(table, U, np.vstack([np.conj(psi_values), psi_values]))
+    mults, conj_mults = np.split(both, 2)
     kernels = convolve_over_subgroup(np.conj(psi_values), U, table.element_values)
     residuals = _modulus(kernels[:, :, 0] - U.order * conj_mults)
     for a in (kernels, mults, conj_mults, residuals):
@@ -262,6 +260,8 @@ def subgroup_spectra(
     blocking changes no bits. A block that raises is redone one row at a
     time, so the spectra of the characters before the failing one are
     yielded before it raises, with the message of that psi alone."""
+    if (samples := _index("samples", samples)) < 0:
+        raise ValueError("samples must be nonnegative")
     per_psi = 16 * table.num_irreps * (table.group.order + samples)
     step = max(1, _SPECTRUM_BYTES // per_psi)
     for start in range(0, len(psis), step):
@@ -355,10 +355,10 @@ class ProbePlan:
 def probe_plan(table: CharacterTable, count: int, seed: int = 0) -> ProbePlan:
     """Draw and screen count test functions per irrep of table, in blocks,
     each irrep on its own substream keyed by (seed, pi)."""
-    if count < 1:
+    if (count := _index("num_test_functions", count)) < 1:
         raise ValueError("num_test_functions must be at least 1")
     r, n = table.num_irreps, table.group.order
-    streams = derive_stream_seed(int(seed), np.arange(r))
+    streams = derive_stream_seed(seed, np.arange(r))
     indices = np.tile(np.arange(count), (r, 1))
     theta = np.empty((r, count), dtype=np.complex128)
     flagged = np.zeros((r, count), dtype=bool)
@@ -421,18 +421,12 @@ def conjecture_probe(spectrum: SubgroupSpectrum, plan: ProbePlan) -> ProbeRecord
         clean = ~flagged[p, s]
         # Python complex division, numpy's differs in the last bits
         thetas = plan.theta[p, s][clean].tolist()
-        for row in block:
-            row[clean] = [phi / theta for phi, theta in zip(row[clean].tolist(), thetas)]
+        rows = block[:, clean].tolist()
+        block[:, clean] = [[phi / theta for phi, theta in zip(row, thetas)] for row in rows]
         block[:, ~clean] = complex(float("nan"), float("nan"))
         ratios[:, p, s] = block
-    r = flagged.shape[0]
-    pick = (np.arange(r), np.argmin(flagged, axis=1))
-    first = np.empty(ratios.shape[:2], dtype=np.complex128)
-    spread = np.empty(first.shape)
-    for row, row_first, row_spread in zip(ratios, first, spread):
-        row_first[:] = row[pick]
-        distance = np.where(flagged, 0.0, _modulus(row - row_first[:, None]))
-        row_spread[:] = distance.max(axis=1)
+    first = ratios[:, np.arange(flagged.shape[0]), np.argmin(flagged, axis=1)]
+    spread = np.where(flagged, 0.0, _modulus(ratios - first[..., None])).max(axis=2)
     spread[:, flagged.all(axis=1)] = np.nan
     constant = spread <= 1e-6 * (1.0 + _modulus(first))
     for a in (ratios, first, spread, constant):

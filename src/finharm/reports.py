@@ -56,7 +56,8 @@ from .characters import (
 from .errors import FinharmError, IndexOutOfRange, OrderTooLarge, SweepAborted
 from .formatting import fmt_complex_rows, fmt_real
 from .groups import (
-    FiniteGroup, Subgroup, enumerate_subgroups, make_named_group, row_blocks, subgroup_closure
+    FiniteGroup, Subgroup, _index, enumerate_subgroups, make_named_group, row_blocks,
+    subgroup_closure,
 )
 from .harmonic import plancherel_invert_at_identity, generalized_plancherel_check_batch
 from .induction import (
@@ -155,14 +156,6 @@ class RunConfig:
             raise ValueError("tol must lie in [1e-12, 1e-6]")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be json or csv")
-
-
-def _index(name: str, value: Any) -> int:
-    """value as a Python int; ValueError unless its type is integral."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -351,7 +344,7 @@ def _iter_subgroups(
         if config.character_selector == "all":
             yield U, range(len(psis)), psis
             continue
-        k = int(config.character_selector)
+        k = config.character_selector
         if k >= len(psis):
             raise IndexOutOfRange(
                 f"psi index {k} out of range: subgroup of order {U.order} "
@@ -407,8 +400,7 @@ def _pair_blocks(
     order. checked holds the test functions F, one per row, and plan the
     probe plan; either is None when the command skips that part. A pair
     whose spectrum fails raises after the blocks before it."""
-    members = [int(m) for m in U.members]
-    subgroup = {"members": members, "order": U.order, "num_cosets": U.num_cosets}
+    subgroup = {"members": list(U.members), "order": U.order, "num_cosets": U.num_cosets}
     done = 0
     for spectrum in subgroup_spectra(table, U, psis, config.num_test_functions):
         values = [spectrum.kernels[:, :, 0]]

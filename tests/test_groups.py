@@ -194,6 +194,20 @@ def test_table_from_lists_is_narrowed_only_after_its_range_check():
             FiniteGroup([[0, 1], [1, entry]])
 
 
+def test_table_is_checked_in_its_own_integer_type():
+    # an 8 MiB int16 table: widened to int64 first, the build peaked at 40 MiB
+    table = make_named_group("cyclic:2048").mul_table
+    tracemalloc.start()
+    try:
+        G = FiniteGroup(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.mul_table.dtype == np.int16 and not np.shares_memory(G.mul_table, table)
+    assert np.array_equal(G.mul_table, table)
+    assert peak < 3 * table.nbytes
+
+
 @pytest.mark.parametrize("build, n", [(_cyclic, 1024), (_dihedral, 512)])
 def test_cyclic_and_dihedral_build_without_table_temporaries(build, n):
     # both tables are 2 MiB; two table-sized temporaries would double the peak

@@ -290,6 +290,21 @@ def test_character_values_are_checked_where_they_enter(s3_table, s3):
             enter([1j, 1.0])
 
 
+@pytest.mark.parametrize("row", [[1.0, np.nan], [np.nan, 1.0], [1.0, complex(np.nan, 1.0)]])
+def test_nan_character_values_are_refused(s3_table, s3, row):
+    # every comparison with NaN is false, so a check written as "too far"
+    # would let it through, and a spectrum would blame the multiplicities
+    U = subgroup_closure(s3, [1])
+    entries = (
+        lambda: subgroup_spectrum(s3_table, U, [row]),
+        lambda: induced_character(U, row, s3_table),
+        lambda: induced_rep(U, row),
+    )
+    for enter in entries:
+        with pytest.raises(ValueError, match="modulus 1"):
+            enter()
+
+
 def test_kernel_values_match_brute(s3_table, s3):
     U = subgroup_closure(s3, [3])
     psis = linear_characters(U)
