@@ -39,14 +39,18 @@ from .groups import FiniteGroup, Subgroup, _close_mask, _index
 
 _RETRY_BUDGET = 16
 
+# Values _descending_row_order reads in each of its sorts.
+_ROW_ORDER_VALUES = 2048
+
 # Most conjugacy classes a table is computed for. The Schur eigensplit takes
 # O(r^3) time on r x r complex matrices: about 2 s and 150 MB at r = 512.
 _MAX_CLASSES = 512
 
-# Bytes of one slab of the class-algebra tensor (see _ClassAlgebra). A budget
-# of its own, not groups.row_blocks: slab heights are rounded to the multiple
-# of 8 outputs that keeps the contraction's bits those of the whole tensor.
-_SLAB_BYTES = 1 << 23
+# Bytes of one slab of the class-algebra tensor (see _ClassAlgebra), so that
+# it stays in a 2 MiB L2 cache while it is contracted. A budget of its own,
+# not groups.row_blocks: slab heights are rounded to the multiple of 8
+# outputs that keeps the contraction's bits those of the whole tensor.
+_SLAB_BYTES = 1 << 20
 
 
 def _load_zgees():
@@ -98,8 +102,8 @@ class CharacterTable:
     class) and the degrees. Rows are sorted by (degree, then descending
     lexicographic value order, comparing (real, imag) quantized at 1e-9),
     which places the trivial character first. Derived on construction:
-    num_irreps = len(degrees), the read-only plancherel_weights[pi] =
-    degrees[pi] / |G| and element_values[pi, x] = values[pi, class_of[x]].
+    num_irreps = len(degrees) and the read-only plancherel_weights[pi] =
+    degrees[pi] / |G|; on first use, the read-only element_values.
     orthogonality is the check character_table accepted the table on.
     """
 
@@ -108,7 +112,6 @@ class CharacterTable:
     values: np.ndarray
     degrees: tuple[int, ...]
     plancherel_weights: np.ndarray = field(init=False)
-    element_values: np.ndarray = field(init=False, repr=False)
     orthogonality: OrthogonalityReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -122,9 +125,14 @@ class CharacterTable:
         weights = np.array(self.degrees, dtype=np.float64) / self.group.order
         weights.setflags(write=False)
         self.plancherel_weights = weights
-        ev = np.take(vals, self.group.class_of, axis=1)
+
+    @cached_property
+    def element_values(self) -> np.ndarray:
+        """element_values[pi, x] = values[pi, class_of[x]], read-only: the
+        characters on the elements, num_irreps x |G| values."""
+        ev = np.take(self.values, self.group.class_of, axis=1)
         ev.setflags(write=False)
-        self.element_values = ev
+        return ev
 
     @cached_property
     def value_strings(self) -> tuple[tuple[str, ...], ...]:
@@ -180,30 +188,51 @@ class _ClassAlgebra:
     (A_i)[j, k] = a[i, j, k] = #{x in C_i : x^-1 z_k in C_j} for the class rep
     z_k: the number of ways z_k factors as (element of C_i) times (element of
     C_j). The r^3 tensor a is never held whole. It is filled and contracted
-    in slabs of output rows a[:, j0:j1, :] of about _SLAB_BYTES each. Each
-    call to combination allocates one slab buffer, resets it between slabs
-    through the entries it was filled at, and drops it on return.
+    in slabs of output rows a[:, j0:j1, :] of about _SLAB_BYTES each, and of
+    at least 8 // gcd(r, 8) rows. The constructor computes, once, where each
+    of the n * r counted (x, k) falls in the slabs laid end to end, as int32
+    offsets, and sorts them: each slab's entries are then one contiguous run.
+    Each call to combination allocates one slab buffer, fills each slab by
+    adding 1 at its run, resets it through the same run, and drops the
+    buffer on return.
 
     Each slab is contracted by np.tensordot, a BLAS dgemv over the flattened
     (r, (j1 - j0) * r) slab, as the whole (r, r^2) tensor would be. Slab
     heights are multiples of 8 // gcd(r, 8), so every slab starts at a flat
     output offset that is a multiple of 8. With one BLAS thread, M is then
-    the same bits as the contraction of the whole tensor. This relies on how
-    OpenBLAS's dgemv handles vector tails: it sums the outputs in blocks of 4
-    and the last m % 4 outputs with other arithmetic, so a slab that starts
-    off a block boundary differs in the last bits; 8 leaves room for kernels
-    with wider blocks. Other BLAS builds, and a contraction split across
-    threads, need not match.
+    the same bits as the contraction of the whole tensor, whatever the slab
+    budget. This relies on how OpenBLAS's dgemv handles vector tails: it sums
+    the outputs in blocks of 4 and the last m % 4 outputs with other
+    arithmetic, so a slab that starts off a block boundary differs in the
+    last bits; 8 leaves room for kernels with wider blocks. Other BLAS
+    builds, and a contraction split across threads, need not match.
     """
 
     def __init__(self, G: FiniteGroup) -> None:
         r = len(G.class_reps)
         step = 8 // math.gcd(r, 8)
-        self.height = min(r, max(step, _SLAB_BYTES // (8 * r * r) // step * step))
+        self.height = h = min(r, max(step, _SLAB_BYTES // (8 * r * r) // step * step))
+        # output row j lies in the slab of rows j0 = j // h * h to
+        # j1 = min(j0 + h, r), which starts at j0 * r^2 and holds a[i, j, k]
+        # at (i * (j1 - j0) + j - j0) * r + k from there; every offset is
+        # below r^3 <= 2^27
+        j = np.arange(r, dtype=np.int32)
+        j0 = j // h * h
+        stride = (np.minimum(j0 + h, r) - j0) * r
+        origin = j0 * r * r + (j - j0) * r
         # with y = x^-1: a[i, j, k] counts the y with y^-1 in C_i and y z_k in C_j
-        self.i = G.class_of[G.inv_table]
-        j = G.class_of[G.mul_table[:, G.class_reps]].astype(np.int16)  # r <= 512
-        self.slab, self.row = np.divmod(j, self.height)
+        z = G.mul_table[:, G.class_reps]
+        offsets = stride[G.class_of][z]
+        offsets *= G.class_of[G.inv_table].astype(np.int32)[:, None]
+        offsets += origin[G.class_of][z]
+        offsets += np.arange(r, dtype=np.int32)
+        offsets = offsets.ravel()
+        offsets.sort()
+        starts = range(0, r, h)
+        self.bounds = np.searchsorted(offsets, np.array([*starts, r], np.int32) * r * r).tolist()
+        for s, start in enumerate(starts):  # each run's offsets within its own slab
+            offsets[self.bounds[s] : self.bounds[s + 1]] -= start * r * r
+        self.offsets = offsets
 
     def combination(self, coeffs: np.ndarray) -> np.ndarray:
         r = len(coeffs)
@@ -211,8 +240,7 @@ class _ClassAlgebra:
         buffer = np.zeros(r * self.height * r)
         for s, j0 in enumerate(range(0, r, self.height)):
             j1 = min(j0 + self.height, r)
-            y, k = np.nonzero(self.slab == s)
-            flat = (self.i[y] * (j1 - j0) + self.row[y, k]) * r + k
+            flat = self.offsets[self.bounds[s] : self.bounds[s + 1]]
             slab = buffer[: r * (j1 - j0) * r]
             np.add.at(slab, flat, 1.0)
             M[j0:j1] = np.tensordot(coeffs, slab.reshape(r, j1 - j0, r), axes=(0, 0))
@@ -293,14 +321,36 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
 
 def _descending_row_order(values: np.ndarray, leading: np.ndarray | None = None) -> np.ndarray:
     """Stable row order by the leading key, if given, then by each column's
-    (real, imag) quantized at 1e-9, descending, compared left to right."""
+    (real, imag) quantized at 1e-9, descending, compared left to right.
+
+    The same permutation as one np.lexsort over every key, which would pass
+    over all rows once per key: the rows are sorted on as many keys as make
+    about _ROW_ORDER_VALUES values, then only the runs of rows still tied on
+    every key so far are sorted again, each within its run, on the next
+    keys, as many as make about as many values again."""
     quantized = np.empty((values.shape[0], 2 * values.shape[1]), dtype=np.int64)
     quantized[:, 0::2] = -np.rint(values.real * 1e9)
     quantized[:, 1::2] = -np.rint(values.imag * 1e9)
-    keys = quantized.T[::-1]  # np.lexsort sorts by its last key first
-    if leading is not None:
-        keys = np.vstack([keys, leading])
-    return np.lexsort(keys)
+    keys = quantized if leading is None else np.column_stack([leading, quantized])
+    start, stop = 0, max(1, _ROW_ORDER_VALUES // len(keys))
+    order = np.lexsort(keys[:, :stop].T[::-1])  # np.lexsort sorts by its last key first
+    tied = np.arange(len(keys))  # the sorted positions of rows tied with a neighbour
+    run = np.zeros(len(keys), dtype=np.int64)  # and the run each is in
+    while stop < keys.shape[1]:
+        # a row opens a new run unless it ties with the one before it
+        sorted_keys = keys[order[tied], start:stop]
+        same = (run[1:] == run[:-1]) & (sorted_keys[1:] == sorted_keys[:-1]).all(axis=1)
+        keep = np.zeros(len(tied), dtype=bool)
+        keep[1:] = same
+        keep[:-1] |= same
+        if not keep.any():
+            break
+        run = np.cumsum(np.concatenate(([True], ~same)))[keep]
+        tied = tied[keep]
+        start, stop = stop, stop + max(1, _ROW_ORDER_VALUES // len(tied))
+        perm = np.lexsort((*keys[order[tied], start:stop].T[::-1], run))
+        order[tied] = order[tied[perm]]
+    return order
 
 
 def linear_characters(U: Subgroup) -> np.ndarray:

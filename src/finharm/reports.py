@@ -161,11 +161,13 @@ class RunConfig:
 @dataclass(frozen=True)
 class SweepReport:
     """Assembled report plus its digest and timing; passed is whether the
-    payload's verdict is pass."""
+    payload's verdict is pass. orjson_digest says that digest is the sha256
+    of orjson's compact text of payload, as _payload_digest found it."""
 
     payload: dict[str, Any]
     digest: str
     wall_time: float
+    orjson_digest: bool = False
 
     @property
     def passed(self) -> bool:
@@ -177,7 +179,9 @@ class SweepReport:
 
         orjson writes it when its compact text of the payload, escaped as
         json's ensure_ascii escapes, hashes to the digest: its tokens are then
-        the canonical ones. Otherwise, and when orjson refuses the payload
+        the canonical ones. build_report's digest is that hash unless orjson
+        refused the payload, which orjson_digest records; any other report
+        is hashed again here. Otherwise, and when orjson refuses the payload
         (ints beyond 64 bits, lone surrogates), json writes it. So a report
         built by hand whose payload holds floats, which orjson writes in its
         own format, is still rendered as json renders it.
@@ -188,7 +192,10 @@ class SweepReport:
         try:
             # each text is let go once used, so that at most two are alive at
             # once: the one being copied and its copy
-            if hashlib.sha256(_orjson_compact(self.payload)).hexdigest() == self.digest:
+            if (
+                self.orjson_digest
+                or hashlib.sha256(_orjson_compact(self.payload)).hexdigest() == self.digest
+            ):
                 text = orjson.dumps(
                     doc,
                     option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE,
@@ -586,24 +593,27 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
         all_passes.append(inversion[1])
     payload["verdict"] = "pass" if all(np.all(p) for p in all_passes) else "fail"
     payload["max_abs_error"] = fmt_real(np.max(np.hstack(all_errors)))
+    digest, orjson_digest = _payload_digest(payload)
     report = SweepReport(
         payload=payload,
-        digest=_payload_digest(payload),
+        digest=digest,
         wall_time=time.perf_counter() - start,
+        orjson_digest=orjson_digest,
     )
     if aborted is not None:
         raise SweepAborted(payload["error"], report) from aborted
     return report
 
 
-def _payload_digest(payload: dict[str, Any]) -> str:
+def _payload_digest(payload: dict[str, Any]) -> tuple[str, bool]:
     """sha256 of json.dumps(payload, sort_keys=True, separators=(",", ":")),
     written by orjson unless it refuses the payload (see the module
-    docstring for the payloads on which the two agree)."""
+    docstring for the payloads on which the two agree), and whether orjson
+    wrote it."""
     import orjson  # at the first digest: finharm's import does without it
 
     try:
-        canonical = _orjson_compact(payload)
+        return hashlib.sha256(_orjson_compact(payload)).hexdigest(), True
     except orjson.JSONEncodeError:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(canonical).hexdigest()
+        return hashlib.sha256(canonical).hexdigest(), False

@@ -131,7 +131,7 @@ class PayloadWatch:
 
         def recorded_digest(payload):
             value = digest(payload)
-            self.reports.append((payload, value, self._spectra, self._ratios, self._calls))
+            self.reports.append((payload, value[0], self._spectra, self._ratios, self._calls))
             self._spectra, self._ratios, self._calls = [], [], 0
             return value
 

@@ -444,6 +444,18 @@ def quantized_descending_key(values) -> tuple:
     return tuple((-int(round(v.real * 1e9)), -int(round(v.imag * 1e9))) for v in values)
 
 
+def lexsort_row_order(values: np.ndarray, leading: np.ndarray | None = None) -> np.ndarray:
+    """_descending_row_order by one np.lexsort over the leading key, if
+    given, then each column's (real, imag) quantized at 1e-9, negated."""
+    quantized = np.empty((values.shape[0], 2 * values.shape[1]), dtype=np.int64)
+    quantized[:, 0::2] = -np.rint(values.real * 1e9)
+    quantized[:, 1::2] = -np.rint(values.imag * 1e9)
+    keys = quantized.T[::-1]  # np.lexsort sorts by its last key first
+    if leading is not None:
+        keys = np.vstack([keys, leading])
+    return np.lexsort(keys)
+
+
 def fmt_complex_scalar(z: complex) -> str:
     """Per-value report formatting: %.12g parts, -0 folded, sign joined."""
     parts = []

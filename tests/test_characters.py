@@ -32,6 +32,7 @@ from oracle_helpers import (
     brute_multiplicity,
     fmt_complex_scalar,
     fraction_linear_characters,
+    lexsort_row_order,
     perm_list,
     perm_parity,
     psi_at,
@@ -163,6 +164,38 @@ def test_class_algebra_slabs_equal_full_contraction(spec, slab_bytes, monkeypatc
     assert not any(
         isinstance(v, np.ndarray) and v.dtype == np.float64 for v in vars(algebra).values()
     )
+
+
+# r = 16, 25, 26, 28 and 129: r = 0, 1, 2 and 4 (mod 8). At every budget
+# but the whole tensor's, dihedral:252 ends on a short slab.
+@pytest.mark.parametrize("slab_bytes", [1, 1 << 20, 1 << 23])
+@pytest.mark.parametrize(
+    "spec",
+    ["dihedral:26", "product:symmetric:4*symmetric:4", "dihedral:46", "dihedral:50", "dihedral:252"],
+)
+def test_class_algebra_basis_combinations_are_structure_constants(spec, slab_bytes, monkeypatch):
+    # one coefficient 1 and the rest 0: exact at any BLAS thread count
+    monkeypatch.setattr(finharm.characters, "_SLAB_BYTES", slab_bytes)
+    G = make_named_group(spec)
+    a = structure_constants(G)
+    algebra = _ClassAlgebra(G)
+    for i, basis in enumerate(np.eye(len(G.class_reps))):
+        assert np.array_equal(algebra.combination(basis), a[i])
+
+
+def test_class_algebra_assembly_memory_is_bounded():
+    # the int32 offsets (1.6 MB) with one int16 and one int32 temporary,
+    # then one 2 MiB slab of 8 rows: 3.9 MiB at the peak. An 8 MiB slab with
+    # int64 indices gathered per slab peaked at 13.0 MiB
+    G = make_named_group("heisenberg:13")
+    coeffs = unit_uniforms(derive_stream_seed(0, 0), len(G.class_reps))
+    tracemalloc.start()
+    try:
+        _ClassAlgebra(G).combination(coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_class_algebra_memory_is_bounded():
@@ -307,6 +340,33 @@ def test_row_order_matches_tuple_key_sort():
         assert _descending_row_order(values, degrees).tolist() == with_degree
         plain = sorted(range(r), key=lambda i: quantized_descending_key(values[i]))
         assert _descending_row_order(values).tolist() == plain
+
+
+def _permuted_rows(values, seed):
+    return values[np.random.default_rng(seed).permutation(len(values))]
+
+
+@pytest.mark.parametrize("values_per_sort", [1, finharm.characters._ROW_ORDER_VALUES])
+def test_row_order_equals_one_lexsort(monkeypatch, values_per_sort):
+    monkeypatch.setattr(finharm.characters, "_ROW_ORDER_VALUES", values_per_sort)
+    # heisenberg:13: its linear characters tie on the 13 central columns
+    table = character_table(make_named_group("heisenberg:13"))
+    degrees = np.array(table.degrees)
+    cases = [(_permuted_rows(table.values, 0), _permuted_rows(degrees, 0))]
+    # conjugate pairs, tied on every real part and on the imaginary parts of
+    # their first 60 columns, which are real
+    rng = np.random.default_rng(3)
+    rows = rng.choice(_ORDER_ALPHABET, (20, 200)) + 1j * rng.choice(_ORDER_ALPHABET, (20, 200))
+    rows[:, :60] = rows[:, :60].real
+    cases.append((_permuted_rows(np.vstack([rows, rows.conj()]), 1), None))
+    # quantized rows in runs tied on their first 150 columns, a few values
+    # apart beyond
+    tied = rng.choice(_ORDER_ALPHABET, (8, 150))[rng.integers(0, 8, 64)]
+    rest = rng.choice(_ORDER_ALPHABET[:3], (64, 50))
+    cases.append((np.hstack([tied, rest]) * (1 - 1j), rng.integers(1, 3, 64)))
+    for values, leading in cases:
+        expected = lexsort_row_order(values, leading)
+        assert np.array_equal(_descending_row_order(values, leading), expected)
 
 
 def test_linear_character_order_matches_tuple_key_sort(corpus_groups):

@@ -214,7 +214,31 @@ def _json_payloads(chars, ints):
 def test_payload_digest_is_json_digest(payload):
     # the digest is computed by orjson and defined by json; an orjson release
     # that escapes or orders differently fails here
-    assert finharm.reports._payload_digest(payload) == json_digest(payload)
+    digest, by_orjson = finharm.reports._payload_digest(payload)
+    assert digest == json_digest(payload)
+    if by_orjson:  # what to_json then takes as proven
+        assert hashlib.sha256(finharm.reports._orjson_compact(payload)).hexdigest() == digest
+
+
+def test_to_json_takes_build_reports_digest_as_proof(monkeypatch):
+    # build_report hashed orjson's compact text for the digest, so to_json
+    # writes through orjson without a second compact encode
+    compact = finharm.reports._orjson_compact
+    calls = []
+
+    def counted(payload):
+        calls.append(payload)
+        return compact(payload)
+
+    monkeypatch.setattr(finharm.reports, "_orjson_compact", counted)
+    report = build_report("sweep", RunConfig(group_spec="symmetric:3", num_test_functions=2))
+    assert report.orjson_digest
+    text = report.to_json()
+    assert len(calls) == 1
+    # a report built by hand proves its tokens again, to the same bytes
+    by_hand = SweepReport(payload=report.payload, digest=report.digest, wall_time=report.wall_time)
+    assert by_hand.to_json() == text
+    assert len(calls) == 2
 
 
 def test_parse_group_spec_roundtrip():
