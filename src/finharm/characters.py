@@ -39,9 +39,6 @@ from .groups import FiniteGroup, Subgroup, _close_mask, _index
 
 _RETRY_BUDGET = 16
 
-# Values _descending_row_order reads in each of its sorts.
-_ROW_ORDER_VALUES = 2048
-
 # Most conjugacy classes a table is computed for. The Schur eigensplit takes
 # O(r^3) time on r x r complex matrices: about 2 s and 150 MB at r = 512.
 _MAX_CLASSES = 512
@@ -99,9 +96,9 @@ class CharacterTable:
     """All irreducible characters of a group, as values on conjugacy classes.
 
     Built from the group, the values (one row per irrep, one column per
-    class) and the degrees. Rows are sorted by (degree, then descending
-    lexicographic value order, comparing (real, imag) quantized at 1e-9),
-    which places the trivial character first. Derived on construction:
+    class) and the degrees. Rows are sorted by degree, then by the values,
+    descending (see _descending_row_order), which places the trivial
+    character first. Derived on construction:
     num_irreps = len(degrees) and the read-only plancherel_weights[pi] =
     degrees[pi] / |G|; on first use, the read-only element_values.
     orthogonality is the check character_table accepted the table on.
@@ -321,36 +318,19 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
 
 def _descending_row_order(values: np.ndarray, leading: np.ndarray | None = None) -> np.ndarray:
     """Stable row order by the leading key, if given, then by each column's
-    (real, imag) quantized at 1e-9, descending, compared left to right.
+    (real, imag) quantized at 1e-9, descending, compared left to right: the
+    permutation of one np.lexsort over every key.
 
-    The same permutation as one np.lexsort over every key, which would pass
-    over all rows once per key: the rows are sorted on as many keys as make
-    about _ROW_ORDER_VALUES values, then only the runs of rows still tied on
-    every key so far are sorted again, each within its run, on the next
-    keys, as many as make about as many values again."""
+    Each int64 key has its sign bit flipped and is stored big-endian, so a
+    row's bytes compare left to right as its keys do; the rows are then
+    sorted once, stably, as fixed-width byte strings."""
     quantized = np.empty((values.shape[0], 2 * values.shape[1]), dtype=np.int64)
     quantized[:, 0::2] = -np.rint(values.real * 1e9)
     quantized[:, 1::2] = -np.rint(values.imag * 1e9)
     keys = quantized if leading is None else np.column_stack([leading, quantized])
-    start, stop = 0, max(1, _ROW_ORDER_VALUES // len(keys))
-    order = np.lexsort(keys[:, :stop].T[::-1])  # np.lexsort sorts by its last key first
-    tied = np.arange(len(keys))  # the sorted positions of rows tied with a neighbour
-    run = np.zeros(len(keys), dtype=np.int64)  # and the run each is in
-    while stop < keys.shape[1]:
-        # a row opens a new run unless it ties with the one before it
-        sorted_keys = keys[order[tied], start:stop]
-        same = (run[1:] == run[:-1]) & (sorted_keys[1:] == sorted_keys[:-1]).all(axis=1)
-        keep = np.zeros(len(tied), dtype=bool)
-        keep[1:] = same
-        keep[:-1] |= same
-        if not keep.any():
-            break
-        run = np.cumsum(np.concatenate(([True], ~same)))[keep]
-        tied = tied[keep]
-        start, stop = stop, stop + max(1, _ROW_ORDER_VALUES // len(tied))
-        perm = np.lexsort((*keys[order[tied], start:stop].T[::-1], run))
-        order[tied] = order[tied[perm]]
-    return order
+    rows = (keys.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8")
+    key = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    return np.argsort(rows.view(key)[:, 0], kind="stable")
 
 
 def linear_characters(U: Subgroup) -> np.ndarray:

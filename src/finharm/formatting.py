@@ -13,9 +13,7 @@ import numpy as np
 def fmt_real(x: float) -> str:
     """Format a real number with 12 significant digits, -0 folded to 0."""
     s = f"{float(x):.12g}"
-    if s == "-0":
-        s = "0"
-    return s
+    return "0" if s == "-0" else s
 
 
 def _signed_join(re: str, im: str) -> str:

@@ -12,6 +12,7 @@ orders so that two runs of the same spec string index elements identically.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -352,7 +353,7 @@ def _validated_perm(perm: Sequence[int], degree: int) -> tuple[int, ...]:
 
 
 def _mul_table_from_perms(
-    perms: list[tuple[int, ...]], gens: Sequence[Sequence[int]]
+    perms: np.ndarray | list[tuple[int, ...]], gens: Sequence[Sequence[int]]
 ) -> np.ndarray:
     """Cayley table of the permutations gens generate, listed in perms.
 
@@ -366,7 +367,7 @@ def _mul_table_from_perms(
     """
     degree = len(perms[0])
     dtype = np.min_scalar_type(degree - 1)
-    arr = np.array(perms, dtype=dtype)
+    arr = np.asarray(perms, dtype=dtype)
     n = len(perms)
     key = np.dtype((np.void, arr.itemsize * degree))
     keys = arr.view(key).ravel()
@@ -405,31 +406,35 @@ def build_from_permutations(
     """Close a set of permutations of {0..degree-1} under composition.
 
     Elements are indexed in breadth-first discovery order from the identity,
-    multiplying by generators on the right; index 0 is the identity.
+    multiplying by generators on the right; index 0 is the identity. Each
+    level of the search, rows of the Cayley-table builder's integer type, is
+    composed with every generator in one gather, in queue order, and each
+    product is looked up by its bytes among the permutations found, which
+    are kept in discovery order as the keys of one dict. ClosureExceedsCap
+    is raised at the first product beyond order_cap.
     """
     if (degree := _index("degree", degree)) < 1:
         raise UnsupportedParameter("degree must be at least 1")
     if (order_cap := _index("order_cap", order_cap)) < 1:
         raise ValueError("order_cap must be at least 1")
     gens = [_validated_perm(g, degree) for g in generators]
-    identity = tuple(range(degree))
-    index: dict[tuple[int, ...], int] = {identity: 0}
-    elems: list[tuple[int, ...]] = [identity]
-    head = 0
-    while head < len(elems):
-        base = elems[head]
-        head += 1
-        for g in gens:
-            new = tuple(base[g[i]] for i in range(degree))
-            if new not in index:
-                if len(elems) >= order_cap:
-                    raise ClosureExceedsCap(
-                        f"closure exceeds order_cap={order_cap}"
-                    )
-                index[new] = len(elems)
-                elems.append(new)
-    mul = _mul_table_from_perms(elems, gens)
-    gen_indices = tuple(dict.fromkeys(index[g] for g in gens))
+    dtype = np.min_scalar_type(degree - 1)
+    gen_rows = np.array(gens, dtype=dtype).reshape(-1, degree)
+    key = np.dtype((np.void, gen_rows.itemsize * degree))
+    level = np.arange(degree, dtype=dtype)[None, :]
+    index = {level.tobytes(): 0}
+    while len(level):
+        products = level[:, gen_rows].reshape(-1, degree)  # [b * k + j] = base_b o g_j
+        fresh = []
+        for row, found in enumerate(products.view(key)[:, 0].tolist()):
+            if found not in index:
+                if len(index) >= order_cap:
+                    raise ClosureExceedsCap(f"closure exceeds order_cap={order_cap}")
+                index[found] = len(index)
+                fresh.append(row)
+        level = products[fresh]
+    mul = _mul_table_from_perms(np.frombuffer(b"".join(index), dtype).reshape(-1, degree), gens)
+    gen_indices = tuple(dict.fromkeys(index[g.tobytes()] for g in gen_rows))
     return _owning(mul, label or f"perm:{degree}", gen_indices)
 
 
@@ -487,14 +492,7 @@ def _quaternion() -> FiniteGroup:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _heisenberg(p: int) -> FiniteGroup:

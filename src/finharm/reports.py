@@ -40,7 +40,7 @@ import json
 import operator
 import re
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -161,13 +161,14 @@ class RunConfig:
 @dataclass(frozen=True)
 class SweepReport:
     """Assembled report plus its digest and timing; passed is whether the
-    payload's verdict is pass. orjson_digest says that digest is the sha256
-    of orjson's compact text of payload, as _payload_digest found it."""
+    payload's verdict is pass. proven_payload is the payload object whose
+    orjson compact text _payload_digest hashed to the digest, if any: a
+    report copied with another payload does not inherit the proof."""
 
     payload: dict[str, Any]
     digest: str
     wall_time: float
-    orjson_digest: bool = False
+    proven_payload: dict[str, Any] | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -180,11 +181,12 @@ class SweepReport:
         orjson writes it when its compact text of the payload, escaped as
         json's ensure_ascii escapes, hashes to the digest: its tokens are then
         the canonical ones. build_report's digest is that hash unless orjson
-        refused the payload, which orjson_digest records; any other report
-        is hashed again here. Otherwise, and when orjson refuses the payload
-        (ints beyond 64 bits, lone surrogates), json writes it. So a report
-        built by hand whose payload holds floats, which orjson writes in its
-        own format, is still rendered as json renders it.
+        refused the payload, which proven_payload records; a report whose
+        payload is not that very object is hashed again here. Otherwise, and
+        when orjson refuses the payload (ints beyond 64 bits, lone
+        surrogates), json writes it. So a report built by hand, or copied
+        with another payload, whose payload holds floats, which orjson writes
+        in its own format, is still rendered as json renders it.
         """
         import orjson
 
@@ -193,7 +195,7 @@ class SweepReport:
             # each text is let go once used, so that at most two are alive at
             # once: the one being copied and its copy
             if (
-                self.orjson_digest
+                self.proven_payload is self.payload
                 or hashlib.sha256(_orjson_compact(self.payload)).hexdigest() == self.digest
             ):
                 text = orjson.dumps(
@@ -593,12 +595,12 @@ def build_report(command: str, config: RunConfig) -> SweepReport:
         all_passes.append(inversion[1])
     payload["verdict"] = "pass" if all(np.all(p) for p in all_passes) else "fail"
     payload["max_abs_error"] = fmt_real(np.max(np.hstack(all_errors)))
-    digest, orjson_digest = _payload_digest(payload)
+    digest, by_orjson = _payload_digest(payload)
     report = SweepReport(
         payload=payload,
         digest=digest,
         wall_time=time.perf_counter() - start,
-        orjson_digest=orjson_digest,
+        proven_payload=payload if by_orjson else None,
     )
     if aborted is not None:
         raise SweepAborted(payload["error"], report) from aborted

@@ -13,7 +13,9 @@ summation can. verify_group_axioms is the exhaustive O(n^3) check that the
 package's group constructor leaves out. search_mul_table and table_structure
 are the whole-table group constructions the package used before it built
 permutation tables from the generators' left action: a binary search of all
-n^2 compositions, and classes by np.unique of each orbit. scipy_schur is the
+n^2 compositions, and classes by np.unique of each orbit. perm_closure is
+the closure the package found one tuple product at a time before it
+composed whole breadth-first levels. scipy_schur is the
 scipy.linalg call the package made before it took LAPACK zgees straight from
 scipy's compiled extension. json_digest is the report digest as defined, by
 json.dumps; the package computes it through orjson.
@@ -33,6 +35,7 @@ import scipy.linalg
 
 from finharm import (
     CharacterTable,
+    ClosureExceedsCap,
     FiniteGroup,
     FinharmError,
     GroupMismatch,
@@ -342,14 +345,20 @@ def cycle_perm(points: tuple[int, ...], degree: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def perm_closure(degree: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Closure in breadth-first discovery order, right-multiplying by gens."""
+def perm_closure(
+    degree: int, gens: list[tuple[int, ...]], order_cap: int | None = None
+) -> list[tuple[int, ...]]:
+    """Closure in breadth-first discovery order, right-multiplying by gens,
+    one tuple product at a time; given an order_cap, ClosureExceedsCap at the
+    first new element beyond it."""
     elems = [tuple(range(degree))]
     seen = set(elems)
     for base in elems:  # grows while iterating
         for g in gens:
             new = compose(base, g)
             if new not in seen:
+                if order_cap is not None and len(elems) >= order_cap:
+                    raise ClosureExceedsCap(f"closure exceeds order_cap={order_cap}")
                 seen.add(new)
                 elems.append(new)
     return elems

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finharm import (
     CharacterTable,
@@ -346,9 +348,7 @@ def _permuted_rows(values, seed):
     return values[np.random.default_rng(seed).permutation(len(values))]
 
 
-@pytest.mark.parametrize("values_per_sort", [1, finharm.characters._ROW_ORDER_VALUES])
-def test_row_order_equals_one_lexsort(monkeypatch, values_per_sort):
-    monkeypatch.setattr(finharm.characters, "_ROW_ORDER_VALUES", values_per_sort)
+def test_row_order_equals_one_lexsort():
     # heisenberg:13: its linear characters tie on the 13 central columns
     table = character_table(make_named_group("heisenberg:13"))
     degrees = np.array(table.degrees)
@@ -367,6 +367,36 @@ def test_row_order_equals_one_lexsort(monkeypatch, values_per_sort):
     for values, leading in cases:
         expected = lexsort_row_order(values, leading)
         assert np.array_equal(_descending_row_order(values, leading), expected)
+
+
+# signed zeros, half-quanta, values less than a quantum apart, and magnitudes
+# from the smallest subnormal to about 2^63 quanta
+_ORDER_POOL = (
+    0.0, -0.0, 5e-10, -5e-10, 1.5e-9, 1.0, 1.0 + 4e-10, 1.0 + 6e-10, -1.0,
+    9e9, -9e9, 5e-324, -1e-300,
+)
+
+
+@st.composite
+def _few_valued_rows(draw):
+    """1-40 rows of up to 6 columns whose parts are drawn from at most four
+    values of _ORDER_POOL, so that ties run long; with a leading key or not."""
+    alphabet = draw(st.lists(st.sampled_from(_ORDER_POOL), min_size=1, max_size=4))
+    r, c = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    parts = st.lists(st.sampled_from(alphabet), min_size=r * c, max_size=r * c)
+    values = np.empty((r, c), dtype=np.complex128)
+    values.real = np.reshape(draw(parts), (r, c))
+    values.imag = np.reshape(draw(parts), (r, c))
+    leading = draw(st.none() | st.lists(st.integers(1, 3), min_size=r, max_size=r).map(np.array))
+    return values, leading
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rows=_few_valued_rows())
+def test_row_order_is_one_lexsort_on_few_valued_rows(rows):
+    values, leading = rows
+    expected = lexsort_row_order(values, leading)
+    assert np.array_equal(_descending_row_order(values, leading), expected)
 
 
 def test_linear_character_order_matches_tuple_key_sort(corpus_groups):

@@ -232,13 +232,24 @@ def test_to_json_takes_build_reports_digest_as_proof(monkeypatch):
 
     monkeypatch.setattr(finharm.reports, "_orjson_compact", counted)
     report = build_report("sweep", RunConfig(group_spec="symmetric:3", num_test_functions=2))
-    assert report.orjson_digest
+    assert report.proven_payload is report.payload
     text = report.to_json()
     assert len(calls) == 1
     # a report built by hand proves its tokens again, to the same bytes
     by_hand = SweepReport(payload=report.payload, digest=report.digest, wall_time=report.wall_time)
     assert by_hand.to_json() == text
     assert len(calls) == 2
+
+
+def test_to_json_proof_does_not_follow_a_replaced_payload():
+    # the proof holds for the payload build_report hashed, not for another
+    # one put in its place: orjson would write this float as 1e16, json as
+    # 1e+16
+    report = build_report("chartable", RunConfig(group_spec="symmetric:3"))
+    replaced = dataclasses.replace(report, payload=dict(report.payload, extra=1e16))
+    doc = dict(replaced.payload, digest=replaced.digest, wall_time=replaced.wall_time)
+    assert replaced.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert '"extra": 1e+16' in replaced.to_json()
 
 
 def test_parse_group_spec_roundtrip():
