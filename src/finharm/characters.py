@@ -162,7 +162,7 @@ class OrthogonalityReport:
 
 def verify_orthogonality(table: CharacterTable, tol: float = 1e-9) -> OrthogonalityReport:
     """Max deviation over all row-pair and column-pair orthogonality relations."""
-    if tol <= 0:
+    if not tol > 0:  # so that a NaN is refused
         raise ValueError("tol must be positive")
     V = table.values
     sizes = table.group.class_sizes.astype(np.float64)

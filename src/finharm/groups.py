@@ -11,7 +11,6 @@ orders so that two runs of the same spec string index elements identically.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from typing import Any, Iterable, Iterator, Sequence
@@ -352,77 +351,28 @@ def _validated_perm(perm: Sequence[int], degree: int) -> tuple[int, ...]:
     return p
 
 
-def _mul_table_from_perms(
-    perms: np.ndarray | list[tuple[int, ...]], gens: Sequence[Sequence[int]]
-) -> np.ndarray:
-    """Cayley table of the permutations gens generate, listed in perms.
+def _perm_closure(
+    degree: int, gens: Sequence[Sequence[int]], order_cap: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(perms, mul, gen_indices): the permutations of {0..degree-1} that gens
+    generate, their Cayley table, and the generators' indices.
 
     Composition convention everywhere in this package: (p*q)(x) = p(q(x)).
-    perms[0] must be the identity. Only the products g*p of a generator and a
-    listed permutation are looked up, each as one fixed-width byte key by
-    binary search in the sorted keys; one that is not in the list raises
-    ValueError. Breadth-first from the identity, row g*p of the table is then
-    row p carried through the left action of g, and a listed permutation that
-    no product of generators reaches raises ValueError.
+    Elements are numbered breadth-first from the identity, multiplying by
+    generators on the right: each level, as rows of the smallest unsigned
+    type, is composed with every generator in one gather, and each product is
+    looked up by its bytes in one dict of the permutations found, in order;
+    ClosureExceedsCap at the first product beyond order_cap. The dict gives
+    left[j, y], the index of g_j*y, and row p*g_j is row p carried through
+    it, (p*g_j)*y = p*(g_j*y): a gather per level, generator and row block.
     """
-    degree = len(perms[0])
-    dtype = np.min_scalar_type(degree - 1)
-    arr = np.asarray(perms, dtype=dtype)
-    n = len(perms)
-    key = np.dtype((np.void, arr.itemsize * degree))
-    keys = arr.view(key).ravel()
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    composed = np.array(gens, dtype=dtype).reshape(-1, degree)[:, arr]  # [k, j] = g_k o p_j
-    composed_keys = np.ascontiguousarray(composed).view(key)[..., 0]
-    pos = np.minimum(np.searchsorted(sorted_keys, composed_keys), n - 1)
-    if not np.array_equal(sorted_keys[pos], composed_keys):
-        raise ValueError("permutations are not closed under composition")
-    left = order[pos].astype(_index_dtype(n))
-    steps = left.tolist()
-    mul = np.empty((n, n), dtype=left.dtype)
-    mul[0] = np.arange(n)
-    filled = [True] + [False] * (n - 1)
-    queue = [0]
-    for p in queue:  # grows while iterating
-        for g, step in enumerate(steps):
-            x = step[p]
-            if not filled[x]:
-                filled[x] = True
-                mul[x] = left[g, mul[p]]
-                queue.append(x)
-    if len(queue) < n:
-        raise ValueError("generators do not reach every permutation")
-    return mul
-
-
-def build_from_permutations(
-    degree: int,
-    generators: Sequence[Sequence[int]],
-    order_cap: int = DEFAULT_PERM_ORDER_CAP,
-    *,
-    label: str | None = None,
-) -> FiniteGroup:
-    """Close a set of permutations of {0..degree-1} under composition.
-
-    Elements are indexed in breadth-first discovery order from the identity,
-    multiplying by generators on the right; index 0 is the identity. Each
-    level of the search, rows of the Cayley-table builder's integer type, is
-    composed with every generator in one gather, in queue order, and each
-    product is looked up by its bytes among the permutations found, which
-    are kept in discovery order as the keys of one dict. ClosureExceedsCap
-    is raised at the first product beyond order_cap.
-    """
-    if (degree := _index("degree", degree)) < 1:
-        raise UnsupportedParameter("degree must be at least 1")
-    if (order_cap := _index("order_cap", order_cap)) < 1:
-        raise ValueError("order_cap must be at least 1")
-    gens = [_validated_perm(g, degree) for g in generators]
     dtype = np.min_scalar_type(degree - 1)
     gen_rows = np.array(gens, dtype=dtype).reshape(-1, degree)
+    k = len(gen_rows)
     key = np.dtype((np.void, gen_rows.itemsize * degree))
     level = np.arange(degree, dtype=dtype)[None, :]
     index = {level.tobytes(): 0}
+    levels = []  # the positions of each level's new products
     while len(level):
         products = level[:, gen_rows].reshape(-1, degree)  # [b * k + j] = base_b o g_j
         fresh = []
@@ -432,9 +382,42 @@ def build_from_permutations(
                     raise ClosureExceedsCap(f"closure exceeds order_cap={order_cap}")
                 index[found] = len(index)
                 fresh.append(row)
+        levels.append(np.array(fresh, dtype=np.intp))
         level = products[fresh]
-    mul = _mul_table_from_perms(np.frombuffer(b"".join(index), dtype).reshape(-1, degree), gens)
-    gen_indices = tuple(dict.fromkeys(index[g.tobytes()] for g in gen_rows))
+
+    n = len(index)
+    perms = np.frombuffer(b"".join(index), dtype).reshape(n, degree)
+    composed = np.ascontiguousarray(gen_rows[:, perms]).reshape(-1, degree)  # g_j o perm_y
+    left = np.array([index[c] for c in composed.view(key)[:, 0].tolist()], np.intp).reshape(k, n)
+    mul = np.empty((n, n), dtype=_index_dtype(n))
+    mul[0] = np.arange(n)
+    start, first = 0, 1  # the first index of a level and of the next one
+    for fresh in levels:
+        parents, via = np.divmod(fresh, k)
+        for j in range(k):
+            at = np.flatnonzero(via == j)
+            for rows in row_blocks(len(at), n):
+                mul[first + at[rows]] = np.take(mul[start + parents[at[rows]]], left[j], axis=1)
+        start, first = first, first + len(fresh)
+    return perms, mul, tuple(dict.fromkeys(index[g.tobytes()] for g in gen_rows))
+
+
+def build_from_permutations(
+    degree: int,
+    generators: Sequence[Sequence[int]],
+    order_cap: int = DEFAULT_PERM_ORDER_CAP,
+    *,
+    label: str | None = None,
+) -> FiniteGroup:
+    """Close a set of permutations of {0..degree-1} under composition, in
+    _perm_closure's breadth-first order (index 0 is the identity) and with
+    its table; ClosureExceedsCap beyond order_cap elements."""
+    if (degree := _index("degree", degree)) < 1:
+        raise UnsupportedParameter("degree must be at least 1")
+    if (order_cap := _index("order_cap", order_cap)) < 1:
+        raise ValueError("order_cap must be at least 1")
+    gens = [_validated_perm(g, degree) for g in generators]
+    _, mul, gen_indices = _perm_closure(degree, gens, order_cap)
     return _owning(mul, label or f"perm:{degree}", gen_indices)
 
 
@@ -538,7 +521,9 @@ def _product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
 
 
 def _symmetric(n: int) -> FiniteGroup:
-    """Symmetric group on n points, elements in lexicographic one-line order."""
+    """Symmetric group on n points, elements in lexicographic one-line order:
+    the closure of (0 1) and the n-cycle, renumbered by one argsort of its
+    uint8 one-line rows as byte keys, which compare as the rows do."""
     if n < 1:
         raise UnsupportedParameter("symmetric:n needs n >= 1")
     order = 1
@@ -546,12 +531,14 @@ def _symmetric(n: int) -> FiniteGroup:
         order *= k
         if order > MAX_NAMED_ORDER:
             raise OrderTooLarge(f"symmetric:{n} has order {n}!, cap is {MAX_NAMED_ORDER}")
-    perms = [tuple(p) for p in itertools.permutations(range(n))]
-    # the transposition (0 1) and the n-cycle
     gen_perms = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n >= 2 else []
-    mul = _mul_table_from_perms(perms, gen_perms)
-    gens = tuple(dict.fromkeys(perms.index(g) for g in gen_perms))
-    return _owning(mul, f"symmetric:{n}", gens)
+    perms, mul, gens = _perm_closure(n, gen_perms, order)
+    lex = np.argsort(perms.view(np.dtype((np.void, n)))[:, 0])
+    rank = np.argsort(lex).astype(mul.dtype)  # the inverse permutation
+    mul = mul[lex]  # the closure's table is released here
+    for rows in row_blocks(order, order):
+        mul[rows] = np.take(rank, np.take(mul[rows], lex, axis=1))
+    return _owning(mul, f"symmetric:{n}", rank[list(gens)].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,14 @@ def _check_wiring(table: CharacterTable, U: Subgroup) -> None:
         raise GroupMismatch("U must be a subgroup of the table's group")
 
 
+def _stack_length(psis: ArrayLike) -> int:
+    """len(psis), refusing a scalar as a misshapen stack of characters."""
+    try:
+        return len(psis)
+    except TypeError:
+        raise SubgroupMismatch("character values must cover exactly the members") from None
+
+
 def _psi_values(U: Subgroup, psis: ArrayLike, ndim: int) -> np.ndarray:
     """psis as a read-only complex array of ndim axes, one character of U
     per row of values on U.members: of unit modulus, and 1 at the identity.
@@ -232,7 +240,7 @@ def subgroup_spectrum(table: CharacterTable, U: Subgroup, psis: ArrayLike) -> Su
     with both multiplicity matrices and the kernel-identity residuals.
     Raises NonIntegralMultiplicity when a multiplicity does not snap to a
     nonnegative integer."""
-    if len(psis) == 0:
+    if _stack_length(psis) == 0:
         raise ValueError("a spectrum needs at least one character")
     _check_wiring(table, U)
     psi_values = _psi_values(U, psis, 2)
@@ -264,7 +272,7 @@ def subgroup_spectra(
         raise ValueError("samples must be nonnegative")
     per_psi = 16 * table.num_irreps * (table.group.order + samples)
     step = max(1, _SPECTRUM_BYTES // per_psi)
-    for start in range(0, len(psis), step):
+    for start in range(0, _stack_length(psis), step):
         block = psis[start : start + step]
         try:  # yielded unbound, so no block outlives the caller's use of it
             yield subgroup_spectrum(table, U, block)
@@ -283,6 +291,8 @@ def kernel_multiplicity_identity_check(
     bug, not a mathematical finding. The multiplicities for psi itself sit
     alongside in the spectrum; the two coincide whenever psi is real.
     """
+    if not tol > 0:  # so that a NaN is refused
+        raise ValueError("tol must be positive")
     return spectrum.residuals.max(axis=1) <= tol
 
 

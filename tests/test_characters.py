@@ -305,6 +305,13 @@ def test_perturbed_table_fails_orthogonality(s3_table):
     assert report.max_deviation >= 1e-4
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+def test_orthogonality_refuses_a_tolerance_that_is_not_positive(s3_table, tol):
+    # every comparison with NaN is false, so "tol <= 0" would let it through
+    with pytest.raises(ValueError, match="tol must be positive"):
+        verify_orthogonality(s3_table, tol)
+
+
 def test_to_csv_layout(s3_table):
     lines = s3_table.to_csv().strip().split("\n")
     assert lines[0] == "degree,class0,class1,class2"

@@ -23,7 +23,7 @@ from finharm import (
     subgroup_closure,
 )
 import finharm.groups
-from finharm.groups import _cyclic, _dihedral, _heisenberg, _mul_table_from_perms, _owning
+from finharm.groups import _cyclic, _dihedral, _heisenberg, _owning, _perm_closure
 from oracle_helpers import (
     assert_classes_are,
     assert_structure_matches_oracle,
@@ -303,16 +303,20 @@ def test_perm_spec_matches_full_degree_build(degree, cycles):
 
 
 def test_builder_table_is_not_copied(monkeypatch):
-    built = []
+    # a perm: group keeps its closure's table, and symmetric: the table it
+    # renumbers that one into
+    for name, spec in (("_perm_closure", "perm:5:(0 1 2);(3 4)"), ("_owning", "symmetric:4")):
+        built = []
+        real = getattr(finharm.groups, name)
 
-    def recording(perms, gens):
-        built.append(_mul_table_from_perms(perms, gens))
-        return built[-1]
+        def recording(*args, real=real):
+            built.append(real(*args))
+            return built[-1]
 
-    monkeypatch.setattr(finharm.groups, "_mul_table_from_perms", recording)
-    for spec in ("symmetric:4", "perm:5:(0 1 2);(3 4)"):
+        monkeypatch.setattr(finharm.groups, name, recording)
         G = make_named_group(spec)
-        assert np.shares_memory(G.mul_table, built[-1])
+        table = built[-1][1] if name == "_perm_closure" else built[-1].mul_table
+        assert np.shares_memory(G.mul_table, table)
         assert not G.mul_table.flags.writeable
 
 
@@ -400,17 +404,30 @@ S5_GENS = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
 
 
 @pytest.mark.parametrize(
-    "perms, gens",
-    [(perm_list(5), S5_GENS), (perm_closure(20, DEGREE20_GENS), DEGREE20_GENS)],
-    ids=["S5", "degree20"],
+    "degree, gens", [(5, S5_GENS), (20, DEGREE20_GENS)], ids=["S5", "degree20"]
 )
-def test_perm_mul_table_matches_dict_lookup(perms, gens):
-    expected = dict_mul_table(perms)
-    assert _mul_table_from_perms(perms, gens).tolist() == expected
-    # the generators' order, a repeated generator and the identity among them
-    # change nothing
-    spare = [gens[-1], tuple(range(len(perms[0])))] + list(gens)
-    assert _mul_table_from_perms(perms, spare).tolist() == expected
+def test_perm_mul_table_matches_dict_lookup(degree, gens):
+    perms, mul, _ = _perm_closure(degree, gens, 5000)
+    assert [tuple(p) for p in perms.tolist()] == perm_closure(degree, gens)
+    expected = dict_mul_table(perm_closure(degree, gens))
+    assert mul.tolist() == expected
+    # with a spare, a repeated and an identity generator, in any order, the
+    # table is still the one of the elements in the closure's order
+    spare = [gens[-1], tuple(range(degree)), compose(gens[0], gens[-1])] + list(gens)
+    assert build_from_permutations(degree, spare).mul_table.tolist() == dict_mul_table(
+        perm_closure(degree, spare)
+    )
+
+
+def test_perm_table_past_int16_index_arithmetic():
+    # S6 from 50 generators: 720 x 50 left products and 720 x 720 table
+    # entries, each above 2^15, so no index product may be taken in int16
+    gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
+    while len(gens) < 50:
+        gens.append(compose(gens[-1], gens[len(gens) % 2]))
+    G = build_from_permutations(6, gens)
+    assert G.order == 720
+    assert G.mul_table.tolist() == dict_mul_table(perm_closure(6, gens))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -423,26 +440,8 @@ def test_perm_spec_of_degree_20_uses_breadth_first_order():
     G = make_named_group(DEGREE20_SPEC)
     assert G.order == 384
     perms = perm_closure(20, DEGREE20_GENS)
-    expected = _mul_table_from_perms(perms, DEGREE20_GENS)
-    assert np.array_equal(G.mul_table, expected)
+    assert G.mul_table.tolist() == dict_mul_table(perms)
     assert np.array_equal(G.mul_table, search_mul_table(perms))
-
-
-def test_perm_mul_table_rejects_unclosed_set():
-    three_cycle = (1, 2, 0)
-    with pytest.raises(ValueError, match="not closed"):
-        _mul_table_from_perms([(0, 1, 2), three_cycle], [three_cycle])  # without its square
-    with pytest.raises(ValueError, match="not closed"):
-        _mul_table_from_perms(perm_list(3)[:5], [(1, 0, 2), three_cycle])
-
-
-def test_perm_mul_table_rejects_unreached_permutations():
-    # S3 is closed, but the 3-cycle reaches only A3 and no generator reaches nothing
-    with pytest.raises(ValueError, match="do not reach"):
-        _mul_table_from_perms(perm_list(3), [(1, 2, 0)])
-    with pytest.raises(ValueError, match="do not reach"):
-        _mul_table_from_perms(perm_list(3), [])
-    assert _mul_table_from_perms([(0, 1, 2)], []).tolist() == [[0]]
 
 
 def test_constructor_rejects_malformed_tables():

@@ -267,6 +267,24 @@ def test_subgroup_spectrum_wiring_and_read_only(s3_table, s3, q8):
     assert subgroup_spectrum(s3_table, U, psis[1:]).psi_values.base is psis
 
 
+def test_scalar_stack_is_a_subgroup_mismatch(s3_table, s3):
+    U = subgroup_closure(s3, [1])
+    with pytest.raises(SubgroupMismatch, match="cover exactly the members"):
+        subgroup_spectrum(s3_table, U, 5)
+    with pytest.raises(SubgroupMismatch, match="cover exactly the members"):
+        next(subgroup_spectra(s3_table, U, 5))
+    with pytest.raises(SubgroupMismatch, match="cover exactly the members"):
+        subgroup_spectrum(s3_table, U, np.array(1.0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+def test_identity_check_refuses_a_tolerance_that_is_not_positive(s3_table, s3, tol):
+    U = subgroup_closure(s3, [1])
+    spectrum = subgroup_spectrum(s3_table, U, linear_characters(U))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        kernel_multiplicity_identity_check(spectrum, tol)
+
+
 def test_character_values_are_checked_where_they_enter(s3_table, s3):
     U = subgroup_closure(s3, [1])
     psis = linear_characters(U)

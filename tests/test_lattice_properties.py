@@ -57,13 +57,18 @@ def test_closure_matches_tuple_breadth_first_search(generators):
     degree, gens = generators
     elems = perm_closure(degree, gens)
     n = len(elems)
-    spy = mock.patch.object(
-        finharm.groups, "_mul_table_from_perms", wraps=finharm.groups._mul_table_from_perms
-    )
-    with spy as built:
+    real, built = finharm.groups._perm_closure, []
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with mock.patch.object(finharm.groups, "_perm_closure", side_effect=recording):
         G = build_from_permutations(degree, gens, order_cap=n)
     # the same permutations in the same order, hence the same Cayley table
-    assert [tuple(p) for p in built.call_args.args[0].tolist()] == elems
+    ((perms, mul, _),) = built
+    assert [tuple(p) for p in perms.tolist()] == elems
+    assert np.shares_memory(G.mul_table, mul)
     assert G.mul_table.tolist() == dict_mul_table(elems)
     assert G.generators == tuple(dict.fromkeys(elems.index(g) for g in gens))
     # refused exactly when the closure finds an (order_cap + 1)-th element
