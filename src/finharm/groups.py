@@ -365,6 +365,8 @@ def _perm_closure(
     ClosureExceedsCap at the first product beyond order_cap. The dict gives
     left[j, y], the index of g_j*y, and row p*g_j is row p carried through
     it, (p*g_j)*y = p*(g_j*y): a gather per level, generator and row block.
+    Rows go by generator to share left[j]: one take_along_axis over left[via]
+    per block measured a third slower on an order-1728, 5-generator closure.
     """
     dtype = np.min_scalar_type(degree - 1)
     gen_rows = np.array(gens, dtype=dtype).reshape(-1, degree)

@@ -309,14 +309,14 @@ def test_builder_table_is_not_copied(monkeypatch):
         built = []
         real = getattr(finharm.groups, name)
 
-        def recording(*args, real=real):
-            built.append(real(*args))
-            return built[-1]
+        def recording(*args, name=name, real=real):
+            result = real(*args)
+            built.append(result[1] if name == "_perm_closure" else args[0])
+            return result
 
         monkeypatch.setattr(finharm.groups, name, recording)
         G = make_named_group(spec)
-        table = built[-1][1] if name == "_perm_closure" else built[-1].mul_table
-        assert np.shares_memory(G.mul_table, table)
+        assert np.shares_memory(G.mul_table, built[-1])
         assert not G.mul_table.flags.writeable
 
 
