@@ -98,22 +98,25 @@ def _uniforms_into(out: np.ndarray, seeds: np.ndarray, x: np.ndarray, shift: np.
 def test_functions(
     G: FiniteGroup, seed: int | np.ndarray, indices: Sequence[int] | np.ndarray
 ) -> np.ndarray:
-    """Test functions number `indices` of stream `seed`, one per row of a
-    read-only (len(indices), |G|) complex array. Real and imaginary parts are
-    uniform in [-1, 1), keyed by (seed, index, 0) and (seed, index, 1). seed
-    may also be an array holding one stream seed per index. Both must be
-    integers in [0, 2^64), read as derive_stream_seed reads them."""
+    """Test functions number `indices` of stream `seed`, as a read-only
+    complex array of shape indices.shape + (|G|,). indices has one or more
+    axes, and seed, one stream seed or an array of them, broadcasts against
+    it. Real and imaginary parts are uniform in [-1, 1), keyed by (seed,
+    index, 0) and (seed, index, 1). Both must be integers in [0, 2^64), read
+    as derive_stream_seed reads them."""
     idx = _uint64("index", indices)
-    if idx.ndim != 1:
-        raise ValueError("indices must be a 1-D sequence of nonnegative integers")
-    keys = [np.broadcast_to(derive_stream_seed(seed, idx, part), idx.shape) for part in (0, 1)]
+    if idx.ndim < 1:
+        raise ValueError("indices must be an array of nonnegative integers with at least one axis")
+    part = np.arange(2).reshape((2,) + (1,) * idx.ndim)  # on a new leading axis
+    keys = np.broadcast_to(derive_stream_seed(seed, idx, part), (2,) + idx.shape).reshape(2, -1)
     n = G.order
-    F = np.empty((len(idx), n), dtype=np.complex128)
-    # each part is written straight into F, one after the other, through two
-    # uint64 buffers of the first (largest) block
+    F = np.empty(idx.shape + (n,), dtype=np.complex128)
+    flat = F.reshape(-1, n)
+    # each part is written straight into F's rows, one after the other,
+    # through two uint64 buffers of the first (largest) block
     buffers = None
-    for rows in row_blocks(len(idx), n):
-        block = F[rows]
+    for rows in row_blocks(len(flat), n):
+        block = flat[rows]
         if buffers is None:
             buffers = np.empty((2,) + block.shape, dtype=np.uint64)
         x, shift = buffers[:, :len(block)]

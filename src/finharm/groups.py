@@ -88,11 +88,11 @@ class FiniteGroup:
 
     Elements are read through the read-only arrays ``mul_table``, of
     ``_index_dtype(order)`` (int16 up to order 2^15), and ``inv_table``, of
-    int64. The conjugacy classes are held once, as three read-only
-    int64 arrays in the canonical class order: ``class_of[x]`` is the class
-    of element x, ``class_sizes[k]`` the size of class k and
-    ``class_reps[k]`` its smallest member. A table of any integer type is
-    checked in that type, then narrowed (never widened); any other is refused.
+    int64. The conjugacy classes are held once, as three read-only int64
+    arrays in the canonical class order: ``class_of[x]`` is the class of
+    element x, ``class_sizes[k]`` the size of class k and ``class_reps[k]``
+    its smallest member. A table of any integer type is checked in that type,
+    then converted to ``_index_dtype(order)``; any other is refused.
     """
 
     def __init__(
@@ -106,7 +106,7 @@ class FiniteGroup:
 
     def _adopt(self, mul: np.ndarray, label: str, generators: Sequence[int]) -> None:
         """Validate mul, a table nothing else writes to, and freeze it as this
-        group's table, narrowed to _index_dtype once its entries are known to
+        group's table, converted to _index_dtype once its entries are known to
         be indices (a table of that type is kept uncopied)."""
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
@@ -135,8 +135,8 @@ class FiniteGroup:
         inv = np.argmin(mul, axis=1)
         mul.setflags(write=False)
         self._mul = mul
-        if not (np.array_equal(mul[ar, inv], np.zeros(n, dtype=np.int64))
-                and np.array_equal(mul[inv, ar], np.zeros(n, dtype=np.int64))):
+        # mul[ar, inv] is 0 by the argmin, so only the left inverse is tested
+        if not np.array_equal(mul[inv, ar], np.zeros(n, dtype=np.int64)):
             raise ValueError("left and right inverses disagree")
         inv.setflags(write=False)
         self._inv = inv
@@ -216,8 +216,7 @@ class Subgroup:
         mul = parent.mul_table
         if not bool(mask[mul[np.ix_(arr, arr)]].all()):
             raise ValueError("member set is not closed under multiplication")
-        if not bool(mask[parent.inv_table[arr]].all()):
-            raise ValueError("member set is not closed under inversion")
+        # hence under inversion: row x, a bijection, maps the members onto them, 0 too
 
         self.parent = parent
         self.members = tuple(mem)

@@ -47,7 +47,7 @@ from .errors import (
     SubgroupMismatch,
     ToleranceViolation,
 )
-from .groups import FiniteGroup, Subgroup, _index, row_blocks
+from .groups import Subgroup, _index, row_blocks
 from .harmonic import _dots, _modulus, convolve_over_subgroup
 
 if TYPE_CHECKING:
@@ -301,12 +301,6 @@ def kernel_multiplicity_identity_check(
 _PLAN_BYTES = 64 << 20
 
 
-def _draw(G: FiniteGroup, streams: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Test function indices[i, j] of stream streams[i], as an (a, c, |G|) array."""
-    a, c = indices.shape
-    return test_functions(G, np.repeat(streams, c), indices.ravel()).reshape(a, c, G.order)
-
-
 def _block_grid(r: int, count: int, n: int) -> list[tuple[slice, slice]]:
     """(irreps, slots) rectangles tiling r x count, irreps outermost: the
     row_blocks of count slots of length-n functions, times the row_blocks of
@@ -325,7 +319,7 @@ def _resample(
     reserved = count + slots[:, None] * budget + np.arange(budget)
     theta = np.empty(reserved.shape, dtype=np.complex128)
     for rows in row_blocks(len(pis), budget * table.group.order):
-        F = _draw(table.group, streams[pis[rows]], reserved[rows])
+        F = test_functions(table.group, streams[pis[rows], None], reserved[rows])
         theta[rows] = _dots(F, table.element_values[pis[rows], None, :])
     usable = _modulus(theta) > _THETA_ZERO_THRESHOLD
     pick = (np.arange(len(pis)), usable.argmax(axis=1))
@@ -358,7 +352,7 @@ class ProbePlan:
         """(irreps, slots, functions) of every block, re-drawing uncached ones."""
         for p, s, F in self.blocks:
             if F is None:
-                F = _draw(self.table.group, self.streams[p], self.indices[p, s])
+                F = test_functions(self.table.group, self.streams[p, None], self.indices[p, s])
             yield p, s, F
 
 
@@ -375,7 +369,7 @@ def probe_plan(table: CharacterTable, count: int, seed: int = 0) -> ProbePlan:
     room = _PLAN_BYTES
     blocks = []
     for p, s in _block_grid(r, count, n):
-        F = _draw(table.group, streams[p], indices[p, s])
+        F = test_functions(table.group, streams[p, None], indices[p, s])
         theta[p, s] = _dots(F, table.element_values[p, None, :])
         zero_pis, zero_slots = np.nonzero(_modulus(theta[p, s]) <= _THETA_ZERO_THRESHOLD)
         if len(zero_pis):
@@ -388,7 +382,7 @@ def probe_plan(table: CharacterTable, count: int, seed: int = 0) -> ProbePlan:
         else:
             room -= F.nbytes
             if len(zero_pis):  # hold the resampled functions
-                F = _draw(table.group, streams[p], indices[p, s])
+                F = test_functions(table.group, streams[p, None], indices[p, s])
         blocks.append((p, s, F))
     for a in (streams, indices, theta, flagged):
         a.setflags(write=False)

@@ -27,10 +27,10 @@ lists; orjson's compact sorted text of such a payload, with DEL and every
 character beyond ASCII escaped as json's ensure_ascii escapes them, is json's
 text byte for byte. json computes it where orjson refuses the payload: ints
 beyond 64 bits, lone surrogates, keys that are not str. The JSON rendering is
-json.dumps(document, sort_keys=True, indent=2) byte for byte, written by
-orjson when its compact text proves canonical by hashing to the digest. CSV
-is not digested; each row section starts with its header line, and a cell
-holds no comma or line break.
+json.dumps(document, sort_keys=True, indent=2) byte for byte: orjson writes
+the reports whose digest build_report took from orjson, json every other.
+CSV is not digested; each row section starts with its header line, and a
+cell holds no comma or line break.
 """
 
 from __future__ import annotations
@@ -132,12 +132,12 @@ class RunConfig:
                 f"group_spec holds a surrogate that stands for no byte: {self.group_spec!r}"
             ) from None
         selector = self.subgroup_selector
-        if selector != "all":
+        if not isinstance(selector, str) or selector != "all":  # an index array compares per entry
             if isinstance(selector, str) or not hasattr(selector, "__iter__"):
                 raise ValueError(f'subgroup_selector must be "all" or indices, got {selector!r}')
             gens = tuple(_index("subgroup_selector", g) for g in selector)
             object.__setattr__(self, "subgroup_selector", gens)
-        if self.character_selector != "all":
+        if not isinstance(self.character_selector, str) or self.character_selector != "all":
             k = _index("character_selector", self.character_selector)
             if k < 0:
                 raise ValueError("character_selector index must be nonnegative")
@@ -176,38 +176,26 @@ class SweepReport:
 
     def to_json(self) -> str:
         """json.dumps(doc, sort_keys=True, indent=2) + "\\n" of the payload
-        with its digest and wall_time, byte for byte.
-
-        orjson writes it when its compact text of the payload, escaped as
-        json's ensure_ascii escapes, hashes to the digest: its tokens are then
-        the canonical ones. build_report's digest is that hash unless orjson
-        refused the payload, which proven_payload records; a report whose
-        payload is not that very object is hashed again here. Otherwise, and
-        when orjson refuses the payload (ints beyond 64 bits, lone
-        surrogates), json writes it. So a report built by hand, or copied
-        with another payload, whose payload holds floats, which orjson writes
-        in its own format, is still rendered as json renders it.
+        with its digest and wall_time, byte for byte. orjson writes it when the
+        payload is proven_payload, whose compact text build_report hashed to
+        the digest: its tokens are then json's, and the document adds only a
+        str and None. json writes every other report: one whose payload orjson
+        refused (ints beyond 64 bits, lone surrogates), or one built by hand or
+        copied with another payload, whose floats orjson writes its own way.
         """
-        import orjson
-
         doc = dict(self.payload, digest=self.digest, wall_time=None)
-        try:
+        if self.proven_payload is self.payload:
+            import orjson
+
             # each text is let go once used, so that at most two are alive at
             # once: the one being copied and its copy
-            if (
-                self.proven_payload is self.payload
-                or hashlib.sha256(_orjson_compact(self.payload)).hexdigest() == self.digest
-            ):
-                text = orjson.dumps(
-                    doc,
-                    option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE,
-                )
-                # only a top-level key follows a newline and two spaces
-                wall_time = b'\n  "wall_time": ' + json.dumps(self.wall_time).encode()
-                text = text.replace(b'\n  "wall_time": null', wall_time, 1)
-                return _ascii(text).decode()
-        except orjson.JSONEncodeError:
-            pass
+            text = orjson.dumps(
+                doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+            )
+            # only a top-level key follows a newline and two spaces
+            wall_time = b'\n  "wall_time": ' + json.dumps(self.wall_time).encode()
+            text = text.replace(b'\n  "wall_time": null', wall_time, 1)
+            return _ascii(text).decode()
         doc["wall_time"] = self.wall_time
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -703,6 +703,27 @@ def test_subgroup_rejects_bad_member_sets(s3):
         Subgroup(s3, [0, 9])
 
 
+@pytest.mark.parametrize(
+    "spec, accepted", [("symmetric:3", 6), ("quaternion", 6), ("dihedral:4", 10), ("LOOP5", 6)]
+)
+def test_accepted_member_sets_are_closed_under_inversion(spec, accepted):
+    # Subgroup tests closure under multiplication alone: the bijective row of
+    # a member x maps the members onto themselves, 0 among them, so inv[x] is
+    # a member. Every set holding 0 is tried, on the loop too
+    G = FiniteGroup(LOOP5) if spec == "LOOP5" else make_named_group(spec)
+    found = 0
+    for keep in itertools.product([False, True], repeat=G.order - 1):
+        members = [0] + list(itertools.compress(range(1, G.order), keep))
+        try:
+            Subgroup(G, members)
+        except ValueError as refusal:
+            assert "multiplication" in str(refusal)
+            continue
+        found += 1
+        assert set(G.inv_table[members].tolist()) <= set(members)
+    assert found == accepted
+
+
 def test_subgroup_enumeration_caps():
     big = make_named_group("cyclic:49")
     with pytest.raises(OrderTooLarge):

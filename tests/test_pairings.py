@@ -355,7 +355,7 @@ def test_uncached_plan_blocks_are_redrawn_once_per_psi_block(monkeypatch, comman
     monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", 24)
     config = RunConfig(group_spec="quaternion", num_test_functions=5, seed=2)
     cached = _rendered(command, config)
-    draw = finharm.induction._draw
+    draw = finharm.induction.test_functions
     make_plan = finharm.reports.probe_plan
     probe = finharm.reports.conjecture_probe
     draws, plans, psi_blocks = [], [], []
@@ -369,7 +369,9 @@ def test_uncached_plan_blocks_are_redrawn_once_per_psi_block(monkeypatch, comman
         psi_blocks.append(len(spectrum.psi_values))
         return probe(spectrum, plan)
 
-    monkeypatch.setattr(finharm.induction, "_draw", lambda *a: draws.append(a) or draw(*a))
+    monkeypatch.setattr(
+        finharm.induction, "test_functions", lambda *a: draws.append(a) or draw(*a)
+    )
     monkeypatch.setattr(finharm.reports, "probe_plan", planning)
     monkeypatch.setattr(finharm.reports, "conjecture_probe", probing)
     monkeypatch.setattr(finharm.induction, "_PLAN_BYTES", 0)

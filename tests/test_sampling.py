@@ -88,7 +88,7 @@ def test_test_functions_batch(s3, monkeypatch):
     with pytest.raises(ValueError):
         draw_test_functions(s3, 0, [-1])
     with pytest.raises(ValueError):
-        draw_test_functions(s3, 0, [[0, 1]])
+        draw_test_functions(s3, 0, 0)  # a scalar index: no axis to lay rows along
 
 
 def test_test_functions_with_array_seeds(s3, monkeypatch):
@@ -102,6 +102,23 @@ def test_test_functions_with_array_seeds(s3, monkeypatch):
     assert np.array_equal(draw_test_functions(s3, seeds, idx), F)
     with pytest.raises(ValueError):
         draw_test_functions(s3, seeds[:2], idx)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 2, 2), (2, 0), (0, 3)])
+@pytest.mark.parametrize("block_elements", [12, 1 << 16])
+def test_index_grids_equal_row_by_row_draws(s3, monkeypatch, shape, block_elements):
+    # a grid of indices, with one stream seed per leading row broadcast along
+    # the other axes, draws what each row of it draws as a 1-D call, bit for
+    # bit, in blocks that cut across rows or in one block
+    monkeypatch.setattr(finharm.groups, "_BLOCK_ELEMENTS", block_elements)
+    idx = (np.arange(np.prod(shape), dtype=np.uint64) * 7 + 2**63).reshape(shape)
+    seeds = derive_stream_seed(11, np.arange(shape[0])).reshape(shape[:1] + (1,) * (len(shape) - 1))
+    for per_row in (True, False):
+        F = draw_test_functions(s3, seeds if per_row else 5, idx)
+        assert F.shape == shape + (6,) and not F.flags.writeable
+        for row in np.ndindex(shape[:-1]):
+            seed = seeds[row[0]].item() if per_row else 5
+            assert F[row].tobytes() == draw_test_functions(s3, seed, idx[row]).tobytes()
 
 
 @pytest.mark.parametrize("indices", [range(0), []])
