@@ -30,7 +30,6 @@ from .errors import (
     UnsupportedParameter,
 )
 from .groups import (
-    DEFAULT_PERM_ORDER_CAP,
     MAX_NAMED_ORDER,
     SUBGROUP_ENUMERATION_CAP,
     FiniteGroup,
@@ -83,7 +82,6 @@ __all__ = [
     "SweepAborted",
     "ToleranceViolation",
     "UnsupportedParameter",
-    "DEFAULT_PERM_ORDER_CAP",
     "MAX_NAMED_ORDER",
     "SUBGROUP_ENUMERATION_CAP",
     "FiniteGroup",

@@ -35,7 +35,7 @@ from .errors import (
     ToleranceViolation,
 )
 from .formatting import fmt_complex_rows
-from .groups import FiniteGroup, Subgroup, _close_mask, _index
+from .groups import FiniteGroup, Subgroup, _close_mask, _index, _real
 
 _RETRY_BUDGET = 16
 
@@ -162,7 +162,7 @@ class OrthogonalityReport:
 
 def verify_orthogonality(table: CharacterTable, tol: float = 1e-9) -> OrthogonalityReport:
     """Max deviation over all row-pair and column-pair orthogonality relations."""
-    if not tol > 0:  # so that a NaN is refused
+    if not (tol := _real("tol", tol)) > 0:  # so that a NaN is refused
         raise ValueError("tol must be positive")
     V = table.values
     sizes = table.group.class_sizes.astype(np.float64)
@@ -254,7 +254,7 @@ def character_table(G: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> Charact
     structurally sound table still misses the orthogonality tolerance. Groups
     of more than 512 conjugacy classes raise OrderTooLarge before any work.
     """
-    if not 1e-12 <= tol <= 1e-6:
+    if not 1e-12 <= (tol := _real("tol", tol)) <= 1e-6:
         raise ValueError("tol must lie in [1e-12, 1e-6]")
     n = G.order
     r = len(G.class_reps)

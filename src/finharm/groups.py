@@ -33,9 +33,6 @@ SUBGROUP_ENUMERATION_CAP = 48
 # Dense Cayley tables are the memory bound: 4096^2 int16 entries is 32 MiB.
 MAX_NAMED_ORDER = 4096
 
-# Default closure cap for perm:... specs and direct permutation builds.
-DEFAULT_PERM_ORDER_CAP = 2048
-
 # Values per block of rows of length |G| in every pass that takes rows a
 # block at a time (row_blocks): the Cayley table checks and coset minima
 # here, test functions, Theta in the inversion, and the probe plan's grid.
@@ -70,6 +67,17 @@ def _index(name: str, value: Any, order: int | None = None) -> int:
     return value
 
 
+def _real(name: str, value: Any) -> float:
+    """value as a float, the package's one rule for a tolerance: ValueError
+    for a str, bytes or complex value, and for anything float refuses."""
+    if not isinstance(value, (str, bytes, bytearray)) and not np.iscomplexobj(value):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _index_dtype(n: int) -> np.dtype:
     """Entry type of a Cayley table of order n: int16 while every index
     0..n-1 fits in it, int32 above."""
@@ -88,10 +96,10 @@ class FiniteGroup:
 
     Elements are read through the read-only arrays ``mul_table``, of
     ``_index_dtype(order)`` (int16 up to order 2^15), and ``inv_table``, of
-    int64. The conjugacy classes are held once, as three read-only int64
-    arrays in the canonical class order: ``class_of[x]`` is the class of
-    element x, ``class_sizes[k]`` the size of class k and ``class_reps[k]``
-    its smallest member. A table of any integer type is checked in that type,
+    int64, of length ``order``. The conjugacy classes are held once, as three
+    read-only int64 arrays in the canonical class order: ``class_of[x]`` is
+    the class of element x, ``class_sizes[k]`` the size of class k and
+    ``class_reps[k]`` its smallest member. A table of any integer type is checked in that type,
     then converted to ``_index_dtype(order)``; any other is refused.
     """
 
@@ -107,7 +115,7 @@ class FiniteGroup:
     def _adopt(self, mul: np.ndarray, label: str, generators: Sequence[int]) -> None:
         """Validate mul, a table nothing else writes to, and freeze it as this
         group's table, converted to _index_dtype once its entries are known to
-        be indices (a table of that type is kept uncopied)."""
+        be indices (a table of that type is kept uncopied); set every attribute."""
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         n = mul.shape[0]
@@ -134,12 +142,13 @@ class FiniteGroup:
         # table is frozen, since numpy copies a read-only array to take it
         inv = np.argmin(mul, axis=1)
         mul.setflags(write=False)
-        self._mul = mul
         # mul[ar, inv] is 0 by the argmin, so only the left inverse is tested
         if not np.array_equal(mul[inv, ar], np.zeros(n, dtype=np.int64)):
             raise ValueError("left and right inverses disagree")
         inv.setflags(write=False)
-        self._inv = inv
+        self.order = n
+        self.mul_table = mul
+        self.inv_table = inv
         self.label = str(label)
         self.generators = tuple(_index("generator index", g, n) for g in generators)
 
@@ -168,21 +177,14 @@ class FiniteGroup:
         for a in (self.class_of, self.class_sizes, self.class_reps):
             a.setflags(write=False)
 
-    @property
-    def order(self) -> int:
-        return int(self._mul.shape[0])
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        return self._mul
-
-    @property
-    def inv_table(self) -> np.ndarray:
-        return self._inv
-
     def __repr__(self) -> str:
         name = self.label or "unnamed"
         return f"<FiniteGroup {name!r} order {self.order}>"
+
+
+# A builder's (table nothing else holds, label, generator indices); only
+# make_named_group and build_from_permutations adopt one, through _owning.
+_Built = tuple[np.ndarray, str, tuple[int, ...]]
 
 
 def _owning(mul: np.ndarray, label: str, generators: Sequence[int] = ()) -> FiniteGroup:
@@ -404,11 +406,7 @@ def _perm_closure(
 
 
 def build_from_permutations(
-    degree: int,
-    generators: Sequence[Sequence[int]],
-    order_cap: int = DEFAULT_PERM_ORDER_CAP,
-    *,
-    label: str | None = None,
+    degree: int, generators: Sequence[Sequence[int]], order_cap: int = MAX_NAMED_ORDER
 ) -> FiniteGroup:
     """Close a set of permutations of {0..degree-1} under composition, in
     _perm_closure's breadth-first order (index 0 is the identity) and with
@@ -419,11 +417,11 @@ def build_from_permutations(
         raise ValueError("order_cap must be at least 1")
     gens = [_validated_perm(g, degree) for g in generators]
     _, mul, gen_indices = _perm_closure(degree, gens, order_cap)
-    return _owning(mul, label or f"perm:{degree}", gen_indices)
+    return _owning(mul, f"perm:{degree}", gen_indices)
 
 
 # ---------------------------------------------------------------------------
-# named families
+# named families: each builder checks its input and returns a _Built
 
 
 def _check_named_order(order: int, what: str) -> None:
@@ -431,7 +429,7 @@ def _check_named_order(order: int, what: str) -> None:
         raise OrderTooLarge(f"{what} has order {order}, cap is {MAX_NAMED_ORDER}")
 
 
-def _cyclic(n: int) -> FiniteGroup:
+def _cyclic(n: int) -> _Built:
     if n < 1:
         raise UnsupportedParameter("cyclic:n needs n >= 1")
     _check_named_order(n, f"cyclic:{n}")
@@ -440,10 +438,10 @@ def _cyclic(n: int) -> FiniteGroup:
     mul = idx[:, None] - (n - idx)[None, :]
     mul %= n  # in place: the table is the only n x n allocation
     gens = (1,) if n > 1 else ()
-    return _owning(mul, f"cyclic:{n}", gens)
+    return mul, f"cyclic:{n}", gens
 
 
-def _dihedral(n: int) -> FiniteGroup:
+def _dihedral(n: int) -> _Built:
     """Dihedral group of order 2n: indices 0..n-1 are rotations r^a, and
     n..2n-1 are reflections s*r^a."""
     if n < 1:
@@ -461,10 +459,10 @@ def _dihedral(n: int) -> FiniteGroup:
     np.add(diff, n, out=mul[:n, n:])            # r^a * (s r^b) = s r^(b-a)
     np.add(rr, n, out=mul[n:, :n])              # (s r^a) * r^b = s r^(a+b)
     gens = (1, n) if n > 1 else (1,)
-    return _owning(mul, f"dihedral:{n}", gens)
+    return mul, f"dihedral:{n}", gens
 
 
-def _quaternion() -> FiniteGroup:
+def _quaternion() -> _Built:
     """Quaternion group on {1, -1, i, -i, j, -j, k, -k} in that element order:
     element 2t + s is (-1)^s times unit t of (1, i, j, k). By Hamilton's rule
     the product of units t1 and t2 is unit t1 ^ t2, negated where
@@ -472,14 +470,14 @@ def _quaternion() -> FiniteGroup:
     sign = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.int64)
     t, s = np.divmod(np.arange(8, dtype=np.int64), 2)
     mul = 2 * (t[:, None] ^ t) + (s[:, None] ^ s ^ sign[t[:, None], t])
-    return _owning(mul.astype(_index_dtype(8)), "quaternion", (2, 4))
+    return mul.astype(_index_dtype(8)), "quaternion", (2, 4)
 
 
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-def _heisenberg(p: int) -> FiniteGroup:
+def _heisenberg(p: int) -> _Built:
     """Upper unitriangular 3x3 matrices over integers mod p, order p^3.
 
     Element (a, b, c) (top row a, c; middle b) has index a*p^2 + b*p + c, so
@@ -504,24 +502,25 @@ def _heisenberg(p: int) -> FiniteGroup:
     top = (r[None, :, None, None] + r[None, None, None, :]
            + r[:, None, None, None] * r[None, None, :, None]) % p
     view += top[:, None, :, None, :, :]
-    return _owning(mul, f"heisenberg:{p}", (p * p, p))
+    return mul, f"heisenberg:{p}", (p * p, p)
 
 
-def _product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
-    """Direct product; element (a, b) has index a*|B| + b."""
-    _check_named_order(A.order * B.order, f"product of {A.label} and {B.label}")
-    na, nb = A.order, B.order
+def _product(A: _Built, B: _Built) -> _Built:
+    """Direct product of two unadopted factors; (a, b) has index a*|B| + b."""
+    (a_mul, a_label, a_gens), (b_mul, b_label, b_gens) = A, B
+    na, nb = len(a_mul), len(b_mul)
+    _check_named_order(na * nb, f"product of {a_label} and {b_label}")
     # filled in place through a 4-axis view [a1, b1, a2, b2]: the table is the
     # only large array
     mul = np.empty((na * nb, na * nb), dtype=_index_dtype(na * nb))
     view = mul.reshape(na, nb, na, nb)
-    np.multiply(A.mul_table[:, None, :, None], nb, out=view, dtype=mul.dtype)
-    view += B.mul_table[None, :, None, :]
-    gens = tuple(g * nb for g in A.generators) + tuple(B.generators)
-    return _owning(mul, f"product:{A.label}*{B.label}", gens)
+    np.multiply(a_mul[:, None, :, None], nb, out=view, dtype=mul.dtype)
+    view += b_mul[None, :, None, :]
+    gens = tuple(g * nb for g in a_gens) + b_gens
+    return mul, f"product:{a_label}*{b_label}", gens
 
 
-def _symmetric(n: int) -> FiniteGroup:
+def _symmetric(n: int) -> _Built:
     """Symmetric group on n points, elements in lexicographic one-line order:
     the closure of (0 1) and the n-cycle, renumbered by one argsort of its
     uint8 one-line rows as byte keys, which compare as the rows do."""
@@ -539,7 +538,7 @@ def _symmetric(n: int) -> FiniteGroup:
     mul = mul[lex]  # the closure's table is released here
     for rows in row_blocks(order, order):
         mul[rows] = np.take(rank, np.take(mul[rows], lex, axis=1))
-    return _owning(mul, f"symmetric:{n}", rank[list(gens)].tolist())
+    return mul, f"symmetric:{n}", tuple(rank[list(gens)].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +582,7 @@ class _SpecParser:
             raise ParseError(f"integer longer than {_MAX_SPEC_DIGITS} digits", start)
         return int(self.text[start:self.pos])
 
-    def group(self) -> FiniteGroup:
+    def group(self) -> _Built:
         if self.literal("product:"):
             self.depth += 1
             if self.depth > _MAX_PRODUCT_DEPTH:
@@ -628,7 +627,7 @@ class _SpecParser:
         return tuple(points)
 
 
-def _perm_spec_group(degree: int, cycles: list[tuple[int, ...]]) -> FiniteGroup:
+def _perm_spec_group(degree: int, cycles: list[tuple[int, ...]]) -> _Built:
     """The closure of the cycles of a perm: spec, built on the points they name.
 
     Every other point of 0..degree-1 is fixed by every generator, so leaving
@@ -650,17 +649,19 @@ def _perm_spec_group(degree: int, cycles: list[tuple[int, ...]]) -> FiniteGroup:
         for a, b in zip(points, points[1:] + points[:1]):
             perm[local[a]] = local[b]
         gens.append(perm)
+    _, mul, gen_indices = _perm_closure(len(local), gens, MAX_NAMED_ORDER)
     body = ";".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
-    return build_from_permutations(len(local), gens, label=f"perm:{degree}:{body}")
+    return mul, f"perm:{degree}:{body}", gen_indices
 
 
 def make_named_group(spec: str) -> FiniteGroup:
     """Build a group from a spec string, e.g. "symmetric:4" or
-    "product:cyclic:2*cyclic:4" or "perm:3:(0 1);(0 1 2)"."""
+    "product:cyclic:2*cyclic:4" or "perm:3:(0 1);(0 1 2)". The whole spec
+    is parsed and its table built before the one table is adopted."""
     if not isinstance(spec, str) or not spec:
         raise ParseError("empty group spec", 0)
     parser = _SpecParser(spec)
-    G = parser.group()
+    built = parser.group()
     if parser.pos != len(spec):
         parser.fail("unexpected trailing text")
-    return G
+    return _owning(*built)

@@ -96,15 +96,16 @@ def plancherel_invert_at_identity(table: CharacterTable, F: np.ndarray) -> np.nd
     """sum_pi mu_pi * Theta_pi(f) for each row f of F, a (k, |G|) array;
     equals f(identity) for a correct table.
 
-    Theta is filled one slice of row_blocks(num_irreps, |G|) irreps of
-    element_values at a time, so each slice stays in cache while every f is
-    paired with it; each Theta_pi(f) is still np.dot(f, element_values[pi])
-    bit for bit."""
+    Theta is filled one slice of row_blocks(num_irreps, |G|) irreps at a
+    time, gathered as element_values holds it but never all r x |G| at once;
+    each slice stays in cache while every f is paired with it, and each
+    Theta_pi(f) is still np.dot(f, element_values[pi]) bit for bit."""
     if F.ndim != 2 or F.shape[1] != table.group.order:
         raise GroupMismatch("F must hold functions on the table's group, one per row")
     theta = np.empty((len(F), table.num_irreps), dtype=np.complex128)
     for irreps in row_blocks(table.num_irreps, table.group.order):
-        theta[:, irreps] = _dots(F[:, None, :], table.element_values[irreps])
+        values = np.take(table.values[irreps], table.group.class_of, axis=1)
+        theta[:, irreps] = _dots(F[:, None, :], values)
     return _kahan_rows(theta * table.plancherel_weights)
 
 

@@ -47,7 +47,7 @@ from .errors import (
     SubgroupMismatch,
     ToleranceViolation,
 )
-from .groups import Subgroup, _index, row_blocks
+from .groups import Subgroup, _index, _real, row_blocks
 from .harmonic import _dots, _modulus, convolve_over_subgroup
 
 if TYPE_CHECKING:
@@ -291,7 +291,7 @@ def kernel_multiplicity_identity_check(
     bug, not a mathematical finding. The multiplicities for psi itself sit
     alongside in the spectrum; the two coincide whenever psi is real.
     """
-    if not tol > 0:  # so that a NaN is refused
+    if not (tol := _real("tol", tol)) > 0:  # so that a NaN is refused
         raise ValueError("tol must be positive")
     return spectrum.residuals.max(axis=1) <= tol
 

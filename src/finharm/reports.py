@@ -56,8 +56,8 @@ from .characters import (
 from .errors import FinharmError, IndexOutOfRange, OrderTooLarge, SweepAborted
 from .formatting import fmt_complex_rows, fmt_real
 from .groups import (
-    FiniteGroup, Subgroup, _index, enumerate_subgroups, make_named_group, row_blocks,
-    subgroup_closure,
+    FiniteGroup, Subgroup, _index, _real, enumerate_subgroups, make_named_group,
+    row_blocks, subgroup_closure,
 )
 from .harmonic import plancherel_invert_at_identity, generalized_plancherel_check_batch
 from .induction import (
@@ -144,10 +144,7 @@ class RunConfig:
             object.__setattr__(self, "character_selector", k)
         for name in ("num_test_functions", "seed"):
             object.__setattr__(self, name, _index(name, getattr(self, name)))
-        try:
-            object.__setattr__(self, "tol", float(self.tol))
-        except TypeError:
-            raise ValueError(f"tol must be a real number, got {self.tol!r}") from None
+        object.__setattr__(self, "tol", _real("tol", self.tol))
         if not 1 <= self.num_test_functions <= 10**4:
             raise ValueError("num_test_functions must lie in [1, 10^4]")
         if not 0 <= self.seed < 2**64:
@@ -163,7 +160,8 @@ class SweepReport:
     """Assembled report plus its digest and timing; passed is whether the
     payload's verdict is pass. proven_payload is the payload object whose
     orjson compact text _payload_digest hashed to the digest, if any: a
-    report copied with another payload does not inherit the proof."""
+    report copied with another payload does not inherit the proof, but one
+    whose payload is changed in place keeps it, so copy it before editing."""
 
     payload: dict[str, Any]
     digest: str

@@ -305,6 +305,24 @@ def test_perturbed_table_fails_orthogonality(s3_table):
     assert report.max_deviation >= 1e-4
 
 
+@pytest.mark.parametrize(
+    "tol", ["1e-9", b"1e-9", 1e-9 + 0j, np.complex64(1e-9)],
+    ids=["str", "bytes", "complex", "complex64"],
+)
+def test_table_refuses_a_tolerance_that_is_not_real(s3, tol):
+    with pytest.raises(ValueError, match="tol must be a real number"):
+        character_table(s3, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "tol", ["1e-9", b"1e-9", 1e-9 + 0j, np.complex64(1e-9)],
+    ids=["str", "bytes", "complex", "complex64"],
+)
+def test_orthogonality_refuses_a_tolerance_that_is_not_real(s3_table, tol):
+    with pytest.raises(ValueError, match="tol must be a real number"):
+        verify_orthogonality(s3_table, tol=tol)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
 def test_orthogonality_refuses_a_tolerance_that_is_not_positive(s3_table, tol):
     # every comparison with NaN is false, so "tol <= 0" would let it through

@@ -144,6 +144,14 @@ def test_chartable_of_a_perm_spec_of_huge_degree(capsys):
     assert doc["group"]["order"] == 2
 
 
+def test_chartable_of_a_perm_spec_above_2048_elements(capsys):
+    # A7, order 2520: every spec is capped at 4096, perm: as well
+    assert main(["chartable", "perm:7:(0 1 2);(0 1 2 3 4 5 6)"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "pass"
+    assert doc["group"]["order"] == 2520
+
+
 def test_deeply_nested_product_exits_2(capsys):
     spec = "product:" * 1200 + "cyclic:2" + "*cyclic:1" * 1200
     assert main(["chartable", spec]) == 2

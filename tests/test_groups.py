@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import tracemalloc
 
@@ -13,6 +14,7 @@ from finharm import (
     FiniteGroup,
     IndexOutOfRange,
     InvalidPermutation,
+    MAX_NAMED_ORDER,
     OrderTooLarge,
     ParseError,
     Subgroup,
@@ -138,7 +140,7 @@ def test_heisenberg_table_matches_broadcast_formula(p):
     a1, b1, c1 = a[:, None], b[:, None], c[:, None]
     a2, b2, c2 = a[None, :], b[None, :], c[None, :]
     expected = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + ((c1 + c2 + a1 * b2) % p)
-    table = _heisenberg(p).mul_table
+    table, _, _ = _heisenberg(p)
     assert table.dtype == np.int16
     assert np.array_equal(table, expected)
 
@@ -148,9 +150,9 @@ def test_cyclic_and_dihedral_tables_match_broadcast_formula(n):
     a = np.arange(n, dtype=np.int64)
     rr = (a[:, None] + a[None, :]) % n
     diff = (a[None, :] - a[:, None]) % n
-    assert np.array_equal(_cyclic(n).mul_table, rr)
+    assert np.array_equal(_cyclic(n)[0], rr)
     expected = np.block([[rr, n + diff], [n + rr, diff]])
-    table = _dihedral(n).mul_table
+    table, _, _ = _dihedral(n)
     assert table.dtype == np.int16
     assert np.array_equal(table, expected)
 
@@ -213,7 +215,7 @@ def test_cyclic_and_dihedral_build_without_table_temporaries(build, n):
     # both tables are 2 MiB; two table-sized temporaries would double the peak
     tracemalloc.start()
     try:
-        table = build(n).mul_table
+        table, _, _ = build(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -382,6 +384,44 @@ def test_build_from_permutations_closure_cap():
         build_from_permutations(5, [five_cycle], order_cap=3)
     assert build_from_permutations(5, [five_cycle]).order == 5
     assert build_from_permutations(3, []).order == 1
+
+
+def test_perm_closures_are_capped_like_every_spec():
+    A7 = make_named_group("perm:7:(0 1 2);(0 1 2 3 4 5 6)")
+    assert A7.order == 2520
+    assert len(A7.class_reps) == 9
+    with pytest.raises(ClosureExceedsCap, match=f"order_cap={MAX_NAMED_ORDER}$"):
+        make_named_group("perm:8:(0 1);(0 1 2 3 4 5 6 7)")  # S8, order 40320
+    cap = inspect.signature(build_from_permutations).parameters["order_cap"].default
+    assert cap == MAX_NAMED_ORDER
+
+
+@pytest.mark.parametrize(
+    "spec, adopted",
+    [
+        ("product:cyclic:4096*cyclic:2", 0),
+        ("product:heisenberg:5*dihedral:5", 1),
+        ("product:cyclic:2*product:cyclic:2*cyclic:2", 1),
+        ("perm:5:(0 1 2);(3 4)", 1),
+    ],
+)
+def test_a_spec_adopts_one_table_and_no_factor(monkeypatch, spec, adopted):
+    calls = []
+    real = FiniteGroup._adopt
+
+    def counted(self, *args):
+        calls.append(args[1])
+        return real(self, *args)
+
+    monkeypatch.setattr(FiniteGroup, "_adopt", counted)
+    if adopted:
+        assert make_named_group(spec).label == spec
+    else:
+        with pytest.raises(OrderTooLarge, match=(
+            "^product of cyclic:4096 and cyclic:2 has order 8192, cap is 4096$"
+        )):
+            make_named_group(spec)
+    assert calls == [spec] * adopted
 
 
 def test_build_from_permutations_rejects_non_permutation():

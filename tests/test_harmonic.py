@@ -10,10 +10,12 @@ from finharm import (
     IndexOutOfRange,
     Subgroup,
     SubgroupMismatch,
+    character_table,
     convolve_over_subgroup,
     enumerate_subgroups,
     generalized_plancherel_check_batch,
     linear_characters,
+    make_named_group,
     plancherel_invert_at_identity,
     subgroup_closure,
     subgroup_spectrum,
@@ -127,6 +129,16 @@ def test_inversion_frozen_values(s3_table, s3):
     assert abs(plancherel_invert_at_identity(s3_table, three_cycles[None])[0]) < 1e-12
     with pytest.raises(GroupMismatch):
         plancherel_invert_at_identity(s3_table, np.zeros((1, 8)))
+
+
+def test_inversion_builds_no_element_values():
+    # each slice of irreps is gathered from the class values as it is used
+    table = character_table(make_named_group("heisenberg:3"))
+    F = draw_test_functions(table.group, 0, range(4))
+    theta = plancherel_invert_at_identity(table, F)
+    assert "element_values" not in vars(table)
+    expected = (F @ table.element_values.T) @ table.plancherel_weights
+    assert np.allclose(theta, expected, atol=1e-12)
 
 
 def test_inversion_matches_brute(corpus_groups, corpus_tables):

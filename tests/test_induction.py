@@ -285,6 +285,17 @@ def test_identity_check_refuses_a_tolerance_that_is_not_positive(s3_table, s3, t
         kernel_multiplicity_identity_check(spectrum, tol)
 
 
+@pytest.mark.parametrize(
+    "tol", ["1e-9", b"1e-9", 1e-9 + 0j, np.complex64(1e-9)],
+    ids=["str", "bytes", "complex", "complex64"],
+)
+def test_identity_check_refuses_a_tolerance_that_is_not_real(s3_table, s3, tol):
+    U = subgroup_closure(s3, [1])
+    spectrum = subgroup_spectrum(s3_table, U, linear_characters(U))
+    with pytest.raises(ValueError, match="tol must be a real number"):
+        kernel_multiplicity_identity_check(spectrum, tol=tol)
+
+
 def test_character_values_are_checked_where_they_enter(s3_table, s3):
     U = subgroup_closure(s3, [1])
     psis = linear_characters(U)

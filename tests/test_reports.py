@@ -331,7 +331,7 @@ def test_unknown_command_raises():
         ("num_test_functions", np.int64(3), 3),
         ("seed", np.int64(3), 3),
         ("seed", np.uint64(2**64 - 1), 2**64 - 1),
-        ("tol", "1e-9", 1e-9),
+        ("tol", "1e-9", ValueError),
         ("tol", np.float32(1e-7), float(np.float32(1e-7))),
         ("character_selector", np.int64(1), 1),
         ("num_test_functions", 2.5, ValueError),
@@ -353,6 +353,16 @@ def test_runconfig_stores_what_it_validated(field, value, stored):
     assert type(getattr(cfg, field)) is type(stored)
     config = build_report("plancherel-check", cfg).payload["config"]
     assert config[field] == (fmt_real(stored) if field == "tol" else stored)
+
+
+@pytest.mark.parametrize(
+    "tol", ["1e-9", b"1e-9", 1e-9 + 0j, np.complex64(1e-9)],
+    ids=["str", "bytes", "complex", "complex64"],
+)
+def test_runconfig_refuses_a_tolerance_that_is_not_real(tol):
+    # a string is refused as it is by character_table, not parsed
+    with pytest.raises(ValueError, match="tol must be a real number"):
+        RunConfig(group_spec="symmetric:3", tol=tol)
 
 
 def test_chartable_report_payload(s3):
