@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -87,12 +87,13 @@ def _index_dtype(n: int) -> np.dtype:
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    The table is validated on construction: square, in-range, identity row
-    and column at index 0, and bijective rows and columns. Associativity is
-    not re-proved here; every builder in this module produces associative
-    tables by construction, and the test suite checks them exhaustively with
-    ``verify_group_axioms`` in ``tests/oracle_helpers.py``. The group keeps a
-    read-only copy of the table it is given.
+    Only ``FiniteGroup(table)`` checks a table: square, in-range, identity
+    row and column at index 0, bijective rows and columns, two-sided inverses.
+    A builder's table, adopted by ``_owning``, is a group by construction and
+    goes unchecked; the test suite checks every builder with
+    ``verify_group_axioms`` in ``tests/oracle_helpers.py`` and hands its table
+    back to ``FiniteGroup(table)``. Associativity is never re-proved. The
+    group keeps a read-only copy of a table from outside.
 
     Elements are read through the read-only arrays ``mul_table``, of
     ``_index_dtype(order)`` (int16 up to order 2^15), and ``inv_table``, of
@@ -110,12 +111,7 @@ class FiniteGroup:
         generators: Sequence[int] = (),
     ) -> None:
         # the caller may still write to its array, so the group keeps a copy
-        self._adopt(np.array(mul_table), label, generators)
-
-    def _adopt(self, mul: np.ndarray, label: str, generators: Sequence[int]) -> None:
-        """Validate mul, a table nothing else writes to, and freeze it as this
-        group's table, converted to _index_dtype once its entries are known to
-        be indices (a table of that type is kept uncopied); set every attribute."""
+        mul = np.array(mul_table)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         n = mul.shape[0]
@@ -137,16 +133,21 @@ class FiniteGroup:
                 hit[ar[:len(block), None] * n + block] = True  # (line, entry)
                 if not hit.all():
                     raise ValueError(f"{side} translations must be bijective")
+        self._adopt(mul, label, generators)
+        # mul[ar, inv] is 0 by _adopt's argmin, so only the left inverse is
+        # tested; an associative table always passes it
+        if mul[self.inv_table, ar].any():
+            raise ValueError("left and right inverses disagree")
 
+    def _adopt(self, mul: np.ndarray, label: str, generators: Sequence[int]) -> None:
+        """Freeze mul, a group table of _index_dtype(len(mul)) that nothing else
+        writes to, uncopied and unchecked; set the inverses, classes and the rest."""
         # each row holds 0 exactly once, as its minimum; argmin before the
         # table is frozen, since numpy copies a read-only array to take it
         inv = np.argmin(mul, axis=1)
         mul.setflags(write=False)
-        # mul[ar, inv] is 0 by the argmin, so only the left inverse is tested
-        if not np.array_equal(mul[inv, ar], np.zeros(n, dtype=np.int64)):
-            raise ValueError("left and right inverses disagree")
         inv.setflags(write=False)
-        self.order = n
+        self.order = n = len(mul)
         self.mul_table = mul
         self.inv_table = inv
         self.label = str(label)
@@ -182,13 +183,13 @@ class FiniteGroup:
         return f"<FiniteGroup {name!r} order {self.order}>"
 
 
-# A builder's (table nothing else holds, label, generator indices); only
-# make_named_group and build_from_permutations adopt one, through _owning.
+# A builder's (group table by construction that nothing else holds, label,
+# generator indices); make_named_group and build_from_permutations adopt it.
 _Built = tuple[np.ndarray, str, tuple[int, ...]]
 
 
 def _owning(mul: np.ndarray, label: str, generators: Sequence[int] = ()) -> FiniteGroup:
-    """The group of a table a builder here has just made, taken without a copy."""
+    """The group of a _Built table, adopted without a copy or a check."""
     G = FiniteGroup.__new__(FiniteGroup)
     G._adopt(mul, label, generators)
     return G
@@ -559,7 +560,7 @@ class _SpecParser:
         self.pos = 0
         self.depth = 0
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str) -> NoReturn:
         raise ParseError(message, self.pos)
 
     def literal(self, token: str) -> bool:
@@ -610,7 +611,6 @@ class _SpecParser:
             "expected one of cyclic:, dihedral:, symmetric:, quaternion, "
             "heisenberg:, product:, perm:"
         )
-        raise AssertionError("unreachable")
 
     def cycles(self) -> list[tuple[int, ...]]:
         out = [self.cycle()]

@@ -10,10 +10,12 @@ oracle shuffles its loops by seed. truncation_demo convolves its truncated
 kernels through the package's convolve_over_subgroup on purpose: its final
 stage must reproduce the package's kernel bit for bit, which only the same
 summation can. verify_group_axioms is the exhaustive O(n^3) check that the
-package's group constructor leaves out. search_mul_table and table_structure
-are the whole-table group constructions the package used before it built
-permutation tables from the generators' left action: a binary search of all
-n^2 compositions, and classes by np.unique of each orbit. perm_closure is
+package's group constructor leaves out, and assert_table_round_trips hands a
+builder's table, which the package adopts unchecked, to that constructor.
+search_mul_table and table_structure are the whole-table group constructions
+the package used before it built permutation tables from the generators'
+left action: a binary search of all n^2 compositions, and classes by
+np.unique of each orbit. perm_closure is
 the closure the package found one tuple product at a time before it
 composed whole breadth-first levels. scipy_schur is the
 scipy.linalg call the package made before it took LAPACK zgees straight from
@@ -423,14 +425,25 @@ def table_structure(mul: np.ndarray) -> SimpleNamespace:
     )
 
 
+def assert_table_round_trips(G: FiniteGroup) -> None:
+    """FiniteGroup(G.mul_table), the one path that checks a table, accepts
+    G's table and derives the inverses and classes G holds: a builder's
+    table, adopted unchecked, passes every check a table from outside does."""
+    H = FiniteGroup(G.mul_table)
+    for name in ("inv_table", "class_of", "class_sizes", "class_reps"):
+        assert np.array_equal(getattr(H, name), getattr(G, name)), name
+
+
 def assert_structure_matches_oracle(G: FiniteGroup) -> None:
-    """Every derived array of G equals table_structure's, dtype included."""
+    """Every derived array of G equals table_structure's, dtype included,
+    and G's table round-trips through FiniteGroup(table)."""
     expected = table_structure(np.array(G.mul_table))
     assert_classes_are(G, expected.classes)
     for name in ("inv_table", "class_of", "class_reps", "class_sizes"):
         got, want = getattr(G, name), getattr(expected, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert not got.flags.writeable, name
+    assert_table_round_trips(G)
 
 
 def loop_cosets(U: Subgroup) -> tuple[np.ndarray, np.ndarray]:

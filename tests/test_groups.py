@@ -66,6 +66,18 @@ TABLES_SPECS = (
     "product:dihedral:6*quaternion",
 )
 
+# edge cases that none of the lists above has (CORPUS_SPECS has cyclic:1 and
+# dihedral:1): the two smallest symmetric groups, the smallest Heisenberg
+# group, nested and mixed products, and a perm: spec on one point
+EDGE_SPECS = (
+    "symmetric:1",
+    "symmetric:2",
+    "heisenberg:2",
+    "product:cyclic:2*product:cyclic:2*cyclic:2",
+    "product:symmetric:3*heisenberg:3",
+    "perm:1:(0)",
+)
+
 # a Latin square with identity and two-sided inverses that is NOT associative
 LOOP5 = [
     [0, 1, 2, 3, 4],
@@ -235,8 +247,8 @@ def test_product_builds_without_table_temporaries():
 
 @pytest.mark.parametrize("spec", ["cyclic:1024", "heisenberg:7"])
 def test_adoption_stays_far_below_the_table(spec):
-    # validation, inverse and classes need no table-sized temporary; an argmin
-    # over the table after it is made read-only would copy it whole
+    # adoption, the inverse and the classes, needs no table-sized temporary;
+    # an argmin over the table after it is made read-only would copy it whole
     table = np.array(make_named_group(spec).mul_table)
     tracemalloc.start()
     try:
@@ -246,6 +258,20 @@ def test_adoption_stays_far_below_the_table(spec):
         tracemalloc.stop()
     assert np.shares_memory(G.mul_table, table)
     assert peak <= 0.25 * table.nbytes + (1 << 20)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1024", "heisenberg:7"])
+def test_checking_a_table_stays_near_its_copy(spec):
+    # FiniteGroup(table) copies the table, then checks it in row blocks and
+    # adopts the copy: beyond the copy, no table-sized temporary
+    table = np.array(make_named_group(spec).mul_table)
+    tracemalloc.start()
+    try:
+        FiniteGroup(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes + (1 << 20)
 
 
 def test_product_group_is_componentwise():
@@ -424,6 +450,37 @@ def test_a_spec_adopts_one_table_and_no_factor(monkeypatch, spec, adopted):
     assert calls == [spec] * adopted
 
 
+def test_no_builder_checks_its_table(monkeypatch):
+    # a builder's table is a group by construction: it reaches _adopt through
+    # _owning, and FiniteGroup.__init__, which checks a table, never runs
+    calls = []
+    for name in ("__init__", "_adopt"):
+        real = getattr(FiniteGroup, name)
+
+        def counted(self, *args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteGroup, name, counted)
+    for spec in ("cyclic:5", "dihedral:4", "quaternion", "heisenberg:3", "symmetric:4",
+                 "product:cyclic:2*dihedral:3", "perm:4:(0 1);(1 2 3)"):
+        calls.clear()
+        assert make_named_group(spec).label == spec
+        assert calls == ["_adopt"], spec
+    calls.clear()
+    assert build_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)]).order == 24
+    assert calls == ["_adopt"]
+    calls.clear()
+    FiniteGroup([[0, 1], [1, 0]])
+    assert calls == ["__init__", "_adopt"]
+    # _adopt itself checks nothing: tables FiniteGroup(table) refuses, one
+    # with a row that is no bijection and one with one-sided inverses, are
+    # adopted as given
+    for table in ([[0, 1], [1, 1]], ONE_SIDED5):
+        G = _owning(np.array(table, dtype=np.int16), "")
+        assert G.mul_table.tolist() == table
+
+
 def test_build_from_permutations_rejects_non_permutation():
     with pytest.raises(InvalidPermutation):
         build_from_permutations(3, [(0, 0, 1)])
@@ -485,15 +542,19 @@ def test_perm_spec_of_degree_20_uses_breadth_first_order():
 
 
 def test_constructor_rejects_malformed_tables():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^multiplication table must be square$"):
         FiniteGroup(np.zeros((2, 3), dtype=np.int64))
-    with pytest.raises(ValueError):
-        FiniteGroup([[1, 0], [0, 1]])  # 0 is not the identity
-    with pytest.raises(ValueError, match="left translations must be bijective"):
+    with pytest.raises(ValueError, match="^a group has at least one element$"):
+        FiniteGroup(np.zeros((0, 0), dtype=np.int64))
+    with pytest.raises(ValueError, match="^table entries must be element indices$"):
+        FiniteGroup([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="^element 0 must act as the identity$"):
+        FiniteGroup([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="^left translations must be bijective$"):
         FiniteGroup([[0, 1], [1, 1]])  # row 1 not a bijection
-    with pytest.raises(ValueError, match="right translations must be bijective"):
+    with pytest.raises(ValueError, match="^right translations must be bijective$"):
         FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # column 1 not a bijection
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^left and right inverses disagree$"):
         FiniteGroup(ONE_SIDED5)  # left inverse of 3 is 2, right inverse is 4
 
 
@@ -527,7 +588,9 @@ def test_axiom_checker_chunked_path():
     assert verify_group_axioms(make_named_group("cyclic:200")) is True
 
 
-@pytest.mark.parametrize("spec", sorted(set(CORPUS_SPECS + LATTICE_SPECS + TABLES_SPECS)))
+@pytest.mark.parametrize(
+    "spec", sorted(set(CORPUS_SPECS + LATTICE_SPECS + TABLES_SPECS + EDGE_SPECS))
+)
 def test_group_structure_matches_oracle(spec):
     assert_structure_matches_oracle(make_named_group(spec))
 

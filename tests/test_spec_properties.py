@@ -1,9 +1,10 @@
 """Property tests of the group-spec parser: every string made of the spec
 grammar's tokens, and every perm: spec with arbitrary cycles, either builds a
 group or raises a FinharmError. A perm: group that builds has the classes of
-the brute-force oracle, and one of at most 720 elements the table and the
-cosets of the loop oracle. Specs of distinct points below a small degree
-always build, and run the same oracles."""
+the brute-force oracle and a table FiniteGroup(table) accepts, and one of at
+most 720 elements the character table and the cosets of the loop oracle.
+Specs of distinct points below a small degree always build, and run the same
+oracles."""
 
 from __future__ import annotations
 
@@ -19,7 +20,12 @@ from finharm import (
     subgroup_closure,
     verify_orthogonality,
 )
-from oracle_helpers import assert_classes_are, brute_classes, loop_cosets
+from oracle_helpers import (
+    assert_classes_are,
+    assert_table_round_trips,
+    brute_classes,
+    loop_cosets,
+)
 
 TOKENS = (
     "product:", "perm:", "cyclic:", "dihedral:", "symmetric:", "quaternion",
@@ -94,11 +100,13 @@ def test_buildable_perm_specs_match_oracles(spec):
 
 
 def _assert_matches_oracles(G, spec):
-    """The label, the classes, the table and the cosets of one generator's
-    subgroup of a perm: group against the oracles, the last two up to the
-    order of S6."""
+    """The label, the classes, the table's round trip through
+    FiniteGroup(table), and the character table and the cosets of one
+    generator's subgroup of a perm: group against the oracles, the last two
+    up to the order of S6."""
     assert G.label == spec
     assert_classes_are(G, brute_classes(G))
+    assert_table_round_trips(G)
     if G.order <= 720:
         assert verify_orthogonality(character_table(G)).passed
         U = subgroup_closure(G, G.generators[:1])
